@@ -181,7 +181,8 @@ def _coroot_vector(rs: RootSystem, root: Root) -> tuple[int, ...]:
     out = []
     for i in range(rs.rank):
         c = Fraction(root[i]) * rs.gram[i][i] / nn
-        assert c.denominator == 1
+        if c.denominator != 1:
+            raise ArithmeticError(f"coroot of {root} is not integral")
         out.append(int(c))
     return tuple(out)
 
@@ -226,7 +227,9 @@ def build_chevalley(rs: RootSystem) -> StructureConstants:
         else:
             v = n_std(c, a)
             out = Fraction(v) * nn[s] / nn[b]
-        assert out.denominator == 1
+        if out.denominator != 1:
+            raise ArithmeticError(f"structure constant n{(a, b)} = {out} "
+                                  f"is not integral")
         return int(out)
 
     # extraspecial pairs, processed by height of the sum
@@ -241,7 +244,8 @@ def build_chevalley(rs: RootSystem) -> StructureConstants:
             if b in pos_set and order[a] < order[b]:
                 es = (a, b)
                 break
-        assert es is not None, f"no extraspecial pair for {g}"
+        if es is None:
+            raise ArithmeticError(f"no extraspecial pair for {g}")
         a1, b1 = es
         npos[(a1, b1)] = p_down(a1, b1) + 1
         npos[(b1, a1)] = -npos[(a1, b1)]
@@ -260,9 +264,10 @@ def build_chevalley(rs: RootSystem) -> StructureConstants:
             if tuple(x - y for x, y in zip(a, a1)) in rs.index:
                 t3 = Fraction(n_std(neg(a1), a) * n_std(b, neg(b1))) / nn[tuple(x - y for x, y in zip(a, a1))]
             val = nn[g] * (t2 + t3) / npos[(a1, b1)]
-            assert val.denominator == 1, (g, a, b)
+            if val.denominator != 1 or val == 0:
+                raise ArithmeticError(f"special pair {(a, b)} of {g}: "
+                                      f"structure constant {val}")
             v = int(val)
-            assert v != 0
             npos[(a, b)] = v
             npos[(b, a)] = -v
 

@@ -5,7 +5,8 @@
              [--golden <file>] [--gauge-seed N] [--allow-large]
              [--dump-form] [--max-rank N]
 
-Exit codes: 0 all golden parity passed, 1 mismatches, 2 usage or data error.
+Exit codes: 0 all golden parity passed, 1 mismatches, 2 usage or data error,
+3 internal error (an implementation bug; the traceback goes to stderr).
 CONCAVITY_THREADS caps worker parallelism.  Identical invocations produce
 byte-identical JSON.
 """
@@ -16,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from importlib import resources
 from itertools import combinations
 
@@ -244,9 +246,13 @@ def main(argv=None) -> int:
 
     try:
         docs = _run_rows(diag, phis, args)
-    except Exception as e:  # data errors surface as exit 2
+    except (KeyError, ValueError) as e:  # data errors, ConjugationError too
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception:  # a bug, SufficiencyViolation included
+        print("internal error", file=sys.stderr)
+        traceback.print_exc()
+        return 3
     rows = _report_rows(docs)
 
     exit_code = 0

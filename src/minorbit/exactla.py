@@ -62,7 +62,9 @@ def inertia(m: Matrix) -> tuple[int, int, int]:
         piv = next((k for k in idx if work[k][k]), None)
         if piv is not None:
             d = work[piv][piv]
-            assert d.is_real()
+            if not d.is_real():
+                raise ArithmeticError(f"non-real pivot {d} in a Hermitian "
+                                      f"elimination")
             if d.re > 0:
                 n_plus += 1
             else:

@@ -11,17 +11,8 @@ parity but still reported.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .realform import SatakeDiagram
-
-
-@dataclass(frozen=True)
-class GoldenRow:
-    form: str
-    source_case: int | None
-    predicates: tuple          # candidate readings, each a predicate doc
-    ambiguous: bool
 
 
 def _eval_predicate(doc: dict, params: dict, rank: int, phi: frozenset) -> bool:
@@ -79,11 +70,6 @@ _RULES = {
     "FI": (None, ({"kind": "never"},), False),
     "GI": (None, ({"kind": "never"},), False),
 }
-
-
-def golden_row(diag: SatakeDiagram) -> GoldenRow:
-    case, preds, amb = _RULES[diag.label]
-    return GoldenRow(diag.name, case, preds, amb)
 
 
 def golden_table_doc(entries) -> dict:

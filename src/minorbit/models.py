@@ -110,6 +110,7 @@ def expected_lattice_conjugation(entry: SatakeDiagram, rs: RootSystem):
         for k in range(r, m):
             if aug[k][n]:
                 raise ValueError(f"{entry.name}: model image not in root lattice")
-        assert all(v.denominator == 1 for v in x)
+        if any(v.denominator != 1 for v in x):
+            raise ValueError(f"{entry.name}: model image not integral")
         cols.append([int(v) for v in x])
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))

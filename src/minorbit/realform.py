@@ -193,10 +193,20 @@ def catalog(max_rank: int) -> list[SatakeDiagram]:
 
 
 def find_form(name: str, max_rank: int = 8) -> SatakeDiagram:
-    for e in catalog(max_rank):
-        if e.name == name or e.label == name:
+    """The catalog entry with this exact name, else the only entry with this
+    label.  Raises KeyError for an unknown form and ValueError for a label
+    shared by several entries."""
+    entries = catalog(max_rank)
+    for e in entries:
+        if e.name == name:
             return e
-    raise KeyError(f"unknown form {name!r}")
+    labeled = [e for e in entries if e.label == name]
+    if not labeled:
+        raise KeyError(f"unknown form {name!r}")
+    if len(labeled) > 1:
+        names = ", ".join(e.name for e in labeled)
+        raise ValueError(f"ambiguous form {name!r}; candidates: {names}")
+    return labeled[0]
 
 
 # ---------------------------------------------------------------------------

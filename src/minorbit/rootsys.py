@@ -151,7 +151,9 @@ class RootSystem:
             row = []
             for j in range(n):
                 v = 2 * self.gram[i][j] / self.gram[i][i]
-                assert v.denominator == 1
+                if v.denominator != 1:
+                    raise ArithmeticError(f"Cartan entry ({i}, {j}) = {v} "
+                                          f"is not integral")
                 row.append(int(v))
             m.append(tuple(row))
         return tuple(m)
@@ -207,7 +209,9 @@ class RootSystem:
     def pairing(self, alpha: Sequence[int], beta: Sequence[int]) -> int:
         """2(alpha|beta)/(alpha|alpha); integer whenever alpha is a root."""
         v = 2 * self.inner(alpha, beta) / self.inner(alpha, alpha)
-        assert v.denominator == 1
+        if v.denominator != 1:
+            raise ValueError(f"pairing of {tuple(alpha)} with {tuple(beta)} "
+                             f"is {v}; alpha must be a root")
         return int(v)
 
     def root_string(self, alpha: Root, beta: Root) -> tuple[int, int]:

@@ -298,6 +298,12 @@ def test_no_triples(name):
     assert verify_no_triples(get_context(name)) == 0
 
 
+def test_get_context_key_includes_max_rank():
+    get_context("FII")
+    with pytest.raises(KeyError):
+        get_context("FII", max_rank=3)  # F4 is outside the rank <= 3 catalog
+
+
 # -- span decision -----------------------------------------------------------------
 
 

@@ -75,6 +75,26 @@ def test_cli_usage_errors():
     assert r.returncode == 2
 
 
+def test_cli_internal_error_exit_code(monkeypatch, capsys):
+    from minorbit import cli, crflag
+    from minorbit.realform import ConjugationError
+    # FII phi={1} satisfies the chain condition, so a failed span is a bug
+    monkeypatch.setattr(crflag, "t_module_span",
+                        lambda ctx, pd, kp: (False, []))
+    assert cli.main(["--form", "FII", "--phi", "1", "--no-golden"]) == 3
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("internal error\n")
+    assert "Traceback" in err and "SufficiencyViolation" in err
+
+    def data_error(ctx, pd, kp):
+        raise ConjugationError("bad catalog entry")
+
+    monkeypatch.setattr(crflag, "t_module_span", data_error)
+    assert cli.main(["--form", "FII", "--phi", "1", "--no-golden"]) == 2
+    assert capsys.readouterr().err == "error: bad catalog entry\n"
+
+
 def test_cli_large_gate():
     r = run_cli(["--form", "EIX", "--phi", "1"])
     assert r.returncode == 2

@@ -30,6 +30,15 @@ def test_catalog_counts_and_lookup():
         find_form("su(9,9)")
 
 
+def test_find_form_rejects_ambiguous_label():
+    with pytest.raises(ValueError, match=r"su\(2,3\), su\(2,4\)"):
+        find_form("AIIIa")
+    with pytest.raises(ValueError):
+        find_form("compact")
+    assert find_form("AIIIa", 4).name == "su(2,3)"  # unique at rank <= 4
+    assert find_form("FII").name == "FII"
+
+
 def test_catalog_rank_filter():
     for e in CATALOG6:
         assert (e.rank <= 6) if not e.doubled else (e.rank <= 12)

@@ -70,6 +70,12 @@ def test_pairing_values():
                 assert g2.pairing(a, b) * g2.pairing(b, a) in (0, 1, 2, 3)
 
 
+def test_pairing_rejects_non_root():
+    a2 = build_root_system("A", 2)
+    with pytest.raises(ValueError):
+        a2.pairing((2, 0), (0, 1))  # 2 alpha_1 is not a root: pairing -1/2
+
+
 @pytest.mark.parametrize("family,rank", [
     ("A", 3), ("B", 3), ("C", 3), ("B", 2), ("G", 2), ("F", 4), ("D", 4),
 ])
