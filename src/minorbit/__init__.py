@@ -6,8 +6,8 @@ from .gaussq import QQi
 from .rootsys import (RootSystem, SimpleType, build_doubled_system,
                       build_root_system, support)
 from .chevalley import StructureConstants, build_chevalley
-from .exactla import (DefinitenessClass, float_eigen_oracle,
-                      hermitian_classify, kernel, rank, span_closure)
+from .exactla import (DefinitenessClass, hermitian_classify, kernel, rank,
+                      span_closure)
 from .realform import (Conjugation, ConjugationError, RootClass,
                        SatakeDiagram, basis_conjugation_signs,
                        build_conjugation, catalog, find_form)
@@ -31,7 +31,7 @@ __all__ = [
     "QQi", "RootSystem", "SimpleType", "build_root_system",
     "build_doubled_system", "support", "StructureConstants",
     "build_chevalley", "DefinitenessClass", "hermitian_classify", "kernel",
-    "rank", "span_closure", "float_eigen_oracle", "Conjugation",
+    "rank", "span_closure", "Conjugation",
     "ConjugationError", "RootClass", "SatakeDiagram", "build_conjugation",
     "catalog", "find_form", "ConcavityVerdict", "FormContext", "parabolic",
     "characteristic_real_roots", "levi_matrix", "q_form", "classify_levi",

@@ -224,10 +224,8 @@ def main(argv=None) -> int:
                                     separators=(",", ":")) + "\n")
         return 0
 
-    rs = diag.root_system()
-    alg_dim = rs.rank + len(rs.roots)
-    if alg_dim > LARGE_DIM and not args.allow_large:
-        print(f"error: {diag.name} has dimension {alg_dim}; rerun with "
+    if diag.dim > LARGE_DIM and not args.allow_large:
+        print(f"error: {diag.name} has dimension {diag.dim}; rerun with "
               f"--allow-large", file=sys.stderr)
         return 2
 

@@ -2,7 +2,9 @@
 characteristic real roots, exact Levi matrices, the common kernel set K_Phi,
 finite type, the root-chain sufficient condition, and the authoritative
 span decision in the real form, decided by a root-set closure that equals
-the iterated bracket module (see `t_module_span`).
+the iterated bracket module (see `t_module_span`).  The chain search and
+the span share one breadth-first kernel, `root_closure`, and every root sum
+is read from per-root tables built once per `FormContext`.
 """
 
 from __future__ import annotations
@@ -34,14 +36,22 @@ class FormContext:
         self.sc: StructureConstants = sc
         self.conj: Conjugation = build_conjugation(diag, self.rs, sc)
         self.gauge_seed = gauge_seed
-        self._nroots = len(self.rs.roots)
-        self._sum_idx = {}
-        for ia in range(self._nroots):
-            for ib in range(self._nroots):
-                s = add(self.rs.roots[ia], self.rs.roots[ib])
-                si = self.rs.index.get(s)
+        # _sum_row[a][b] is the index of a + b; _sum_pairs[t] lists the
+        # pairs (x, r) with x + r = t, sorted by x.  Both are filled in
+        # ascending index order, so every row iterates its b in order too.
+        roots, index = self.rs.roots, self.rs.index
+        n = len(roots)
+        self._sum_row: list[dict[int, int]] = [{} for _ in range(n)]
+        self._sum_pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for ia, ra in enumerate(roots):
+            row = self._sum_row[ia]
+            for ib, rb in enumerate(roots):
+                si = index.get(add(ra, rb))
                 if si is not None:
-                    self._sum_idx[(ia, ib)] = si
+                    row[ib] = si
+                    self._sum_pairs[si].append((ia, ib))
+        # one-entry memo of the chain search, see _chain_closure
+        self._chain_memo: tuple | None = None
 
     def c(self, ia: int) -> int:
         return self.conj.c_index[ia]
@@ -50,7 +60,7 @@ class FormContext:
         return self.conj.neg_index[ia]
 
     def summed(self, ia: int, ib: int):
-        return self._sum_idx.get((ia, ib))
+        return self._sum_row[ia].get(ib)
 
 
 _CTX_CACHE: dict = {}
@@ -122,7 +132,6 @@ def levi_matrix(ctx: FormContext, pd: ParabolicData, gamma: int,
     two matrices are unitarily congruent and must classify identically.
     Returns (index list, matrix).
     """
-    rs = ctx.rs
     if ctx.c(gamma) != gamma:
         raise ValueError("levi_matrix needs a real root")
     if gamma not in pd.Qn:
@@ -136,31 +145,25 @@ def levi_matrix(ctx: FormContext, pd: ParabolicData, gamma: int,
     pos = {ia: k for k, ia in enumerate(index)}
     n = len(index)
     m = [[QQi(0)] * n for _ in range(n)]
-    tgt = rs.roots[target]
-    for x in index:
-        rest = tuple(t - v for t, v in zip(tgt, rs.roots[x]))
-        if rest not in rs.index:
-            continue
-        y = ctx.c(rs.idx(rest))
-        if y in pos:
-            m[pos[x]][pos[y]] = _entry(ctx, x, y, kpair)
+    for x, rest in ctx._sum_pairs[target]:
+        if x in pos:
+            y = ctx.c(rest)
+            if y in pos:
+                m[pos[x]][pos[y]] = _entry(ctx, x, y, kpair)
     return index, m
 
 
 def q_form(ctx: FormContext, pd: ParabolicData, target: int):
     """Levi form on the parabolic subalgebra itself: rows and columns over Q,
     entry at (x, y) iff x + conj(y) = target (a real root, either sign).
-    Support-restricted; used for the kernel-set test."""
-    rs = ctx.rs
+    Support-restricted; used for the kernel-set test.  The pairs of
+    `target` come sorted by x, so rows keep the order of sorted(Q)."""
     rows = []
-    tgt = rs.roots[target]
-    for x in sorted(pd.Q):
-        rest = tuple(t - v for t, v in zip(tgt, rs.roots[x]))
-        if rest not in rs.index:
-            continue
-        y = ctx.c(rs.idx(rest))
-        if y in pd.Q:
-            rows.append((x, y))
+    for x, rest in ctx._sum_pairs[target]:
+        if x in pd.Q:
+            y = ctx.c(rest)
+            if y in pd.Q:
+                rows.append((x, y))
     index = sorted({x for x, _ in rows} | {y for _, y in rows})
     pos = {ia: k for k, ia in enumerate(index)}
     kpair = ctx.sc.killing_z_pair(target)
@@ -223,19 +226,70 @@ def k_phi(ctx: FormContext, pd: ParabolicData) -> frozenset:
 
 def finite_type(ctx: FormContext, pd: ParabolicData) -> bool:
     """Root-addition closure of Q u conj(Q) covers all roots; stands in for
-    the iterated-bracket finite type condition."""
+    the iterated-bracket finite type condition.
+
+    Every root of the final set s passes through exactly one frontier, and
+    both roots of a pair are in s before the later one's frontier is walked,
+    so every pair of s is tried and s is closed; it only ever gains sums of
+    its own roots, so it is the closure.  Walking the sum row of a root
+    instead of all of s therefore gives the same set."""
     s = set(pd.Q) | set(pd.Qbar)
     frontier = list(s)
     while frontier:
         nxt = []
         for a in frontier:
-            for b in list(s):
-                t = ctx.summed(a, b)
-                if t is not None and t not in s:
+            for b, t in ctx._sum_row[a].items():
+                if b in s and t not in s:
                     s.add(t)
                     nxt.append(t)
         frontier = nxt
     return len(s) == len(ctx.rs.roots)
+
+
+def root_closure(ctx: FormContext, start, moves) -> tuple[dict, list[int]]:
+    """Breadth-first closure of the root set `start` under adding `moves`,
+    staying inside the root set.
+
+    The first frontier is sorted(start); each round walks its frontier in
+    discovery order, tries the moves in sorted order at each root, and gives
+    every new root the parent (root, move) that first reaches it.  Rounds
+    run until one adds nothing.  Returns the parent map (start roots map to
+    (None, None)) and sizes, where sizes[h] is the number of roots reached
+    after round h (sizes[0] = |start|, the last entry repeats)."""
+    moves = sorted(moves)
+    frontier = sorted(start)
+    parent: dict[int, tuple] = {a: (None, None) for a in frontier}
+    sizes = [len(parent)]
+    rows = ctx._sum_row
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            row = rows[cur]
+            for mv in moves:
+                t = row.get(mv)
+                if t is not None and t not in parent:
+                    parent[t] = (cur, mv)
+                    nxt.append(t)
+        frontier = nxt
+        sizes.append(len(parent))
+    return parent, sizes
+
+
+def _chain_closure(ctx: FormContext, pd: ParabolicData, kphi) -> tuple:
+    """The chain-search data of one cross set, from a one-entry memo on the
+    context: (key, parent map of the closure of conj(Q) under K u conj(K),
+    [(j, minimum of coordinate j over conj(Q))] for every coordinate j on
+    which no move is negative)."""
+    memo = ctx._chain_memo
+    if memo is None or memo[0] != (pd, kphi):
+        roots = ctx.rs.roots
+        moves = set(kphi) | {ctx.c(a) for a in kphi}
+        parent, _ = root_closure(ctx, pd.Qbar, moves)
+        bounds = [(j, min(roots[a][j] for a in pd.Qbar))
+                  for j in range(ctx.rs.rank)
+                  if all(roots[mv][j] >= 0 for mv in moves)]
+        memo = ctx._chain_memo = ((pd, frozenset(kphi)), parent, bounds)
+    return memo
 
 
 def hlc_reachability(ctx: FormContext, pd: ParabolicData, kphi: frozenset,
@@ -243,22 +297,21 @@ def hlc_reachability(ctx: FormContext, pd: ParabolicData, kphi: frozenset,
     """Breadth-first chain search: start at any root of conj(Q), repeatedly
     add elements of K u conj(K) staying inside the root set, reach -gamma
     (or +gamma).  Returns reached flag plus witness chain or a failure
-    certificate."""
+    certificate.
+
+    Every search of one cross set has the same start and moves, so the
+    first call for (pd, kphi) runs one full `root_closure` and later calls
+    only look up their target.  The answers equal those of a per-target
+    search that stops once a round has reached its target:
+    - that search checks its stop only between rounds and walks frontiers
+      and moves in the same order as the full search, so every root it
+      discovers gets the same parent, and every witness chain is the same;
+    - an unreached target means that search ran to exhaustion, so its
+      `reachable_count` is the size of the full closure;
+    - a coefficient bound depends only on moves, start and target."""
     rs = ctx.rs
     target = ctx.negi(gamma) if toward_minus else gamma
-    moves = sorted(set(kphi) | {ctx.c(a) for a in kphi})
-    start = sorted(pd.Qbar)
-    parent: dict[int, tuple] = {a: (None, None) for a in start}
-    frontier = list(start)
-    while frontier and target not in parent:
-        nxt = []
-        for cur in frontier:
-            for mv in moves:
-                t = ctx.summed(cur, mv)
-                if t is not None and t not in parent:
-                    parent[t] = (cur, mv)
-                    nxt.append(t)
-        frontier = nxt
+    _, parent, bounds = _chain_closure(ctx, pd, kphi)
     if target in parent:
         chain = []
         cur = target
@@ -271,15 +324,13 @@ def hlc_reachability(ctx: FormContext, pd: ParabolicData, kphi: frozenset,
                 "chain": [list(rs.roots[a]) for a in chain]}
     # certificate: a simple-root coordinate bounded below along every chain
     tgt = rs.roots[target]
-    for j in range(rs.rank):
-        if all(rs.roots[mv][j] >= 0 for mv in moves):
-            lo = min(rs.roots[a][j] for a in start)
-            if tgt[j] < lo:
-                return {"reached": False,
-                        "certificate": {"kind": "coefficient-bound",
-                                        "coordinate": j + 1,
-                                        "start_minimum": lo,
-                                        "target_coefficient": tgt[j]}}
+    for j, lo in bounds:
+        if tgt[j] < lo:
+            return {"reached": False,
+                    "certificate": {"kind": "coefficient-bound",
+                                    "coordinate": j + 1,
+                                    "start_minimum": lo,
+                                    "target_coefficient": tgt[j]}}
     return {"reached": False,
             "certificate": {"kind": "closure-exhausted",
                             "reachable_count": len(parent)}}
@@ -334,24 +385,15 @@ def t_module_span(ctx: FormContext, pd: ParabolicData,
     Hence the verdict (S reaches every root) and every entry of
     `span_dims` coincide with the exact linear algebra, which the tests
     keep as a differential oracle.  The rounds stop as the exact iteration
-    does: when a round adds nothing or the module is full."""
-    rk = ctx.rs.rank
+    does: when a round adds nothing or the module is full, so `span_dims`
+    is the `root_closure` sizes cut just after the first full entry."""
     full = len(ctx.rs.roots)
-    moves = sorted(set(kphi) | {ctx.c(a) for a in kphi})
-    reached = set(pd.Q) | set(pd.Qbar)
-    frontier = sorted(reached)
-    dims = [rk + len(reached)]
-    while frontier and len(reached) < full:
-        nxt = []
-        for b in frontier:
-            for m in moves:
-                t = ctx.summed(b, m)
-                if t is not None and t not in reached:
-                    reached.add(t)
-                    nxt.append(t)
-        frontier = nxt
-        dims.append(rk + len(reached))
-    return len(reached) == full, dims
+    moves = set(kphi) | {ctx.c(a) for a in kphi}
+    _, sizes = root_closure(ctx, pd.Q | pd.Qbar, moves)
+    if full in sizes:
+        sizes = sizes[:sizes.index(full) + 1]
+    rk = ctx.rs.rank
+    return sizes[-1] == full, [rk + k for k in sizes]
 
 
 # -- full pipeline ------------------------------------------------------------

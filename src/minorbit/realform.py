@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from .gaussq import QQi, I_POW
 from .rootsys import (RootSystem, Root, add, build_doubled_system,
@@ -52,6 +53,14 @@ class SatakeDiagram:
             return build_doubled_system(self.family, self.rank // 2)
         return build_root_system(self.family, self.rank)
 
+    @property
+    def dim(self) -> int:
+        """Real dimension of the form: rank + number of roots of its root
+        system, without building it."""
+        if self.doubled:
+            return 2 * _dim(self.family, self.rank // 2)
+        return _dim(self.family, self.rank)
+
     def to_doc(self) -> dict:
         return {
             "label": self.label,
@@ -82,9 +91,10 @@ def _so_char(p: int, q: int) -> int:
     return p * q - (p * (p - 1) + q * (q - 1)) // 2
 
 
-def catalog(max_rank: int) -> list[SatakeDiagram]:
+@lru_cache(maxsize=None)
+def catalog(max_rank: int) -> tuple[SatakeDiagram, ...]:
     """All simple real forms of rank <= max_rank, including compact, split,
-    and complex-type forms."""
+    and complex-type forms.  Built once per max_rank; the tuple is shared."""
     out: list[SatakeDiagram] = []
 
     def emit(label, name, family, rank, params=None, black=(), arrows=None,
@@ -189,7 +199,7 @@ def catalog(max_rank: int) -> list[SatakeDiagram]:
         compact_and_complex("G", 2, "compact-G2", "g2(C)")
 
     out.sort(key=lambda e: (e.family, e.rank, e.label, e.name))
-    return out
+    return tuple(out)
 
 
 def find_form(name: str, max_rank: int = 8) -> SatakeDiagram:

@@ -5,13 +5,13 @@ import itertools
 import random
 from fractions import Fraction
 
+from float_oracle import float_classify
 from minorbit.chevalley import build_chevalley
 from minorbit.cli import default_golden_path
 from minorbit.crflag import (characteristic_real_roots, classify_levi,
                              concavity_verdict, get_context, k_phi,
                              levi_matrix, parabolic, verify_no_triples)
-from minorbit.exactla import (DefinitenessClass, float_classify,
-                              hermitian_classify, rank)
+from minorbit.exactla import DefinitenessClass, hermitian_classify, rank
 from minorbit.gaussq import QQi
 from minorbit.golden import compare_golden, load_golden
 from minorbit.models import expected_lattice_conjugation

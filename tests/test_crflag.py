@@ -85,7 +85,7 @@ def test_fii_characteristic_and_levi():
     assert cls.is_semidefinite() and cls is not D.ZERO
     assert cat == "diagonal-semidefinite"
     # the float oracle sees exactly one nonzero eigenvalue
-    from minorbit.exactla import float_eigen_oracle
+    from float_oracle import float_eigen_oracle
     ev = float_eigen_oracle(m)
     scale = max(abs(e) for e in ev)
     assert sum(1 for e in ev if abs(e) > 1e-9 * scale) == 1

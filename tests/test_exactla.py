@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from minorbit.exactla import (DefinitenessClass, Echelon, float_classify,
-                              float_eigen_oracle, hermitian_classify, inertia,
-                              is_hermitian, kernel, mat, rank, rref,
+from float_oracle import float_classify, float_eigen_oracle
+from minorbit.exactla import (DefinitenessClass, Echelon, hermitian_classify,
+                              inertia, is_hermitian, kernel, mat, rank, rref,
                               span_closure)
 from minorbit.gaussq import QQi
 

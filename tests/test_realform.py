@@ -44,6 +44,18 @@ def test_catalog_rank_filter():
         assert (e.rank <= 6) if not e.doubled else (e.rank <= 12)
 
 
+def test_catalog_is_cached_and_immutable():
+    assert catalog(6) is CATALOG6
+    assert isinstance(CATALOG6, tuple)
+    assert catalog(8) is not CATALOG6
+
+
+def test_dim_matches_root_system():
+    for e in catalog(8):
+        rs = e.root_system()
+        assert e.dim == rs.rank + len(rs.roots), e.name
+
+
 def test_catalog_examples():
     su23 = find_form("su(2,3)")
     assert su23.black == frozenset()
