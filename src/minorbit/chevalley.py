@@ -1,6 +1,7 @@
 """Chevalley basis {H_i} u {Z_a} for the complex semisimple Lie algebra of a
-RootSystem: integer structure constants, brackets, adjoint matrices and the
-Killing form, all exact.
+RootSystem: integer structure constants, brackets and the Killing form, all
+exact.  Every root sum is read from the root system's `sum_row` and
+`sum_pairs` tables.
 
 Normalization: [H_a, Z_a] = 2 Z_a, [Z_a, Z_-a] = -H_a, and the linear map
 H -> -H, Z_a -> Z_-a is an automorphism (so N(-a,-b) = N(a,b)).  Signs are
@@ -15,7 +16,7 @@ import random
 from fractions import Fraction
 
 from .gaussq import QQi, ZERO
-from .rootsys import RootSystem, Root, add, neg
+from .rootsys import RootSystem, Root, neg
 
 # basis keys: 0..rank-1 are H_1..H_rank, rank + r is Z_{roots[r]}
 
@@ -48,15 +49,13 @@ class StructureConstants:
             c = sum(rs.cartan[k2][j] * b[j] for j in range(rk))
             return [(k1, -c)] if c else []
         ia, ib = k1 - rk, k2 - rk
-        a, b = rs.roots[ia], rs.roots[ib]
-        s = add(a, b)
-        if all(x == 0 for x in s):
+        si = rs.sum_row[ia].get(ib)
+        if si is not None:
+            return [(rk + si, self.ntable[(ia, ib)])]
+        if rs.roots[ib] == neg(rs.roots[ia]):
             # [Z_a, Z_-a] = -H_a
             return [(j, -c) for j, c in enumerate(self.coroots[ia]) if c]
-        si = rs.index.get(s)
-        if si is None:
-            return []
-        return [(rk + si, self.ntable[(ia, ib)])]
+        return []
 
     # -- elements ------------------------------------------------------------
     def bracket(self, x: dict, y: dict) -> dict:
@@ -82,16 +81,7 @@ class StructureConstants:
     def z(self, root) -> dict:
         return {self.rank + self.rs.idx(root): QQi(1)}
 
-    # -- adjoint / killing -----------------------------------------------------
-    def adjoint_matrix(self, x: dict) -> list[list[QQi]]:
-        n = self.dim
-        m = [[ZERO] * n for _ in range(n)]
-        for k in range(n):
-            col = self.bracket(x, {k: QQi(1)})
-            for k3, v in col.items():
-                m[k3][k] = v
-        return m
-
+    # -- killing ------------------------------------------------------------
     def _ad_sparse(self, k: int) -> dict[int, list[tuple[int, int]]]:
         out: dict[int, list[tuple[int, int]]] = {}
         for k2 in range(self.dim):
@@ -143,8 +133,7 @@ class StructureConstants:
                 if k1 < rk and k2 < rk:
                     tot = tot + c1 * c2 * hh[k1][k2]
                 elif k1 >= rk and k2 >= rk:
-                    a, b = rs.roots[k1 - rk], rs.roots[k2 - rk]
-                    if add(a, b) == tuple([0] * rk):
+                    if rs.roots[k2 - rk] == neg(rs.roots[k1 - rk]):
                         tot = tot + c1 * c2 * self.killing_z_pair(k1 - rk)
         return tot
 
@@ -170,8 +159,7 @@ class StructureConstants:
             u[rs.idx(neg(r))] = s
         nt = {}
         for (ia, ib), v in self.ntable.items():
-            s = add(rs.roots[ia], rs.roots[ib])
-            nt[(ia, ib)] = u[ia] * u[ib] * u[rs.idx(s)] * v
+            nt[(ia, ib)] = u[ia] * u[ib] * u[rs.sum_row[ia][ib]] * v
         return StructureConstants(rs, nt, self.coroots)
 
 
@@ -190,97 +178,78 @@ def _coroot_vector(rs: RootSystem, root: Root) -> tuple[int, ...]:
 def build_chevalley(rs: RootSystem) -> StructureConstants:
     """Structure constants via the extraspecial-pair recursion, then
     transported to the normalization [Z_a, Z_-a] = -H_a whose footprint is
-    that H -> -H, Z_a -> Z_-a is an automorphism."""
-    pos = rs.positives
-    pos_set = {tuple(r) for r in pos}
-    order = {tuple(r): k for k, r in enumerate(pos)}  # already (height, lex) sorted
-    nn = {tuple(r): rs.inner(r, r) for r in rs.roots}
+    that H -> -H, Z_a -> Z_-a is an automorphism.  Roots are handled by
+    index throughout, and every sum is read from `rs.sum_row`."""
+    roots, row = rs.roots, rs.sum_row
+    half = len(roots) // 2  # negatives come first, positives from here on
+    negi = [rs.idx(neg(r)) for r in roots]
+    nn = [rs.inner(r, r) for r in roots]
 
-    def p_down(a, b):
-        p = 0
-        cur = tuple(x - y for x, y in zip(b, a))
-        while cur in rs.index:
-            p += 1
-            cur = tuple(x - y for x, y in zip(cur, a))
-        return p
-
-    npos: dict[tuple[Root, Root], int] = {}
+    npos: dict[tuple[int, int], int] = {}
 
     def n_std(a, b):
         """n(a,b) for arbitrary roots with a+b a root, from the positive table."""
-        s = add(a, b)
-        if s not in rs.index:
+        s = row[a].get(b)
+        if s is None:
             return 0
-        if sum(a) > 0 and sum(b) > 0:
+        if a >= half and b >= half:
             v = npos.get((a, b))
             if v is None:
                 v = -npos[(b, a)]
             return v
-        if sum(a) < 0 and sum(b) < 0:
-            return -n_std(neg(a), neg(b))
+        if a < half and b < half:
+            return -n_std(negi[a], negi[b])
         # mixed signs: rotate the zero-sum triple (a, b, -s) to a same-sign pair
         # using N(a,b)/|c|^2 = N(b,c)/|a|^2 = N(c,a)/|b|^2
-        c = neg(s)
-        if (sum(b) > 0) == (sum(c) > 0):
-            v = n_std(b, c)
-            out = Fraction(v) * nn[s] / nn[a]
+        c = negi[s]
+        if (b >= half) == (c >= half):
+            out = Fraction(n_std(b, c)) * nn[s] / nn[a]
         else:
-            v = n_std(c, a)
-            out = Fraction(v) * nn[s] / nn[b]
+            out = Fraction(n_std(c, a)) * nn[s] / nn[b]
         if out.denominator != 1:
-            raise ArithmeticError(f"structure constant n{(a, b)} = {out} "
-                                  f"is not integral")
+            raise ArithmeticError(f"structure constant n{(roots[a], roots[b])} "
+                                  f"= {out} is not integral")
         return int(out)
 
-    # extraspecial pairs, processed by height of the sum
-    for g in pos:
-        if sum(g) == 1:
+    # extraspecial pairs, processed by height of the sum: the special pairs
+    # of g are its positive pairs (a, b) with a before b, in index order,
+    # and the first of them is extraspecial
+    for g in range(half, len(roots)):
+        if sum(roots[g]) == 1:
             continue
-        es = None
-        for a in pos:
-            if order[a] >= order[g]:
-                break
-            b = tuple(x - y for x, y in zip(g, a))
-            if b in pos_set and order[a] < order[b]:
-                es = (a, b)
-                break
-        if es is None:
-            raise ArithmeticError(f"no extraspecial pair for {g}")
-        a1, b1 = es
-        npos[(a1, b1)] = p_down(a1, b1) + 1
+        special = [(a, b) for a, b in rs.sum_pairs[g] if half <= a < b]
+        if not special:
+            raise ArithmeticError(f"no extraspecial pair for {roots[g]}")
+        a1, b1 = special[0]
+        npos[(a1, b1)] = rs.root_string(roots[a1], roots[b1])[0] + 1
         npos[(b1, a1)] = -npos[(a1, b1)]
         # remaining special pairs for g via the four-root relation against (a1, b1)
-        for a in pos:
-            if order[a] <= order[a1] or order[a] >= order[g]:
-                continue
-            b = tuple(x - y for x, y in zip(g, a))
-            if b not in pos_set or order[a] >= order[b]:
-                continue
+        for a, b in special[1:]:
             # a + b - a1 - b1 = 0, no two opposite
             t2 = Fraction(0)
-            if tuple(x - y for x, y in zip(b, a1)) in rs.index:
-                t2 = Fraction(n_std(b, neg(a1)) * n_std(a, neg(b1))) / nn[tuple(x - y for x, y in zip(b, a1))]
+            d = row[b].get(negi[a1])
+            if d is not None:
+                t2 = Fraction(n_std(b, negi[a1]) * n_std(a, negi[b1])) / nn[d]
             t3 = Fraction(0)
-            if tuple(x - y for x, y in zip(a, a1)) in rs.index:
-                t3 = Fraction(n_std(neg(a1), a) * n_std(b, neg(b1))) / nn[tuple(x - y for x, y in zip(a, a1))]
+            d = row[a].get(negi[a1])
+            if d is not None:
+                t3 = Fraction(n_std(negi[a1], a) * n_std(b, negi[b1])) / nn[d]
             val = nn[g] * (t2 + t3) / npos[(a1, b1)]
             if val.denominator != 1 or val == 0:
-                raise ArithmeticError(f"special pair {(a, b)} of {g}: "
-                                      f"structure constant {val}")
+                raise ArithmeticError(f"special pair {(roots[a], roots[b])} of "
+                                      f"{roots[g]}: structure constant {val}")
             v = int(val)
             npos[(a, b)] = v
             npos[(b, a)] = -v
 
     # full table in the target normalization: N(a,b) = e_a e_b e_{a+b} n(a,b)
+    def e(i):
+        return 1 if i >= half else -1
+
     ntable: dict[tuple[int, int], int] = {}
-    for a in rs.roots:
-        for b in rs.roots:
-            s = add(a, b)
-            if s in rs.index and a != neg(b):
-                ea = 1 if sum(a) > 0 else -1
-                eb = 1 if sum(b) > 0 else -1
-                es_ = 1 if sum(s) > 0 else -1
-                ntable[(rs.idx(a), rs.idx(b))] = ea * eb * es_ * n_std(a, b)
+    for a, sums in enumerate(row):
+        for b, s in sums.items():
+            ntable[(a, b)] = e(a) * e(b) * e(s) * n_std(a, b)
 
     coroots = [_coroot_vector(rs, r) for r in rs.roots]
     return StructureConstants(rs, ntable, coroots)

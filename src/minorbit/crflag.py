@@ -4,7 +4,8 @@ finite type, the root-chain sufficient condition, and the authoritative
 span decision in the real form, decided by a root-set closure that equals
 the iterated bracket module (see `t_module_span`).  The chain search and
 the span share one breadth-first kernel, `root_closure`, and every root sum
-is read from per-root tables built once per `FormContext`.
+is read from the root system's `sum_row` and `sum_pairs` tables and
+every simple-root support from its `supports` table.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .chevalley import StructureConstants, build_chevalley
 from .exactla import DefinitenessClass, hermitian_classify
 from .gaussq import QQi, I_POW
 from .realform import Conjugation, SatakeDiagram, build_conjugation, find_form
-from .rootsys import RootSystem, add
+from .rootsys import RootSystem
 
 
 class SufficiencyViolation(RuntimeError):
@@ -36,20 +37,6 @@ class FormContext:
         self.sc: StructureConstants = sc
         self.conj: Conjugation = build_conjugation(diag, self.rs, sc)
         self.gauge_seed = gauge_seed
-        # _sum_row[a][b] is the index of a + b; _sum_pairs[t] lists the
-        # pairs (x, r) with x + r = t, sorted by x.  Both are filled in
-        # ascending index order, so every row iterates its b in order too.
-        roots, index = self.rs.roots, self.rs.index
-        n = len(roots)
-        self._sum_row: list[dict[int, int]] = [{} for _ in range(n)]
-        self._sum_pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for ia, ra in enumerate(roots):
-            row = self._sum_row[ia]
-            for ib, rb in enumerate(roots):
-                si = index.get(add(ra, rb))
-                if si is not None:
-                    row[ib] = si
-                    self._sum_pairs[si].append((ia, ib))
         # one-entry memo of the chain search, see _chain_closure
         self._chain_memo: tuple | None = None
 
@@ -60,7 +47,7 @@ class FormContext:
         return self.conj.neg_index[ia]
 
     def summed(self, ia: int, ib: int):
-        return self._sum_row[ia].get(ib)
+        return self.rs.sum_row[ia].get(ib)
 
 
 _CTX_CACHE: dict = {}
@@ -92,9 +79,8 @@ def parabolic(ctx: FormContext, phi) -> ParabolicData:
     if not phi <= set(range(1, rs.rank + 1)):
         raise ValueError(f"phi {sorted(phi)} outside the simple basis")
     Q, Qn, Qr = set(), set(), set()
-    for ia, r in enumerate(rs.roots):
-        supp = {j + 1 for j, c in enumerate(r) if c}
-        meets = bool(supp & phi)
+    for ia, (r, supp) in enumerate(zip(rs.roots, rs.supports)):
+        meets = not supp.isdisjoint(phi)
         if sum(r) > 0:
             Q.add(ia)
             (Qn if meets else Qr).add(ia)
@@ -145,7 +131,7 @@ def levi_matrix(ctx: FormContext, pd: ParabolicData, gamma: int,
     pos = {ia: k for k, ia in enumerate(index)}
     n = len(index)
     m = [[QQi(0)] * n for _ in range(n)]
-    for x, rest in ctx._sum_pairs[target]:
+    for x, rest in ctx.rs.sum_pairs[target]:
         if x in pos:
             y = ctx.c(rest)
             if y in pos:
@@ -159,7 +145,7 @@ def q_form(ctx: FormContext, pd: ParabolicData, target: int):
     Support-restricted; used for the kernel-set test.  The pairs of
     `target` come sorted by x, so rows keep the order of sorted(Q)."""
     rows = []
-    for x, rest in ctx._sum_pairs[target]:
+    for x, rest in ctx.rs.sum_pairs[target]:
         if x in pd.Q:
             y = ctx.c(rest)
             if y in pd.Q:
@@ -235,10 +221,11 @@ def finite_type(ctx: FormContext, pd: ParabolicData) -> bool:
     instead of all of s therefore gives the same set."""
     s = set(pd.Q) | set(pd.Qbar)
     frontier = list(s)
+    rows = ctx.rs.sum_row
     while frontier:
         nxt = []
         for a in frontier:
-            for b, t in ctx._sum_row[a].items():
+            for b, t in rows[a].items():
                 if b in s and t not in s:
                     s.add(t)
                     nxt.append(t)
@@ -260,7 +247,7 @@ def root_closure(ctx: FormContext, start, moves) -> tuple[dict, list[int]]:
     frontier = sorted(start)
     parent: dict[int, tuple] = {a: (None, None) for a in frontier}
     sizes = [len(parent)]
-    rows = ctx._sum_row
+    rows = ctx.rs.sum_row
     while frontier:
         nxt = []
         for cur in frontier:

@@ -1,14 +1,16 @@
-"""Exact linear algebra over Gaussian rationals: kernels, rank, a generic
-span-closure fixpoint engine, and exact Hermitian semidefiniteness
-classification by congruence (diagonal pivots plus 2x2 blocks for the
-zero-diagonal case)."""
+"""Exact linear algebra: Hermitian semidefiniteness classification by
+congruence (diagonal pivots plus 2x2 blocks for the zero-diagonal case)
+over Gaussian rationals, and the one Gauss-Jordan elimination `rref`, with
+`rank` and `kernel` on top, over any exact field (QQi or Fraction
+entries).  The sign table's solve over Z/4, a ring, is
+`realform._solve_mod4`."""
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
-from .gaussq import QQi, ZERO
+from .gaussq import QQi
 
 
 class DefinitenessClass(Enum):
@@ -109,7 +111,9 @@ def hermitian_classify(m: Matrix) -> DefinitenessClass:
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot columns, over the QQi field."""
+    """Reduced row echelon form and pivot columns, over the field of the
+    entries.  A linear system given as an augmented matrix is inconsistent
+    exactly when its last column is a pivot column."""
     work = [row[:] for row in m]
     rows = len(work)
     cols = len(work[0]) if rows else 0
@@ -139,71 +143,19 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
-def kernel(m: Matrix) -> list[list[QQi]]:
-    """Exact basis of {x : m x = 0}."""
-    if not m:
+def kernel(m: Matrix) -> list[list]:
+    """Exact basis of {x : m x = 0}, over the field of the entries."""
+    if not m or not m[0]:
         return []
     red, pivots = rref(m)
     cols = len(m[0])
+    zero = m[0][0] * 0
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [ZERO] * cols
-        v[fc] = QQi(1)
+        v = [zero] * cols
+        v[fc] = zero + 1
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][fc]
         basis.append(v)
     return basis
-
-
-class Echelon:
-    """Incremental row-echelon store over the QQi field."""
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: list[list[QQi]] = []
-        self.pivots: list[int] = []
-
-    def reduce(self, v: Sequence[QQi]) -> list[QQi]:
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        return v
-
-    def insert(self, v: Sequence[QQi]) -> bool:
-        v = self.reduce(v)
-        p = next((k for k, x in enumerate(v) if x), None)
-        if p is None:
-            return False
-        lead = v[p]
-        v = [x / lead for x in v]
-        self.rows.append(v)
-        self.pivots.append(p)
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-
-def span_closure(generators: Sequence[Sequence], step: Callable) -> list[list[QQi]]:
-    """Least subspace containing `generators` and closed under `step`.
-
-    `step` maps a list of basis vectors to an iterable of new vectors; it is
-    applied to the newly inserted vectors each round (monotone fixpoint,
-    deterministic in generator order)."""
-    gens = [[QQi.of(x) for x in v] for v in generators]
-    if not gens:
-        return []
-    ech = Echelon(len(gens[0]))
-    fresh = [v for v in gens if ech.insert(v)]
-    while fresh:
-        produced = []
-        for w in step(fresh):
-            w = [QQi.of(x) for x in w]
-            if ech.insert(w):
-                produced.append(ech.rows[-1])
-        fresh = produced
-    return [row[:] for row in ech.rows]

@@ -67,9 +67,6 @@ class QQi:
     def conj(self) -> "QQi":
         return QQi(self.re, -self.im)
 
-    def norm2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     # -- predicates ----------------------------------------------------
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -96,6 +93,4 @@ class QQi:
 
 
 ZERO = QQi(0)
-ONE = QQi(1)
-I = QQi(0, 1)
 I_POW = (QQi(1), QQi(0, 1), QQi(-1), QQi(0, -1))  # i**k for k mod 4

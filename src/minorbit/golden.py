@@ -15,7 +15,7 @@ import json
 from .realform import SatakeDiagram
 
 
-def _eval_predicate(doc: dict, params: dict, rank: int, phi: frozenset) -> bool:
+def _eval_predicate(doc: dict, params: dict, phi: frozenset) -> bool:
     kind = doc["kind"]
     if kind == "always":
         return True
@@ -93,7 +93,7 @@ def expected_values(row_doc: dict, diag: SatakeDiagram, phis) -> list[list[bool]
     """Per reading, the expected verdict for each phi."""
     out = []
     for pred in row_doc["predicates"]:
-        out.append([_eval_predicate(pred, diag.params, diag.rank, frozenset(p))
+        out.append([_eval_predicate(pred, diag.params, frozenset(p))
                     for p in phis])
     return out
 
@@ -118,8 +118,8 @@ def compare_golden(rows: list[dict], golden: dict) -> dict:
         parity_total += len(parity)
         readings = []
         for pred in doc["predicates"]:
-            vals = [_eval_predicate(pred, doc["params"], 0,
-                                    frozenset(r["phi"])) for r in parity]
+            vals = [_eval_predicate(pred, doc["params"], frozenset(r["phi"]))
+                    for r in parity]
             readings.append(vals)
         best = None
         for k, vals in enumerate(readings):

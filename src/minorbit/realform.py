@@ -1,6 +1,5 @@
 """Simple real forms via Satake diagrams: the catalog, the induced root
-lattice conjugation, the Chevalley-basis sign table, and a basis of the
-real form inside algebra coordinates.
+lattice conjugation and the Chevalley-basis sign table, solved mod 4.
 
 Construction of the lattice involution: c = w_black o tau, where w_black is
 the longest element of the Weyl group of the black (compact) subsystem and
@@ -9,7 +8,7 @@ extended on black nodes by the opposition involution of the black
 subsystem.  Plain identity on black nodes fails the invariant battery
 whenever a black component has nontrivial opposition (already for su(2,5)),
 so the opposition extension is used and every entry is still validated
-against the full battery plus the matrix-realization oracles.
+against the full battery (the tests add the matrix-realization oracles).
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .gaussq import QQi, I_POW
-from .rootsys import (RootSystem, Root, add, build_doubled_system,
+from .gaussq import I_POW
+from .rootsys import (RootSystem, Root, build_doubled_system,
                       build_root_system, neg)
 from .chevalley import StructureConstants
 
@@ -398,14 +397,12 @@ def _solve_sign_exponents(rs: RootSystem, sc: StructureConstants, c_idx, cls):
     # the cocycle k_a + k_b - k_{a+b} = e(a,b): the variable parts cancel
     # identically in the affine representation, so these are pure
     # consistency checks on the constants
-    for ia in range(nroots):
-        for ib in range(ia, nroots):
-            s = add(rs.roots[ia], rs.roots[ib])
-            if s in rs.index and rs.roots[ia] != neg(rs.roots[ib]):
-                if (e_of(ia, ib) + const[rs.idx(s)]
-                        - const[ia] - const[ib]) % 4:
-                    raise ConjugationError("sign cocycle inconsistent; bad "
-                                           "catalog data or conjugation")
+    for ia, row in enumerate(rs.sum_row):
+        for ib, si in row.items():
+            if ib >= ia and (e_of(ia, ib) + const[si]
+                             - const[ia] - const[ib]) % 4:
+                raise ConjugationError("sign cocycle inconsistent; bad "
+                                       "catalog data or conjugation")
 
     # boundary and orbit-tie conditions give a small mod-4 system on the
     # simple-root exponents
@@ -437,18 +434,16 @@ def _solve_sign_exponents(rs: RootSystem, sc: StructureConstants, c_idx, cls):
             raise ConjugationError("t(c a) != t(a)")
         if (kexp[neg_idx[ia]] + kexp[ia]) % 4:
             raise ConjugationError("t(-a) != conj(t(a))")
-    for ia in range(nroots):
-        for ib in range(nroots):
-            s = add(rs.roots[ia], rs.roots[ib])
-            if s in rs.index and rs.roots[ia] != neg(rs.roots[ib]):
-                if (kexp[ia] + kexp[ib] - kexp[rs.idx(s)] - e_of(ia, ib)) % 4:
-                    raise ConjugationError("sign cocycle violated")
+    for ia, row in enumerate(rs.sum_row):
+        for ib, si in row.items():
+            if (kexp[ia] + kexp[ib] - kexp[si] - e_of(ia, ib)) % 4:
+                raise ConjugationError("sign cocycle violated")
     return kexp
 
 
 class Conjugation:
     """Validated conjugation of a catalog real form: lattice involution,
-    sign table, and the induced anti-linear involution sigma."""
+    root classes and sign table."""
 
     def __init__(self, diag: SatakeDiagram, rs: RootSystem,
                  sc: StructureConstants):
@@ -461,7 +456,6 @@ class Conjugation:
         self._classes = tuple(self._classify(i) for i in range(len(rs.roots)))
         self.t_exp = tuple(_solve_sign_exponents(rs, sc, self.c_index,
                                                  self._classes))
-        self.sigma_h = self._sigma_h_matrix()
 
     def _classify(self, ia: int) -> RootClass:
         if self.c_index[ia] == ia:
@@ -475,137 +469,6 @@ class Conjugation:
 
     def c(self, root: Root) -> Root:
         return self.rs.roots[self.c_index[self.rs.idx(root)]]
-
-    def t(self, root: Root) -> QQi:
-        return I_POW[self.t_exp[self.rs.idx(root)]]
-
-    def _sigma_h_matrix(self):
-        # S with S^T A = A C over the rationals; columns give sigma(H_j)
-        n = self.rs.rank
-        A = [[Fraction(self.rs.cartan[i][j]) for j in range(n)] for i in range(n)]
-        C = [[Fraction(self.lattice[i][j]) for j in range(n)] for i in range(n)]
-        AC = [[sum(A[i][k] * C[k][j] for k in range(n)) for j in range(n)]
-              for i in range(n)]
-        # solve A^T X = AC^T? We need S^T A = AC  =>  A^T S = (AC)^T
-        rhs = [[AC[j][i] for j in range(n)] for i in range(n)]
-        at = [[A[j][i] for j in range(n)] for i in range(n)]
-        aug = [at[i][:] + rhs[i][:] for i in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col])
-            aug[col], aug[piv] = aug[piv], aug[col]
-            lead = aug[col][col]
-            aug[col] = [x / lead for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        S = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-        return tuple(tuple(row) for row in S)
-
-    # -- the anti-linear involution on sparse elements ----------------------
-    def sigma(self, x: dict) -> dict:
-        rk = self.rs.rank
-        out: dict[int, QQi] = {}
-
-        def acc(k, v):
-            nv = out.get(k, QQi(0)) + v
-            if nv:
-                out[k] = nv
-            elif k in out:
-                del out[k]
-
-        for k, cv in x.items():
-            cv = cv.conj()
-            if k < rk:
-                for i in range(rk):
-                    s = self.sigma_h[i][k]
-                    if s:
-                        acc(i, cv * s)
-            else:
-                ia = k - rk
-                acc(rk + self.c_index[ia], cv * I_POW[self.t_exp[ia]])
-        return out
-
-    def real_basis(self) -> list[dict]:
-        """Basis of the fixed real form: per conjugation orbit {a, c a} the
-        elements Z + sigma(Z) and i(Z - sigma(Z)), plus a real Cartan basis
-        from the +1/-1 eigenspaces of sigma on the coroot space."""
-        rs, rk = self.rs, self.rs.rank
-        out: list[dict] = []
-        # Cartan part: x with Sx = x gives H_x; y with Sy = -y gives iH_y
-        for sgn in (1, -1):
-            m = [[self.sigma_h[i][j] - (sgn if i == j else 0) for j in range(rk)]
-                 for i in range(rk)]
-            for v in _rational_kernel(m):
-                coef = QQi(1) if sgn == 1 else QQi(0, 1)
-                out.append({i: coef * v[i] for i in range(rk) if v[i]})
-        seen = set()
-        for ia, r in enumerate(rs.roots):
-            if ia in seen:
-                continue
-            ica = self.c_index[ia]
-            seen.add(ia)
-            z = {rk + ia: QQi(1)}
-            if ica == ia:
-                out.append(z)
-                continue
-            seen.add(ica)
-            sz = self.sigma(z)
-            u = _elt_add(z, sz)
-            v = _elt_scale(_elt_sub(z, sz), QQi(0, 1))
-            out.append(u)
-            out.append(v)
-        return out
-
-
-def _elt_add(x, y):
-    out = dict(x)
-    for k, v in y.items():
-        nv = out.get(k, QQi(0)) + v
-        if nv:
-            out[k] = nv
-        elif k in out:
-            del out[k]
-    return out
-
-
-def _elt_sub(x, y):
-    return _elt_add(x, {k: -v for k, v in y.items()})
-
-
-def _elt_scale(x, c):
-    return {k: c * v for k, v in x.items()} if c else {}
-
-
-def _rational_kernel(m) -> list[list[Fraction]]:
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    work = [[Fraction(x) for x in row] for row in m]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((k for k in range(r, rows) if work[k][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        lead = work[r][c]
-        work[r] = [x / lead for x in work[r]]
-        for k in range(rows):
-            if k != r and work[k][c]:
-                f = work[k][c]
-                work[k] = [x - f * y for x, y in zip(work[k], work[r])]
-        pivots.append(c)
-        r += 1
-    basis = []
-    for fc in range(cols):
-        if fc in pivots:
-            continue
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for rr, pc in enumerate(pivots):
-            v[pc] = -work[rr][fc]
-        basis.append(v)
-    return basis
 
 
 def build_conjugation(diag: SatakeDiagram, rs: RootSystem,

@@ -10,8 +10,10 @@ convention-free.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 Root = tuple  # integer coefficient vector over the simple basis
@@ -105,6 +107,12 @@ class RootSystem:
 
     roots are ordered by (height, lexicographic) so indices are stable
     across runs; negatives have negative height and come first.
+
+    Root addition is answered from two tables over root indices, built on
+    first use: `sum_row[a]` maps b to the index of a + b, and
+    `sum_pairs[t]` lists the pairs (a, b) with a + b = t.  Both are filled
+    in ascending index order, so a row iterates its b ascending and a pair
+    list is sorted.
     """
 
     def __init__(self, types: Sequence[SimpleType]):
@@ -116,7 +124,6 @@ class RootSystem:
         self.roots = self._generate_roots()
         self.index = {r: k for k, r in enumerate(self.roots)}
         self.positives = [r for r in self.roots if sum(r) > 0]
-        self.simple_indices = list(range(self.rank))
 
     # -- construction ---------------------------------------------------
     def _build_ambient(self):
@@ -188,14 +195,31 @@ class RootSystem:
     def is_root(self, v: Iterable[int]) -> bool:
         return tuple(v) in self.index
 
-    def root_i(self, idx: int) -> Root:
-        return self.roots[idx]
-
     def idx(self, root: Root) -> int:
         return self.index[tuple(root)]
 
-    def is_positive(self, root: Root) -> bool:
-        return sum(root) > 0
+    @cached_property
+    def sum_row(self) -> list[dict[int, int]]:
+        rows: list[dict[int, int]] = [{} for _ in self.roots]
+        for row, ra in zip(rows, self.roots):
+            for ib, rb in enumerate(self.roots):
+                si = self.index.get(tuple(map(operator.add, ra, rb)))
+                if si is not None:
+                    row[ib] = si
+        return rows
+
+    @cached_property
+    def sum_pairs(self) -> list[list[tuple[int, int]]]:
+        pairs: list[list[tuple[int, int]]] = [[] for _ in self.roots]
+        for ia, row in enumerate(self.sum_row):
+            for ib, si in row.items():
+                pairs[si].append((ia, ib))
+        return pairs
+
+    @cached_property
+    def supports(self) -> list[frozenset[int]]:
+        """supports[a] is `support` of the root with index a."""
+        return [support(r) for r in self.roots]
 
     def inner(self, x: Sequence[int], y: Sequence[int]) -> Fraction:
         n = self.rank

@@ -5,15 +5,17 @@ whose maximally vectorial Cartan subalgebra is the diagonal one; in that
 model the conjugation acts on the weight coordinates e_i by a signed
 permutation.  Transporting this action to simple-root coordinates gives an
 independently derived lattice involution to compare against the
-catalog-derived one.
+catalog-derived one.  The tests compare it with
+`minorbit.realform.Conjugation.lattice`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .realform import SatakeDiagram
-from .rootsys import RootSystem
+from minorbit.exactla import rref
+from minorbit.realform import SatakeDiagram
+from minorbit.rootsys import RootSystem
 
 
 def _eps_action(entry: SatakeDiagram):
@@ -89,27 +91,12 @@ def expected_lattice_conjugation(entry: SatakeDiagram, rs: RootSystem):
     for col in range(n):
         target = c_amb(list(amb[col]))
         aug = [[amb[j][i] for j in range(n)] + [target[i]] for i in range(m)]
-        r = 0
-        piv = []
-        for c in range(n):
-            hit = next((k for k in range(r, m) if aug[k][c]), None)
-            if hit is None:
-                continue
-            aug[r], aug[hit] = aug[hit], aug[r]
-            lead = aug[r][c]
-            aug[r] = [x / lead for x in aug[r]]
-            for k in range(m):
-                if k != r and aug[k][c]:
-                    f = aug[k][c]
-                    aug[k] = [x - f * y for x, y in zip(aug[k], aug[r])]
-            piv.append(c)
-            r += 1
+        red, piv = rref(aug)
+        if n in piv:
+            raise ValueError(f"{entry.name}: model image not in root lattice")
         x = [Fraction(0)] * n
         for rr, c in enumerate(piv):
-            x[c] = aug[rr][n]
-        for k in range(r, m):
-            if aug[k][n]:
-                raise ValueError(f"{entry.name}: model image not in root lattice")
+            x[c] = red[rr][n]
         if any(v.denominator != 1 for v in x):
             raise ValueError(f"{entry.name}: model image not integral")
         cols.append([int(v) for v in x])

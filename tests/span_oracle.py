@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 
+from algebra_oracle import real_pair
 from minorbit.crflag import FormContext, ParabolicData
 from minorbit.gaussq import QQi
 
@@ -101,33 +102,19 @@ def exact_span(ctx: FormContext, pd: ParabolicData,
     sc, conj, rs = ctx.sc, ctx.conj, ctx.rs
     rk = rs.rank
 
-    def real_pair(elt: dict) -> list[dict]:
-        s = conj.sigma(elt)
-        u: dict[int, QQi] = {}
-        for k in set(elt) | set(s):
-            v = elt.get(k, QQi(0)) + s.get(k, QQi(0))
-            if v:
-                u[k] = v
-        w: dict[int, QQi] = {}
-        for k in set(elt) | set(s):
-            v = QQi(0, 1) * (elt.get(k, QQi(0)) - s.get(k, QQi(0)))
-            if v:
-                w[k] = v
-        return [x for x in (u, w) if x]
-
     gens: list[dict] = []
     for i in range(rk):
-        gens.extend(real_pair({i: QQi(1)}))
+        gens.extend(real_pair(conj, {i: QQi(1)}))
     for a in sorted(kphi):
-        gens.extend(real_pair({rk + a: QQi(1)}))
+        gens.extend(real_pair(conj, {rk + a: QQi(1)}))
 
     ech = _BlockEchelon(ctx)
     worklist: list[dict] = []
     for i in range(rk):
-        for e in real_pair({i: QQi(1)}):
+        for e in real_pair(conj, {i: QQi(1)}):
             worklist.extend(ech.insert(e))
     for a in sorted(pd.Q):
-        for e in real_pair({rk + a: QQi(1)}):
+        for e in real_pair(conj, {rk + a: QQi(1)}):
             worklist.extend(ech.insert(e))
     full = sc.dim
     dims = [ech.dim]

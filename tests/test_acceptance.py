@@ -14,9 +14,9 @@ from minorbit.crflag import (characteristic_real_roots, classify_levi,
 from minorbit.exactla import DefinitenessClass, hermitian_classify, rank
 from minorbit.gaussq import QQi
 from minorbit.golden import compare_golden, load_golden
-from minorbit.models import expected_lattice_conjugation
 from minorbit.realform import RootClass, catalog
 from minorbit.rootsys import build_root_system, neg
+from model_oracle import expected_lattice_conjugation
 
 D = DefinitenessClass
 

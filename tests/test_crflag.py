@@ -346,7 +346,7 @@ def test_chain_covers_zero_levi_complex_pairs():
 
 
 def test_span_matches_dense_reference():
-    from minorbit.exactla import Echelon
+    from algebra_oracle import Echelon, real_pair
     from minorbit.gaussq import QQi
     for form, phi in [("su(1,2)", {1}), ("sp(1,2)", {2}), ("su*(4)", {2}),
                       ("sl(2,C)", {1, 2}), ("sl(2,C)", {1})]:
@@ -364,31 +364,19 @@ def test_span_matches_dense_reference():
                 v[N + k] = QQi(c.im)
             return v
 
-        def pairs(elt):
-            s = conj.sigma(elt)
-            u, w = {}, {}
-            for k in set(elt) | set(s):
-                a = elt.get(k, QQi(0)) + s.get(k, QQi(0))
-                if a:
-                    u[k] = a
-                b = QQi(0, 1) * (elt.get(k, QQi(0)) - s.get(k, QQi(0)))
-                if b:
-                    w[k] = b
-            return [x for x in (u, w) if x]
-
         gens = []
         for i in range(rk):
-            gens.extend(pairs({i: QQi(1)}))
+            gens.extend(real_pair(conj, {i: QQi(1)}))
         for a in sorted(kp):
-            gens.extend(pairs({rk + a: QQi(1)}))
+            gens.extend(real_pair(conj, {rk + a: QQi(1)}))
         ech = Echelon(2 * N)
         work = []
         for i in range(rk):
-            for e in pairs({i: QQi(1)}):
+            for e in real_pair(conj, {i: QQi(1)}):
                 if ech.insert(to_vec(e)):
                     work.append(e)
         for a in sorted(pd.Q):
-            for e in pairs({rk + a: QQi(1)}):
+            for e in real_pair(conj, {rk + a: QQi(1)}):
                 if ech.insert(to_vec(e)):
                     work.append(e)
         while work:

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from algebra_oracle import Echelon, span_closure
 from float_oracle import float_classify, float_eigen_oracle
-from minorbit.exactla import (DefinitenessClass, Echelon, hermitian_classify,
-                              inertia, is_hermitian, kernel, mat, rank, rref,
-                              span_closure)
+from minorbit.exactla import (DefinitenessClass, hermitian_classify, inertia,
+                              is_hermitian, kernel, mat, rank, rref)
 from minorbit.gaussq import QQi
 
 D = DefinitenessClass
@@ -151,6 +151,27 @@ def test_kernel_lemma_property():
         for i in range(n):
             if not M[i][i]:
                 assert all(not M[i][j] for j in range(n))
+
+
+def test_rref_kernel_over_fractions():
+    F = Fraction
+    m = [[F(1, 2), F(1), F(0)], [F(1), F(2), F(1, 3)]]
+    red, piv = rref(m)
+    assert piv == [0, 2]
+    assert red == [[1, 2, 0], [0, 0, 1]]
+    assert rank(m) == 2
+    ker = kernel(m)
+    assert ker == [[-2, 1, 0]]
+    assert all(type(x) is Fraction for row in red + ker for x in row)
+
+
+def test_rref_inconsistent_system_pivots_in_augmented_column():
+    F = Fraction
+    # x + y = 2 and 2x + 2y = 5 have no solution; 2x + 2y = 4 has many
+    assert rref([[F(1), F(1), F(2)], [F(2), F(2), F(5)]])[1] == [0, 2]
+    assert rref([[F(1), F(1), F(2)], [F(2), F(2), F(4)]])[1] == [0]
+    red, piv = rref(mat([[1, 0, 3], [0, 2, 4]]))
+    assert piv == [0, 1] and red[1][2] == QQi(2)
 
 
 def test_rref_pivots():

@@ -172,6 +172,15 @@ def test_golden_table_covers_catalog():
         assert e.name in gold
 
 
+def test_golden_table_file_matches_generator():
+    from minorbit.golden import golden_table_doc
+    from minorbit.realform import catalog
+    with open(default_golden_path()) as fh:
+        doc = json.load(fh)
+    assert doc == golden_table_doc(catalog(8))
+    assert len(doc["rows"]) == 201
+
+
 def test_enumerate_form_library_api():
     from minorbit.cli import enumerate_form
     rows = enumerate_form("sl(2,R)")

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from minorbit.rootsys import (ROOT_COUNT, SimpleType, build_doubled_system,
-                              build_root_system, neg, support)
+from minorbit.chevalley import build_chevalley
+from minorbit.rootsys import (ROOT_COUNT, SimpleType, add,
+                              build_doubled_system, build_root_system, neg,
+                              support)
 
 
 @pytest.mark.parametrize("family,rank", [
@@ -186,3 +188,37 @@ def test_serialization_roundtrip():
     assert len(doc["roots"]) == 8
     assert doc["cartan"] == [[2, -1], [-2, 2]]
     assert json.loads(rs.to_json()) == doc
+
+
+def _legal(family, rank):
+    try:
+        SimpleType(family, rank)
+    except ValueError:
+        return False
+    return True
+
+
+RANK4_SYSTEMS = (
+    [build_root_system(f, r) for f in "ABCDEFG" for r in range(1, 5)
+     if _legal(f, r)]
+    + [build_doubled_system(f, r) for f in "ABCDEFG" for r in (1, 2)
+       if _legal(f, r)])
+
+
+@pytest.mark.parametrize("rs", RANK4_SYSTEMS,
+                         ids=lambda rs: "+".join(map(str, rs.types)))
+def test_sum_tables_match_tuple_addition(rs):
+    rows = [{} for _ in rs.roots]
+    pairs = [[] for _ in rs.roots]
+    for ia, a in enumerate(rs.roots):
+        for ib, b in enumerate(rs.roots):
+            s = add(a, b)
+            if rs.is_root(s):
+                rows[ia][ib] = rs.idx(s)
+                pairs[rs.idx(s)].append((ia, ib))
+    assert rs.sum_row == rows
+    assert all(list(row) == sorted(row) for row in rs.sum_row)
+    assert rs.sum_pairs == pairs
+    keys = {(ia, ib) for ia, row in enumerate(rs.sum_row) for ib in row}
+    assert keys == set(build_chevalley(rs).ntable)
+    assert rs.supports == [support(r) for r in rs.roots]
