@@ -1,7 +1,8 @@
 """Chevalley basis {H_i} u {Z_a} for the complex semisimple Lie algebra of a
-RootSystem: integer structure constants, brackets and the Killing form, all
-exact.  Every root sum is read from the root system's `sum_row` and
-`sum_pairs` tables.
+RootSystem: integer structure constants and brackets, all exact.  Every
+root sum is read from the root system's `sum_row` and `sum_pairs` tables.
+The Killing form lives with the tests (tests/algebra_oracle.py): `classify`
+never needs its values.
 
 Normalization: [H_a, Z_a] = 2 Z_a, [Z_a, Z_-a] = -H_a, and the linear map
 H -> -H, Z_a -> Z_-a is an automorphism (so N(-a,-b) = N(a,b)).  Signs are
@@ -28,8 +29,6 @@ class StructureConstants:
         self.dim = rs.rank + len(rs.roots)
         self.ntable = ntable        # (ia, ib) -> int, for root pairs with a+b a root
         self.coroots = coroots      # per root index: integer vector over simple coroots
-        self._killing_zz: dict[int, Fraction] = {}
-        self._killing_hh: tuple | None = None
 
     # -- basis bracket -----------------------------------------------------
     def n(self, ia: int, ib: int) -> int:
@@ -81,62 +80,6 @@ class StructureConstants:
     def z(self, root) -> dict:
         return {self.rank + self.rs.idx(root): QQi(1)}
 
-    # -- killing ------------------------------------------------------------
-    def _ad_sparse(self, k: int) -> dict[int, list[tuple[int, int]]]:
-        out: dict[int, list[tuple[int, int]]] = {}
-        for k2 in range(self.dim):
-            img = self.bracket_basis(k, k2)
-            if img:
-                out[k2] = img
-        return out
-
-    def killing_hh(self) -> tuple:
-        if self._killing_hh is None:
-            rk, rs = self.rank, self.rs
-            tab = [[Fraction(0)] * rk for _ in range(rk)]
-            # kappa(H_i, H_j) = sum_b b(H_i) b(H_j)
-            for i in range(rk):
-                for j in range(rk):
-                    tot = 0
-                    for b in rs.roots:
-                        bi = sum(rs.cartan[i][t] * b[t] for t in range(rk))
-                        bj = sum(rs.cartan[j][t] * b[t] for t in range(rk))
-                        tot += bi * bj
-                    tab[i][j] = Fraction(tot)
-            self._killing_hh = tuple(tuple(r) for r in tab)
-        return self._killing_hh
-
-    def killing_z_pair(self, ia: int) -> Fraction:
-        """kappa(Z_a, Z_-a), cached; computed as an explicit adjoint trace."""
-        if ia not in self._killing_zz:
-            rs = self.rs
-            ineg = rs.idx(neg(rs.roots[ia]))
-            ad1 = self._ad_sparse(self.rank + ia)
-            ad2 = self._ad_sparse(self.rank + ineg)
-            tot = Fraction(0)
-            for k in range(self.dim):
-                for k2, c2 in ad2.get(k, ()):
-                    for k3, c3 in ad1.get(k2, ()):
-                        if k3 == k:
-                            tot += c2 * c3
-            self._killing_zz[ia] = tot
-            self._killing_zz[ineg] = tot
-        return self._killing_zz[ia]
-
-    def killing(self, x: dict, y: dict) -> QQi:
-        """trace(ad x . ad y), bilinear over the cached basis tables."""
-        rk, rs = self.rank, self.rs
-        tot = QQi(0)
-        hh = self.killing_hh()
-        for k1, c1 in x.items():
-            for k2, c2 in y.items():
-                if k1 < rk and k2 < rk:
-                    tot = tot + c1 * c2 * hh[k1][k2]
-                elif k1 >= rk and k2 >= rk:
-                    if rs.roots[k2 - rk] == neg(rs.roots[k1 - rk]):
-                        tot = tot + c1 * c2 * self.killing_z_pair(k1 - rk)
-        return tot
-
     # -- serialization ------------------------------------------------------------
     def ntable_json(self) -> str:
         """Canonical JSON dump of the bracket constant table."""
@@ -163,9 +106,8 @@ class StructureConstants:
         return StructureConstants(rs, nt, self.coroots)
 
 
-def _coroot_vector(rs: RootSystem, root: Root) -> tuple[int, ...]:
-    # coroot(a) = sum_i k_i * (a_i|a_i)/(a|a) * coroot(a_i)
-    nn = rs.inner(root, root)
+def _coroot_vector(rs: RootSystem, root: Root, nn: Fraction) -> tuple[int, ...]:
+    # coroot(a) = sum_i k_i * (a_i|a_i)/(a|a) * coroot(a_i), nn = (a|a)
     out = []
     for i in range(rs.rank):
         c = Fraction(root[i]) * rs.gram[i][i] / nn
@@ -251,5 +193,5 @@ def build_chevalley(rs: RootSystem) -> StructureConstants:
         for b, s in sums.items():
             ntable[(a, b)] = e(a) * e(b) * e(s) * n_std(a, b)
 
-    coroots = [_coroot_vector(rs, r) for r in rs.roots]
+    coroots = [_coroot_vector(rs, r, n) for r, n in zip(roots, nn)]
     return StructureConstants(rs, ntable, coroots)

@@ -14,6 +14,7 @@ byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -186,6 +187,13 @@ def default_golden_path() -> str:
     return str(resources.files("minorbit").joinpath("data/golden_table.json"))
 
 
+@functools.cache
+def _packaged_golden() -> dict:
+    """The packaged golden table, read once per process: it is package data.
+    A table given by --golden is read on every call."""
+    return goldenmod.load_golden(default_golden_path())
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="classify",
@@ -255,9 +263,9 @@ def main(argv=None) -> int:
 
     exit_code = 0
     if not args.no_golden:
-        path = args.golden or default_golden_path()
         try:
-            gold = goldenmod.load_golden(path)
+            gold = (goldenmod.load_golden(args.golden) if args.golden
+                    else _packaged_golden())
             diff = goldenmod.compare_golden(rows, gold)
         except (KeyError, OSError, json.JSONDecodeError) as e:
             print(f"error: golden comparison failed: {e}", file=sys.stderr)

@@ -1,21 +1,25 @@
 """Core decision machinery for minimal orbits: parabolic root data Q_Phi,
-characteristic real roots, exact Levi matrices, the common kernel set K_Phi,
+characteristic real roots, exact Levi forms, the common kernel set K_Phi,
 finite type, the root-chain sufficient condition, and the authoritative
 span decision in the real form, decided by a root-set closure that equals
 the iterated bracket module (see `t_module_span`).  The chain search and
 the span share one breadth-first kernel, `root_closure`, and every root sum
 is read from the root system's `sum_row` and `sum_pairs` tables and
-every simple-root support from its `supports` table.
+every simple-root support from its `supports` table.  A Levi form is read
+from the root involution: its Gaussian-integer entries come from the pair
+lists, the conjugation and the Chevalley constants, and `classify_levi`
+decides its class and category from their positions and signs, with no
+Killing value, no dense matrix and no elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .chevalley import StructureConstants, build_chevalley
-from .exactla import DefinitenessClass, hermitian_classify
-from .gaussq import QQi, I_POW
+# hermitian_classify is not called here, but perfbench/tracing.py wraps
+# crflag.hermitian_classify by name, so it stays a module attribute
+from .exactla import DefinitenessClass, hermitian_classify  # noqa: F401
 from .realform import Conjugation, SatakeDiagram, build_conjugation, find_form
 from .rootsys import RootSystem
 
@@ -99,83 +103,137 @@ def characteristic_real_roots(ctx: FormContext, pd: ParabolicData) -> list[int]:
     return out
 
 
-# -- Levi matrices -----------------------------------------------------------
+# -- Levi forms ---------------------------------------------------------------
+
+_I_POW = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i**k as (re, im), k mod 4
 
 
-def _entry(ctx: FormContext, x: int, y: int, kpair: Fraction) -> QQi:
-    # i * t_y * N(x, c(y)) * kappa(Z_g, Z_-g)
-    nval = ctx.sc.n(x, ctx.c(y))
-    return QQi(0, 1) * I_POW[ctx.conj.t_exp[y]] * nval * kpair
+def _entries(ctx: FormContext, target: int, rows, cols) -> dict:
+    """The Levi form at the root `target`, restricted to rows x in `rows`
+    and columns y in `cols`, up to the positive factor of `classify_levi`:
+    the map (x, y) -> (re, im) of the Gaussian integers
+    A(x, y) = i^(3 + t_y) N(x, c(y)) for x + c(y) = target, where t_y is
+    the conjugation's sign exponent; absent positions are zero."""
+    nt, cidx, texp = ctx.sc.ntable, ctx.conj.c_index, ctx.conj.t_exp
+    out = {}
+    for x, rest in ctx.rs.sum_pairs[target]:
+        if x in rows:
+            y = cidx[rest]
+            if y in cols:
+                n = nt[(x, rest)]
+                re, im = _I_POW[(3 + texp[y]) % 4]
+                out[(x, y)] = (re * n, im * n)
+    return out
 
 
 def levi_matrix(ctx: FormContext, pd: ParabolicData, gamma: int,
                 mirrored: bool = False):
-    """Hermitian Levi matrix of the real characteristic root `gamma`.
+    """Hermitian Levi form of the real characteristic root `gamma`.
 
     Default convention: rows and columns indexed by conj(Q) \\ Q, entry at
     (x, y) iff x + conj(y) = -gamma.  The mirrored convention indexes
     Q \\ conj(Q) (the same covector, presented on the parabolic side); the
-    two matrices are unitarily congruent and must classify identically.
-    Returns (index list, matrix).
+    two forms are unitarily congruent and must classify identically.
+    Returns (index list, entries) as `_entries` gives them.
     """
     if ctx.c(gamma) != gamma:
         raise ValueError("levi_matrix needs a real root")
     if gamma not in pd.Qn:
         raise ValueError("levi_matrix needs a characteristic root")
-    if mirrored:
-        index = sorted(pd.Q - pd.Qbar)
-    else:
-        index = sorted(pd.Qbar - pd.Q)
-    target = ctx.negi(gamma)
-    kpair = ctx.sc.killing_z_pair(gamma)
-    pos = {ia: k for k, ia in enumerate(index)}
-    n = len(index)
-    m = [[QQi(0)] * n for _ in range(n)]
-    for x, rest in ctx.rs.sum_pairs[target]:
-        if x in pos:
-            y = ctx.c(rest)
-            if y in pos:
-                m[pos[x]][pos[y]] = _entry(ctx, x, y, kpair)
-    return index, m
+    side = pd.Q - pd.Qbar if mirrored else pd.Qbar - pd.Q
+    return sorted(side), _entries(ctx, ctx.negi(gamma), side, side)
 
 
 def q_form(ctx: FormContext, pd: ParabolicData, target: int):
     """Levi form on the parabolic subalgebra itself: rows and columns over Q,
     entry at (x, y) iff x + conj(y) = target (a real root, either sign).
-    Support-restricted; used for the kernel-set test.  The pairs of
-    `target` come sorted by x, so rows keep the order of sorted(Q)."""
-    rows = []
-    for x, rest in ctx.rs.sum_pairs[target]:
-        if x in pd.Q:
-            y = ctx.c(rest)
-            if y in pd.Q:
-                rows.append((x, y))
-    index = sorted({x for x, _ in rows} | {y for _, y in rows})
-    pos = {ia: k for k, ia in enumerate(index)}
-    kpair = ctx.sc.killing_z_pair(target)
+    Support-restricted to the roots that carry an entry; used for the
+    kernel-set test.  Returns (index list, entries) as `_entries` gives
+    them."""
+    entries = _entries(ctx, target, pd.Q, pd.Q)
+    return sorted({a for pair in entries for a in pair}), entries
+
+
+def classify_levi(index, entries) -> tuple[DefinitenessClass, str]:
+    """Definiteness class and structural category of a Levi form given as
+    (index, entries), with integer arithmetic only.
+
+    The category is the proof partition of Hermitian shapes by entry
+    pattern: "zero-diagonal", "diagonal-semidefinite",
+    "diagonal-indefinite" or "mixed".  Raises ValueError if a row holds
+    two entries, an entry is zero or lies outside `index`, or an entry's
+    mirror is not its conjugate, and ArithmeticError on a non-real
+    diagonal entry.
+
+    Why the entries of `_entries` suffice.  The Levi form of the real form
+    at t is L(x, y) = i^(1 + t_y) N(x, c(y)) kappa(Z_t, Z_-t), with t_y the
+    conjugation's sign exponent:
+    - Scale.  From [Z_t, Z_-t] = -H_t and invariance, kappa(H_t, H_t) =
+      -kappa(Z_t, [Z_-t, H_t]) = -2 kappa(Z_t, Z_-t), and kappa(H_t, H_t)
+      = sum over roots b of <b, t^>^2 >= 4 (the term b = t), so
+      kappa(Z_t, Z_-t) = -1/2 sum_b <b, t^>^2 < 0.  Since -i^(1 + t_y)
+      = i^(3 + t_y), L = |kappa| A.  A positive multiple has the same
+      inertia and the same zero pattern, so L and A share class and
+      category, and no Killing value is needed.
+    - Pattern.  A(x, y) != 0 iff x + c(y) = t, because N(x, c(y)) =
+      +-(p + 1) never vanishes when x + c(y) is a root (Humphreys, section
+      25).  So y = c(t - x) is fixed by x: each row holds at most one
+      entry, and as A is Hermitian its pattern is an involution of the
+      index.  Reordering rows and columns alike (a congruence) makes A
+      block diagonal: a fixed point x = y is a real 1x1 block that adds
+      its sign, a 2-cycle is a block [[0, a], [conj(a), 0]] with
+      eigenvalues +-|a| that adds one + and one -, and every other row
+      is zero.  The form is definite when the signs it adds cover the
+      whole index, and semidefinite when they are all of one sign.
+    The tests keep the dense Killing-scaled matrices and their
+    elimination (`exactla.hermitian_classify`) as a differential oracle."""
+    n_plus = n_minus = 0
+    diag = off = False
+    rows = set()
+    for (x, y), (re, im) in entries.items():
+        if x in rows:
+            raise ValueError(f"two entries in the row of root {x}")
+        rows.add(x)
+        if not (re or im):
+            raise ValueError(f"zero entry at {(x, y)}")
+        if x == y:
+            if im:
+                raise ArithmeticError(f"non-real diagonal entry {(re, im)} "
+                                      f"in a Hermitian form")
+            diag = True
+            if re > 0:
+                n_plus += 1
+            else:
+                n_minus += 1
+        elif entries.get((y, x)) != (re, -im):
+            raise ValueError(f"entries at {(x, y)} and {(y, x)} are not "
+                             f"conjugate")
+        else:
+            off = True
+            if x < y:
+                n_plus += 1
+                n_minus += 1
+    if not rows <= set(index):
+        raise ValueError("an entry lies outside the index")
     n = len(index)
-    m = [[QQi(0)] * n for _ in range(n)]
-    for x, y in rows:
-        m[pos[x]][pos[y]] = _entry(ctx, x, y, kpair)
-    return index, m
-
-
-def structural_category(m) -> str:
-    """The proof partition of Hermitian shapes by entry pattern."""
-    n = len(m)
-    diag = any(m[i][i] for i in range(n))
-    off = any(m[i][j] for i in range(n) for j in range(n) if i != j)
+    if not rows:
+        cls = DefinitenessClass.ZERO
+    elif n_plus and n_minus:
+        cls = DefinitenessClass.INDEFINITE
+    elif n_plus:
+        cls = DefinitenessClass.POSITIVE_DEFINITE if n_plus == n else \
+            DefinitenessClass.POSITIVE_SEMIDEFINITE_NONZERO
+    else:
+        cls = DefinitenessClass.NEGATIVE_DEFINITE if n_minus == n else \
+            DefinitenessClass.NEGATIVE_SEMIDEFINITE_NONZERO
     if not diag:
-        return "zero-diagonal"
-    if not off:
-        cls = hermitian_classify(m)
-        return "diagonal-semidefinite" if cls.is_semidefinite() else \
+        cat = "zero-diagonal"
+    elif not off:
+        cat = "diagonal-semidefinite" if cls.is_semidefinite() else \
             "diagonal-indefinite"
-    return "mixed"
-
-
-def classify_levi(m) -> tuple[DefinitenessClass, str]:
-    return hermitian_classify(m), structural_category(m)
+    else:
+        cat = "mixed"
+    return cls, cat
 
 
 # -- kernel set, finite type, reachability -----------------------------------
@@ -191,8 +249,7 @@ def k_phi(ctx: FormContext, pd: ParabolicData) -> frozenset:
 
     def form_class(target: int) -> DefinitenessClass:
         if target not in cls_cache:
-            _, m = q_form(ctx, pd, target)
-            cls_cache[target] = hermitian_classify(m)
+            cls_cache[target] = classify_levi(*q_form(ctx, pd, target))[0]
         return cls_cache[target]
 
     out = set()
@@ -430,8 +487,7 @@ def concavity_verdict(form: str, phi, gauge_seed: int | None = None,
     gammas = []
     semidef = []
     for g in characteristic_real_roots(ctx, pd):
-        _, m = levi_matrix(ctx, pd, g)
-        cls, cat = classify_levi(m)
+        cls, cat = classify_levi(*levi_matrix(ctx, pd, g))
         gammas.append((list(rs.roots[g]), cls.value, cat))
         if cls.is_semidefinite():
             semidef.append(g)
@@ -459,8 +515,7 @@ def concavity_verdict(form: str, phi, gauge_seed: int | None = None,
                 continue
             seen_pairs.add(b)
             seen_pairs.add(cb)
-            _, mform = q_form(ctx, pd, ctx.negi(b))
-            if any(x for row in mform for x in row):
+            if q_form(ctx, pd, ctx.negi(b))[1]:
                 continue
             res_b = hlc_reachability(ctx, pd, kphi, b, toward_minus=True)
             res_cb = hlc_reachability(ctx, pd, kphi, cb, toward_minus=True)

@@ -1,9 +1,13 @@
-"""Exact linear algebra: Hermitian semidefiniteness classification by
-congruence (diagonal pivots plus 2x2 blocks for the zero-diagonal case)
-over Gaussian rationals, and the one Gauss-Jordan elimination `rref`, with
-`rank` and `kernel` on top, over any exact field (QQi or Fraction
-entries).  The sign table's solve over Z/4, a ring, is
-`realform._solve_mod4`."""
+"""Exact linear algebra: Hermitian semidefiniteness classification of a
+dense matrix by congruence (diagonal pivots plus 2x2 blocks for the
+zero-diagonal case) over Gaussian rationals, and the one Gauss-Jordan
+elimination `rref`, with `rank` and `kernel` on top, over any exact field
+(QQi or Fraction entries).  The sign table's solve over Z/4, a ring, is
+`realform._solve_mod4`.
+
+The Levi layer does not call `hermitian_classify`: `crflag.classify_levi`
+reads each Levi form from its root involution.  The dense classifier is the
+general one, and the tests use it as the oracle of `classify_levi`."""
 
 from __future__ import annotations
 

@@ -1,7 +1,8 @@
 """Exact linear-algebra and real-form constructions used only by the tests:
 an incremental echelon store and a span-closure fixpoint engine, adjoint
-matrices, and the anti-linear involution sigma of a real form with a basis
-of its fixed points.
+matrices, the Killing form as an explicit adjoint trace, and the
+anti-linear involution sigma of a real form with a basis of its fixed
+points.
 
 `classify` decides everything from root-index tables and never forms these
 objects; the tests use them as independent references (the Killing trace,
@@ -18,6 +19,7 @@ from minorbit.chevalley import StructureConstants
 from minorbit.exactla import kernel, rref
 from minorbit.gaussq import I_POW, QQi, ZERO
 from minorbit.realform import Conjugation
+from minorbit.rootsys import neg
 
 
 class Echelon:
@@ -81,6 +83,62 @@ def adjoint_matrix(sc: StructureConstants, x: dict) -> list[list[QQi]]:
         for k3, v in col.items():
             m[k3][k] = v
     return m
+
+
+def _ad_sparse(sc: StructureConstants, k: int) -> dict[int, list[tuple[int, int]]]:
+    out: dict[int, list[tuple[int, int]]] = {}
+    for k2 in range(sc.dim):
+        img = sc.bracket_basis(k, k2)
+        if img:
+            out[k2] = img
+    return out
+
+
+@cache
+def killing_hh(sc: StructureConstants) -> tuple:
+    rk, rs = sc.rank, sc.rs
+    tab = [[Fraction(0)] * rk for _ in range(rk)]
+    # kappa(H_i, H_j) = sum_b b(H_i) b(H_j)
+    for i in range(rk):
+        for j in range(rk):
+            tot = 0
+            for b in rs.roots:
+                bi = sum(rs.cartan[i][t] * b[t] for t in range(rk))
+                bj = sum(rs.cartan[j][t] * b[t] for t in range(rk))
+                tot += bi * bj
+            tab[i][j] = Fraction(tot)
+    return tuple(tuple(r) for r in tab)
+
+
+@cache
+def killing_z_pair(sc: StructureConstants, ia: int) -> Fraction:
+    """kappa(Z_a, Z_-a), cached; computed as an explicit adjoint trace."""
+    rs = sc.rs
+    ineg = rs.idx(neg(rs.roots[ia]))
+    ad1 = _ad_sparse(sc, sc.rank + ia)
+    ad2 = _ad_sparse(sc, sc.rank + ineg)
+    tot = Fraction(0)
+    for k in range(sc.dim):
+        for k2, c2 in ad2.get(k, ()):
+            for k3, c3 in ad1.get(k2, ()):
+                if k3 == k:
+                    tot += c2 * c3
+    return tot
+
+
+def killing(sc: StructureConstants, x: dict, y: dict) -> QQi:
+    """trace(ad x . ad y), bilinear over the cached basis tables."""
+    rk, rs = sc.rank, sc.rs
+    tot = QQi(0)
+    hh = killing_hh(sc)
+    for k1, c1 in x.items():
+        for k2, c2 in y.items():
+            if k1 < rk and k2 < rk:
+                tot = tot + c1 * c2 * hh[k1][k2]
+            elif k1 >= rk and k2 >= rk:
+                if rs.roots[k2 - rk] == neg(rs.roots[k1 - rk]):
+                    tot = tot + c1 * c2 * killing_z_pair(sc, k1 - rk)
+    return tot
 
 
 @cache

@@ -10,14 +10,17 @@ result.
 
 from __future__ import annotations
 
-from minorbit.crflag import FormContext, ParabolicData, _entry
+from algebra_oracle import killing_z_pair
+from levi_oracle import _entry
+from minorbit.crflag import FormContext, ParabolicData
 from minorbit.gaussq import QQi
 
 
 def q_form(ctx: FormContext, pd: ParabolicData, target: int):
     """Levi form on the parabolic subalgebra itself: rows and columns over Q,
     entry at (x, y) iff x + conj(y) = target (a real root, either sign).
-    Support-restricted; used for the kernel-set test."""
+    Support-restricted; used for the kernel-set test.  A dense matrix,
+    scaled by the Killing value as in `levi_oracle`."""
     rs = ctx.rs
     rows = []
     tgt = rs.roots[target]
@@ -30,7 +33,7 @@ def q_form(ctx: FormContext, pd: ParabolicData, target: int):
             rows.append((x, y))
     index = sorted({x for x, _ in rows} | {y for _, y in rows})
     pos = {ia: k for k, ia in enumerate(index)}
-    kpair = ctx.sc.killing_z_pair(target)
+    kpair = killing_z_pair(ctx.sc, target)
     n = len(index)
     m = [[QQi(0)] * n for _ in range(n)]
     for x, y in rows:

@@ -5,7 +5,9 @@ import itertools
 import random
 from fractions import Fraction
 
+from algebra_oracle import killing, killing_hh, killing_z_pair
 from float_oracle import float_classify
+import levi_oracle as dense
 from minorbit.chevalley import build_chevalley
 from minorbit.cli import default_golden_path
 from minorbit.crflag import (characteristic_real_roots, classify_levi,
@@ -73,8 +75,9 @@ def test_criterion_2_exact_micro_facts():
     pd = parabolic(ctx, {3})
     chars = characteristic_real_roots(ctx, pd)
     assert [ctx.rs.roots[g] for g in chars] == [(1, 2, 3, 2)]
-    _, m = levi_matrix(ctx, pd, chars[0])
+    _, m = dense.levi_matrix(ctx, pd, chars[0])
     assert rank(m) == 1 and hermitian_classify(m).is_semidefinite()
+    assert classify_levi(*levi_matrix(ctx, pd, chars[0]))[0].is_semidefinite()
 
     # (b) EIII: the unique semidefinite characteristic root and its unique
     # diagonal contributor
@@ -82,9 +85,8 @@ def test_criterion_2_exact_micro_facts():
     pd = parabolic(ctx, {3})
     semidef = []
     for g in characteristic_real_roots(ctx, pd):
-        idx, m = levi_matrix(ctx, pd, g)
-        if classify_levi(m)[0].is_semidefinite():
-            semidef.append((g, idx, m))
+        if classify_levi(*levi_matrix(ctx, pd, g))[0].is_semidefinite():
+            semidef.append((g, *dense.levi_matrix(ctx, pd, g)))
     assert len(semidef) == 1
     g, idx, m = semidef[0]
     assert ctx.rs.roots[g] == (1, 2, 2, 3, 2, 1)
@@ -104,8 +106,7 @@ def test_criterion_2_exact_micro_facts():
         return tuple(v)
 
     def levi_class(pd, g):
-        _, m = levi_matrix(ctx, pd, ctx.rs.idx(g))
-        return classify_levi(m)[0]
+        return classify_levi(*levi_matrix(ctx, pd, ctx.rs.idx(g)))[0]
 
     pd = parabolic(ctx, {3, 5})
     assert levi_class(pd, gamma(1)) is D.ZERO
@@ -132,8 +133,7 @@ def test_criterion_2_exact_micro_facts():
                                   for j in range(n - 1)))
         got = []
         for g in characteristic_real_roots(ctx, pd):
-            _, m = levi_matrix(ctx, pd, g)
-            cls = classify_levi(m)[0]
+            cls = classify_levi(*levi_matrix(ctx, pd, g))[0]
             if cls.is_semidefinite() and cls is not D.ZERO:
                 got.append(ctx.rs.roots[g])
         assert sorted(got) == sorted(want), (name, phi, got, want)
@@ -210,16 +210,16 @@ def test_criterion_4_chevalley_invariants():
             x, y = {k1: QQi(1)}, {k2: QQi(1)}
             assert theta(sc.bracket(x, y)) == sc.bracket(theta(x), theta(y))
         # Killing: nondegenerate and ad-invariant
-        hh = sc.killing_hh()
+        hh = killing_hh(sc)
         gram = [[QQi(hh[i][j]) for j in range(rs.rank)] for i in range(rs.rank)]
         assert rank(gram) == rs.rank
         for r in rs.positives[:20]:
-            assert sc.killing_z_pair(rs.idx(r)) != 0
+            assert killing_z_pair(sc, rs.idx(r)) != 0
         for _ in range(500):
             ks = [rng.randrange(sc.dim) for _ in range(3)]
             x, y, z = ({k: QQi(1)} for k in ks)
-            assert sc.killing(sc.bracket(x, y), z) == \
-                sc.killing(x, sc.bracket(y, z))
+            assert killing(sc, sc.bracket(x, y), z) == \
+                killing(sc, x, sc.bracket(y, z))
     print(f"ACCEPTANCE 4 chevalley invariants: PASS "
           f"(exhaustive Jacobi on {len(small)} systems, {checked} triples; "
           f"10^4 random triples each on A5, C5, E6)")
@@ -273,9 +273,11 @@ def test_criterion_6_exact_vs_numeric():
         for phi in _all_phi(rk):
             pd = parabolic(ctx, phi)
             for g in characteristic_real_roots(ctx, pd):
-                _, m = levi_matrix(ctx, pd, g)
+                _, m = dense.levi_matrix(ctx, pd, g)
                 if m:
                     assert hermitian_classify(m) == float_classify(m)
+                    assert classify_levi(*levi_matrix(ctx, pd, g))[0] == \
+                        float_classify(m)
                     checked += 1
     # randomized Hermitian agreement
     rng = random.Random(2026)

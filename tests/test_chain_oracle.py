@@ -1,6 +1,7 @@
 """Differential test: the one-closure-per-cross-set chain search, the
 sum-row `finite_type` and the pair-list `q_form` of `minorbit.crflag`
-against the per-call versions kept in `chain_oracle`."""
+against the per-call versions kept in `chain_oracle` (its `q_form` is the
+dense Killing-scaled matrix, compared after scaling the integer entries)."""
 
 import itertools
 import random
@@ -8,6 +9,7 @@ import random
 import pytest
 
 import chain_oracle as oracle
+from levi_oracle import densify, killing_scale
 from minorbit import crflag
 from minorbit.crflag import get_context, k_phi, parabolic
 from test_acceptance import INSTANCES
@@ -49,7 +51,10 @@ def test_chain_search_matches_per_target_oracle(name, rank, seed):
             pd = parabolic(ctx, phi)
             assert crflag.finite_type(ctx, pd) == oracle.finite_type(ctx, pd)
             for t in range(len(ctx.rs.roots)):
-                assert crflag.q_form(ctx, pd, t) == oracle.q_form(ctx, pd, t)
+                index, entries = crflag.q_form(ctx, pd, t)
+                want_index, want = oracle.q_form(ctx, pd, t)
+                assert index == want_index
+                assert densify(index, entries, killing_scale(ctx, t)) == want
             _assert_chains_match(ctx, pd, k_phi(ctx, pd),
                                  _searches(ctx, pd), set())
 

@@ -1,11 +1,13 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from algebra_oracle import adjoint_matrix
+from algebra_oracle import adjoint_matrix, killing, killing_z_pair
 from minorbit.chevalley import build_chevalley
 from minorbit.gaussq import QQi
+from minorbit.realform import catalog
 from minorbit.rootsys import build_doubled_system, build_root_system, neg
 
 SMALL = [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("C", 3), ("B", 3)]
@@ -129,16 +131,16 @@ def test_killing_values(algebras):
     for i in range(3):
         tr = tr + sum((m[i][k] * m[k][i] for k in range(3)), QQi(0))
     assert tr == QQi(8)
-    assert sc1.killing(sc1.h(0), sc1.h(0)) == QQi(8)
+    assert killing(sc1, sc1.h(0), sc1.h(0)) == QQi(8)
     rs, sc = algebras[("A", 2)]
     for a in rs.roots:
         for b in rs.roots:
-            k = sc.killing(sc.z(a), sc.z(b))
+            k = killing(sc, sc.z(a), sc.z(b))
             if b == neg(a):
                 assert k
             else:
                 assert not k
-        assert not sc.killing(sc.z(a), sc.h(0))
+        assert not killing(sc, sc.z(a), sc.h(0))
 
 
 def test_killing_matches_explicit_adjoint_trace(algebras):
@@ -149,7 +151,7 @@ def test_killing_matches_explicit_adjoint_trace(algebras):
         tr = QQi(0)
         for i in range(sc.dim):
             tr = tr + sum((mx[i][k] * my[k][i] for k in range(sc.dim)), QQi(0))
-        assert tr == sc.killing(x, y)
+        assert tr == killing(sc, x, y)
 
 
 def test_killing_ad_invariance(algebras):
@@ -158,9 +160,40 @@ def test_killing_ad_invariance(algebras):
     for _ in range(200):
         ks = [rng.randrange(sc.dim) for _ in range(3)]
         x, y, z = ({k: QQi(1)} for k in ks)
-        lhs = sc.killing(sc.bracket(x, y), z)
-        rhs = sc.killing(x, sc.bracket(y, z))
+        lhs = killing(sc, sc.bracket(x, y), z)
+        rhs = killing(sc, x, sc.bracket(y, z))
         assert lhs == rhs
+
+
+def _distinct_root_systems(max_rank):
+    seen = {}
+    for entry in catalog(max_rank):
+        seen.setdefault((entry.family, entry.rank, entry.doubled), entry)
+    return [e.root_system() for _, e in sorted(seen.items())]
+
+
+def test_killing_z_pair_closed_form():
+    # kappa(H_a, H_a) = -2 kappa(Z_a, Z_-a) by invariance, so the adjoint
+    # trace equals -1/2 sum_b <b, a^>^2, negative since b = a gives 4; here
+    # <b, a^> = b(H_a) = sum_j a^_j b(H_j) over the simple coroots
+    systems = _distinct_root_systems(6)
+    assert len(systems) > 20
+    for rs in systems:
+        sc = build_chevalley(rs)
+        rk = rs.rank
+        on_h = [[sum(rs.cartan[j][t] * b[t] for t in range(rk))
+                 for j in range(rk)] for b in rs.roots]
+        for ia, a in enumerate(rs.roots):
+            cor = sc.coroots[ia]
+            closed = Fraction(-sum(sum(c * hb for c, hb in zip(cor, h)) ** 2
+                                   for h in on_h), 2)
+            assert closed < 0
+            assert killing_z_pair(sc, ia) == closed, (rs.types, a)
+        # the coroot pairing agrees with 2(a|b)/(a|a) from the Gram matrix
+        for ia in range(0, len(rs.roots), 7):
+            for ib in range(0, len(rs.roots), 5):
+                assert sum(c * hb for c, hb in zip(sc.coroots[ia], on_h[ib])) \
+                    == rs.pairing(rs.roots[ia], rs.roots[ib])
 
 
 @pytest.mark.parametrize("fam,rk", [("A", 2), ("B", 2), ("G", 2), ("C", 3)])
@@ -168,7 +201,7 @@ def test_killing_nondegenerate(algebras, fam, rk):
     from minorbit.exactla import rank as xrank
     rs, sc = algebras[(fam, rk)]
     basis = [{k: QQi(1)} for k in range(sc.dim)]
-    gram = [[sc.killing(u, v) for v in basis] for u in basis]
+    gram = [[killing(sc, u, v) for v in basis] for u in basis]
     assert xrank(gram) == sc.dim
 
 

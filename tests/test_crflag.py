@@ -1,5 +1,6 @@
 import pytest
 
+import levi_oracle as dense
 from minorbit.crflag import (characteristic_real_roots, classify_levi,
                              concavity_verdict, finite_type, get_context,
                              hlc_reachability, k_phi, levi_matrix, parabolic,
@@ -78,9 +79,9 @@ def test_fii_characteristic_and_levi():
     pd = parabolic(ctx, {3})
     chars = characteristic_real_roots(ctx, pd)
     assert roots_of(ctx, chars) == [[1, 2, 3, 2]]
-    idx, m = levi_matrix(ctx, pd, chars[0])
+    idx, m = dense.levi_matrix(ctx, pd, chars[0])
     assert is_hermitian(m)
-    cls, cat = classify_levi(m)
+    cls, cat = classify_levi(*levi_matrix(ctx, pd, chars[0]))
     assert xrank(m) == 1
     assert cls.is_semidefinite() and cls is not D.ZERO
     assert cat == "diagonal-semidefinite"
@@ -97,13 +98,12 @@ def test_eiii_characteristic_and_levi():
     chars = characteristic_real_roots(ctx, pd)
     semidef = []
     for g in chars:
-        _, m = levi_matrix(ctx, pd, g)
-        cls, _ = classify_levi(m)
+        cls, _ = classify_levi(*levi_matrix(ctx, pd, g))
         if cls.is_semidefinite() and cls is not D.ZERO:
             semidef.append(g)
     assert roots_of(ctx, semidef) == [[1, 2, 2, 3, 2, 1]]
     g = semidef[0]
-    idx, m = levi_matrix(ctx, pd, g)
+    idx, m = dense.levi_matrix(ctx, pd, g)
     assert xrank(m) == 1
     diag = [idx[i] for i in range(len(idx)) if m[i][i]]
     assert roots_of(ctx, diag) == [[-1, -1, -2, -2, -1, 0]]
@@ -124,8 +124,7 @@ def test_ciia_levi_classes():
     pd = parabolic(ctx, {3, 5})
     cls = {}
     for g in characteristic_real_roots(ctx, pd):
-        _, m = levi_matrix(ctx, pd, g)
-        cls[ctx.rs.roots[g]] = classify_levi(m)[0]
+        cls[ctx.rs.roots[g]] = classify_levi(*levi_matrix(ctx, pd, g))[0]
     assert cls[gamma(1)] is D.ZERO
     c2 = cls[gamma(2)]
     assert c2.is_semidefinite() and c2 is not D.ZERO
@@ -133,8 +132,7 @@ def test_ciia_levi_classes():
     pd = parabolic(ctx, {1, 5})
     cls = {}
     for g in characteristic_real_roots(ctx, pd):
-        _, m = levi_matrix(ctx, pd, g)
-        cls[ctx.rs.roots[g]] = classify_levi(m)[0]
+        cls[ctx.rs.roots[g]] = classify_levi(*levi_matrix(ctx, pd, g))[0]
     c1 = cls[gamma(1)]
     assert c1.is_semidefinite() and c1 is not D.ZERO
     assert cls[gamma(2)] is D.INDEFINITE
@@ -144,10 +142,9 @@ def test_ciia_sp12_zero_case():
     ctx = get_context("sp(1,2)")
     pd = parabolic(ctx, {2})
     for g in characteristic_real_roots(ctx, pd):
-        _, m = levi_matrix(ctx, pd, g)
-        assert classify_levi(m)[0] in (D.ZERO, D.INDEFINITE,
-                                       D.POSITIVE_SEMIDEFINITE_NONZERO,
-                                       D.NEGATIVE_SEMIDEFINITE_NONZERO)
+        assert classify_levi(*levi_matrix(ctx, pd, g))[0] in (
+            D.ZERO, D.INDEFINITE, D.POSITIVE_SEMIDEFINITE_NONZERO,
+            D.NEGATIVE_SEMIDEFINITE_NONZERO)
 
 
 def test_levi_matrix_preconditions():
@@ -172,10 +169,13 @@ def test_mirrored_convention_same_classes():
         ctx = get_context(form)
         pd = parabolic(ctx, phi)
         for g in characteristic_real_roots(ctx, pd):
-            _, m1 = levi_matrix(ctx, pd, g)
-            _, m2 = levi_matrix(ctx, pd, g, mirrored=True)
+            _, m1 = dense.levi_matrix(ctx, pd, g)
+            _, m2 = dense.levi_matrix(ctx, pd, g, mirrored=True)
             c1, c2 = hermitian_classify(m1), hermitian_classify(m2)
             assert c1 == c2 or c1 == c2.flipped()
+            s1 = classify_levi(*levi_matrix(ctx, pd, g))[0]
+            s2 = classify_levi(*levi_matrix(ctx, pd, g, mirrored=True))[0]
+            assert s1 == s2 or s1 == s2.flipped()
 
 
 # -- kernel set ----------------------------------------------------------------
@@ -215,11 +215,13 @@ def test_k_phi_isotropy_invariant():
         pd = parabolic(ctx, phi)
         kp = k_phi(ctx, pd)
         for g in characteristic_real_roots(ctx, pd):
-            idx, m = q_form(ctx, pd, ctx.negi(g))
+            idx, m = dense.q_form(ctx, pd, ctx.negi(g))
+            _, entries = q_form(ctx, pd, ctx.negi(g))
             if not hermitian_classify(m).is_semidefinite():
                 continue
             pos = {a: k for k, a in enumerate(idx)}
             for a in kp:
+                assert (a, a) not in entries
                 if a in pos:
                     assert not m[pos[a]][pos[a]]
 
@@ -260,8 +262,7 @@ def test_eiii_chain_succeeds_with_witness():
     kp = k_phi(ctx, pd)
     semidef = []
     for g in characteristic_real_roots(ctx, pd):
-        _, m = levi_matrix(ctx, pd, g)
-        if classify_levi(m)[0].is_semidefinite():
+        if classify_levi(*levi_matrix(ctx, pd, g))[0].is_semidefinite():
             semidef.append(g)
     for g in semidef:
         res = hlc_reachability(ctx, pd, kp, g, toward_minus=True)
@@ -449,7 +450,7 @@ def test_global_normalization_flip():
         ctx = get_context(form, max_rank=6)
         pd = parabolic(ctx, phi)
         for g in characteristic_real_roots(ctx, pd):
-            _, m = levi_matrix(ctx, pd, g)
+            _, m = dense.levi_matrix(ctx, pd, g)
             flipped = [[-x for x in row] for row in m]
             c0, c1 = hermitian_classify(m), hermitian_classify(flipped)
             assert c1 == c0.flipped()

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -109,6 +110,31 @@ def test_cli_mismatch_exit_code(tmp_path):
     p.write_text(json.dumps(doc))
     r = run_cli(["--form", "FII", "--golden", str(p)])
     assert r.returncode == 1
+
+
+def test_cli_reads_packaged_golden_once(tmp_path, monkeypatch, capsys):
+    from minorbit import cli, golden
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return load_golden(path)
+
+    monkeypatch.setattr(golden, "load_golden", counting)
+    cli._packaged_golden.cache_clear()
+    try:
+        for _ in range(3):
+            assert cli.main(["--form", "sl(3,R)"]) == 0
+        assert calls == [default_golden_path()]
+        # a table named on the command line is read on every call
+        p = tmp_path / "g.json"
+        shutil.copy(default_golden_path(), p)
+        for _ in range(2):
+            assert cli.main(["--form", "sl(3,R)", "--golden", str(p)]) == 0
+        assert calls == [default_golden_path(), str(p), str(p)]
+    finally:
+        cli._packaged_golden.cache_clear()
+    capsys.readouterr()
 
 
 def test_cli_missing_coverage(tmp_path):

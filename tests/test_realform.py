@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from algebra_oracle import real_basis, sigma
+from algebra_oracle import killing, real_basis, sigma
 from minorbit.chevalley import build_chevalley
 from minorbit.crflag import get_context
 from minorbit.exactla import inertia
@@ -119,7 +119,7 @@ def test_real_basis_and_killing_character(entry):
     assert len(rb) == sc.dim
     for x in rb:
         assert sigma(conj, x) == x
-    gram = [[sc.killing(u, v) for v in rb] for u in rb]
+    gram = [[killing(sc, u, v) for v in rb] for u in rb]
     assert all(gram[i][j].is_real() for i in range(len(rb))
                for j in range(len(rb)))
     p, q, z = inertia(gram)
