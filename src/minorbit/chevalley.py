@@ -80,15 +80,6 @@ class StructureConstants:
     def z(self, root) -> dict:
         return {self.rank + self.rs.idx(root): QQi(1)}
 
-    # -- serialization ------------------------------------------------------------
-    def ntable_json(self) -> str:
-        """Canonical JSON dump of the bracket constant table."""
-        import json
-        rows = []
-        for (ia, ib), v in sorted(self.ntable.items()):
-            rows.append([list(self.rs.roots[ia]), list(self.rs.roots[ib]), v])
-        return json.dumps({"n": rows}, sort_keys=True, separators=(",", ":"))
-
     # -- gauge ------------------------------------------------------------------
     def sign_gauge(self, seed: int) -> "StructureConstants":
         """New table with Z_a -> u_a Z_a, u_a = u_-a = +-1 random; a different

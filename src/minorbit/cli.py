@@ -194,7 +194,10 @@ def _packaged_golden() -> dict:
     return goldenmod.load_golden(default_golden_path())
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged."""
     ap = argparse.ArgumentParser(
         prog="classify",
         description="decide the higher Levi concavity condition for minimal "
@@ -216,6 +219,11 @@ def main(argv=None) -> int:
     ap.add_argument("--max-rank", type=int, default=8)
     ap.add_argument("--dump-form", action="store_true",
                     help="print the catalog entry and exit")
+    return ap
+
+
+def main(argv=None) -> int:
+    ap = _parser()
     args = ap.parse_args(argv)
 
     if not args.form:

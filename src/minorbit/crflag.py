@@ -1,15 +1,17 @@
 """Core decision machinery for minimal orbits: parabolic root data Q_Phi,
 characteristic real roots, exact Levi forms, the common kernel set K_Phi,
 finite type, the root-chain sufficient condition, and the authoritative
-span decision in the real form, decided by a root-set closure that equals
-the iterated bracket module (see `t_module_span`).  The chain search and
-the span share one breadth-first kernel, `root_closure`, and every root sum
-is read from the root system's `sum_row` and `sum_pairs` tables and
-every simple-root support from its `supports` table.  A Levi form is read
-from the root involution: its Gaussian-integer entries come from the pair
-lists, the conjugation and the Chevalley constants, and `classify_levi`
-decides its class and category from their positions and signs, with no
-Killing value, no dense matrix and no elimination.
+span decision in the real form.  One root-set closure, `root_closure`, runs
+at most once per cross set: the chain search reads its parent map, and the
+span, which equals the iterated bracket module, is read from the same
+closure and its conjugate (see `t_module_span`).  Finite type needs no
+closure: by the theorem on closed root sets that contain every positive
+root it is read from simple-root supports (see `finite_type`).  Every root
+sum comes from the root system's `sum_row` and `sum_pairs` tables.  A Levi
+form is read from the root involution: its Gaussian-integer entries come
+from the pair lists, the conjugation and the Chevalley constants, and
+`classify_levi` decides its class and category from their positions and
+signs, with no Killing value, no dense matrix and no elimination.
 """
 
 from __future__ import annotations
@@ -268,26 +270,36 @@ def k_phi(ctx: FormContext, pd: ParabolicData) -> frozenset:
 
 
 def finite_type(ctx: FormContext, pd: ParabolicData) -> bool:
-    """Root-addition closure of Q u conj(Q) covers all roots; stands in for
-    the iterated-bracket finite type condition.
+    """Whether the root-addition closure C of Q u conj(Q) is every root;
+    it stands in for the iterated-bracket finite type condition.  Decided
+    without a closure: C is every root iff the supports of the negative
+    roots of Q u conj(Q) cover every simple index.
 
-    Every root of the final set s passes through exactly one frontier, and
-    both roots of a pair are in s before the later one's frontier is walked,
-    so every pair of s is tried and s is closed; it only ever gains sums of
-    its own roots, so it is the closure.  Walking the sum row of a root
-    instead of all of s therefore gives the same set."""
-    s = set(pd.Q) | set(pd.Qbar)
-    frontier = list(s)
-    rows = ctx.rs.sum_row
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b, t in rows[a].items():
-                if b in s and t not in s:
-                    s.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return len(s) == len(ctx.rs.roots)
+    Brackets.  For a + b a root, [Z_a, Z_b] = N(a, b) Z_{a+b} with
+    N(a, b) = +-(p + 1) never zero (Humphreys, section 25), [Z_a, Z_-a]
+    lies in the Cartan h, and other brackets of root vectors vanish, so the
+    subalgebra generated by h and the Z_b, b in Q u conj(Q), is h + the
+    span of the Z_t, t in C.
+
+    Proof of the support rule.  Q holds every positive root, so C is a
+    closed root set containing R+.  By Bourbaki, Lie VI section 1.7
+    Prop. 20, C = R+ u R_J, where R_J is the set of roots in the span of
+    the simple roots alpha_j, j in J, and J = {j : -alpha_j in C}.  Let J'
+    be the union of the supports of the negative roots of Q u conj(Q).
+    - J' <= J: a negative root -b of Q u conj(Q) lies in C, so b lies in
+      R_J and its support in J.
+    - J <= J': R+ u R_J' holds Q u conj(Q) and is closed (a positive sum
+      lies in R+, a sum within R_J' stays in its span, and a negative sum
+      a - b of a in R+ and -b in R_J' has coefficients between those of
+      -b and 0, so its support lies in J'), so it holds C.
+    So C is every root iff J, that is J', is every simple index.  The tests
+    keep the closure itself as a differential oracle."""
+    roots, supports = ctx.rs.roots, ctx.rs.supports
+    covered = set()
+    for a in pd.Q | pd.Qbar:
+        if sum(roots[a]) < 0:
+            covered |= supports[a]
+    return len(covered) == ctx.rs.rank
 
 
 def root_closure(ctx: FormContext, start, moves) -> tuple[dict, list[int]]:
@@ -320,19 +332,21 @@ def root_closure(ctx: FormContext, start, moves) -> tuple[dict, list[int]]:
 
 
 def _chain_closure(ctx: FormContext, pd: ParabolicData, kphi) -> tuple:
-    """The chain-search data of one cross set, from a one-entry memo on the
-    context: (key, parent map of the closure of conj(Q) under K u conj(K),
+    """The closure data of one cross set, shared by the chain search and
+    the span, from a one-entry memo on the context: (key, parent map and
+    sizes of the `root_closure` of conj(Q) under K u conj(K),
     [(j, minimum of coordinate j over conj(Q))] for every coordinate j on
     which no move is negative)."""
     memo = ctx._chain_memo
     if memo is None or memo[0] != (pd, kphi):
         roots = ctx.rs.roots
         moves = set(kphi) | {ctx.c(a) for a in kphi}
-        parent, _ = root_closure(ctx, pd.Qbar, moves)
+        parent, sizes = root_closure(ctx, pd.Qbar, moves)
         bounds = [(j, min(roots[a][j] for a in pd.Qbar))
                   for j in range(ctx.rs.rank)
                   if all(roots[mv][j] >= 0 for mv in moves)]
-        memo = ctx._chain_memo = ((pd, frozenset(kphi)), parent, bounds)
+        memo = ctx._chain_memo = ((pd, frozenset(kphi)), parent, sizes,
+                                  bounds)
     return memo
 
 
@@ -355,7 +369,7 @@ def hlc_reachability(ctx: FormContext, pd: ParabolicData, kphi: frozenset,
     - a coefficient bound depends only on moves, start and target."""
     rs = ctx.rs
     target = ctx.negi(gamma) if toward_minus else gamma
-    _, parent, bounds = _chain_closure(ctx, pd, kphi)
+    _, parent, _, bounds = _chain_closure(ctx, pd, kphi)
     if target in parent:
         chain = []
         cur = target
@@ -378,27 +392,6 @@ def hlc_reachability(ctx: FormContext, pd: ParabolicData, kphi: frozenset,
     return {"reached": False,
             "certificate": {"kind": "closure-exhausted",
                             "reachable_count": len(parent)}}
-
-
-def verify_no_triples(ctx: FormContext) -> int:
-    """Exhaustive scan for triples (a, b, g) with a+conj(a), b+conj(b),
-    g+conj(g) all roots, a+conj(a) != b+conj(b), a+conj(b) = g+conj(g).
-    Must return 0."""
-    rs = ctx.rs
-    B = [a for a in range(len(rs.roots)) if ctx.summed(a, ctx.c(a)) is not None]
-    bar_sums = {}
-    for g in B:
-        bar_sums.setdefault(ctx.summed(g, ctx.c(g)), []).append(g)
-    count = 0
-    for a in B:
-        sa = ctx.summed(a, ctx.c(a))
-        for b in B:
-            if ctx.summed(b, ctx.c(b)) == sa:
-                continue
-            t = ctx.summed(a, ctx.c(b))
-            if t is not None and t in bar_sums:
-                count += len(bar_sums[t])
-    return count
 
 
 # -- the span decision in the real form --------------------------------------
@@ -429,15 +422,31 @@ def t_module_span(ctx: FormContext, pd: ParabolicData,
     Hence the verdict (S reaches every root) and every entry of
     `span_dims` coincide with the exact linear algebra, which the tests
     keep as a differential oracle.  The rounds stop as the exact iteration
-    does: when a round adds nothing or the module is full, so `span_dims`
-    is the `root_closure` sizes cut just after the first full entry."""
+    does: when a round adds nothing or the module is full.
+
+    Proof that S_h = P_h u c(P_h), where P_h is the set of roots that the
+    chain closure P of c(Q) under M (`_chain_closure`) reaches in at most
+    h rounds.  A closure under adding moves is a union over its start
+    roots: a root lies within h rounds of A u B iff it lies within h rounds
+    of A or of B.  And c is additive, permutes the roots and has c(M) = M,
+    so it carries a chain q, q + m_1, ... from Q onto the chain c(q),
+    c(q) + c(m_1), ... from c(Q), with the same length, and back.  So a
+    root is within h rounds of Q iff its conjugate lies in P_h, and S_h =
+    P_h u c(P_h).  The parent map lists P in discovery order and its sizes
+    mark the rounds, so the span reuses the chain search's closure."""
     full = len(ctx.rs.roots)
-    moves = set(kphi) | {ctx.c(a) for a in kphi}
-    _, sizes = root_closure(ctx, pd.Q | pd.Qbar, moves)
-    if full in sizes:
-        sizes = sizes[:sizes.index(full) + 1]
-    rk = ctx.rs.rank
-    return sizes[-1] == full, [rk + k for k in sizes]
+    _, parent, sizes, _ = _chain_closure(ctx, pd, kphi)
+    order, cidx = list(parent), ctx.conj.c_index
+    reached, dims, done = set(), [], 0
+    for n in sizes:
+        for a in order[done:n]:
+            reached.add(a)
+            reached.add(cidx[a])
+        done = n
+        dims.append(ctx.rs.rank + len(reached))
+        if len(reached) == full or (len(dims) > 1 and dims[-2] == dims[-1]):
+            break
+    return len(reached) == full, dims
 
 
 # -- full pipeline ------------------------------------------------------------

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 
-from .gaussq import I_POW
 from .rootsys import (RootSystem, Root, build_doubled_system,
                       build_root_system, neg)
 from .chevalley import StructureConstants
@@ -364,10 +362,10 @@ def _solve_sign_exponents(rs: RootSystem, sc: StructureConstants, c_idx, cls):
     neg_idx = [rs.idx(neg(rs.roots[a])) for a in range(nroots)]
 
     def e_of(ia, ib):
-        ratio = Fraction(sc.n(ia, ib), sc.n(c_idx[ia], c_idx[ib]))
-        if ratio == 1:
+        n, m = sc.n(ia, ib), sc.n(c_idx[ia], c_idx[ib])
+        if n and n == m:
             return 0
-        if ratio == -1:
+        if n and n == -m:
             return 2
         raise ConjugationError("structure constant ratio not a sign")
 
@@ -474,8 +472,3 @@ class Conjugation:
 def build_conjugation(diag: SatakeDiagram, rs: RootSystem,
                       sc: StructureConstants) -> Conjugation:
     return Conjugation(diag, rs, sc)
-
-
-def basis_conjugation_signs(conj: Conjugation) -> dict:
-    """The completed sign table: root -> t with sigma(Z_a) = t Z_{conj(a)}."""
-    return {r: I_POW[conj.t_exp[i]] for i, r in enumerate(conj.rs.roots)}

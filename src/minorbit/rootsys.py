@@ -9,7 +9,6 @@ convention-free.
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -287,15 +286,6 @@ class RootSystem:
                 newcols.append(list(apply_w(v)))
             cols = newcols
         return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-    # -- serialization ------------------------------------------------------
-    def to_json(self) -> str:
-        doc = {
-            "types": [str(t) for t in self.types],
-            "cartan": [list(r) for r in self.cartan],
-            "roots": [list(r) for r in self.roots],
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def support(alpha: Root) -> frozenset[int]:

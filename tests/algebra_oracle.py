@@ -2,7 +2,8 @@
 an incremental echelon store and a span-closure fixpoint engine, adjoint
 matrices, the Killing form as an explicit adjoint trace, and the
 anti-linear involution sigma of a real form with a basis of its fixed
-points.
+points, the completed sign table, and canonical JSON dumps of a root system
+and of a structure constant table.
 
 `classify` decides everything from root-index tables and never forms these
 objects; the tests use them as independent references (the Killing trace,
@@ -11,6 +12,7 @@ the dense span, the Killing character of the real form).
 
 from __future__ import annotations
 
+import json
 from functools import cache
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -19,7 +21,7 @@ from minorbit.chevalley import StructureConstants
 from minorbit.exactla import kernel, rref
 from minorbit.gaussq import I_POW, QQi, ZERO
 from minorbit.realform import Conjugation
-from minorbit.rootsys import neg
+from minorbit.rootsys import RootSystem, neg
 
 
 class Echelon:
@@ -225,3 +227,26 @@ def real_basis(conj: Conjugation) -> list[dict]:
             z = {rk + ia: QQi(1)}
             out.extend([z] if ica == ia else real_pair(conj, z))
     return out
+
+
+def basis_conjugation_signs(conj: Conjugation) -> dict:
+    """The completed sign table: root -> t with sigma(Z_a) = t Z_{conj(a)}."""
+    return {r: I_POW[conj.t_exp[i]] for i, r in enumerate(conj.rs.roots)}
+
+
+def ntable_json(sc: StructureConstants) -> str:
+    """Canonical JSON dump of the bracket constant table."""
+    rows = []
+    for (ia, ib), v in sorted(sc.ntable.items()):
+        rows.append([list(sc.rs.roots[ia]), list(sc.rs.roots[ib]), v])
+    return json.dumps({"n": rows}, sort_keys=True, separators=(",", ":"))
+
+
+def root_system_json(rs: RootSystem) -> str:
+    """Canonical JSON dump of a root system: types, Cartan matrix, roots."""
+    doc = {
+        "types": [str(t) for t in rs.types],
+        "cartan": [list(r) for r in rs.cartan],
+        "roots": [list(r) for r in rs.roots],
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -1,18 +1,19 @@
-"""The per-target chain search, the finite-type closure over all of s and
-the subtraction-based `q_form`, kept as differential oracles for
+"""The per-target chain search, the finite-type closures (over all of s
+and over sum rows), the two-closure span, the subtraction-based `q_form`
+and the no-triples scan, kept as differential oracles for
 `minorbit.crflag`.
 
-The production code runs one breadth-first closure per cross set and reads
-every root sum from per-root tables built once per context; these are the
-earlier per-call versions, which the tests compare against it result for
-result.
+The production code runs at most one breadth-first closure per cross set,
+reads the span from it and decides finite type from simple-root supports;
+these are the earlier versions, which the tests compare against it result
+for result.
 """
 
 from __future__ import annotations
 
 from algebra_oracle import killing_z_pair
 from levi_oracle import _entry
-from minorbit.crflag import FormContext, ParabolicData
+from minorbit.crflag import FormContext, ParabolicData, root_closure
 from minorbit.gaussq import QQi
 
 
@@ -56,6 +57,64 @@ def finite_type(ctx: FormContext, pd: ParabolicData) -> bool:
                     nxt.append(t)
         frontier = nxt
     return len(s) == len(ctx.rs.roots)
+
+
+def finite_type_rows(ctx: FormContext, pd: ParabolicData) -> bool:
+    """Root-addition closure of Q u conj(Q) covers all roots; stands in for
+    the iterated-bracket finite type condition.
+
+    Every root of the final set s passes through exactly one frontier, and
+    both roots of a pair are in s before the later one's frontier is walked,
+    so every pair of s is tried and s is closed; it only ever gains sums of
+    its own roots, so it is the closure.  Walking the sum row of a root
+    instead of all of s therefore gives the same set."""
+    s = set(pd.Q) | set(pd.Qbar)
+    frontier = list(s)
+    rows = ctx.rs.sum_row
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b, t in rows[a].items():
+                if b in s and t not in s:
+                    s.add(t)
+                    nxt.append(t)
+        frontier = nxt
+    return len(s) == len(ctx.rs.roots)
+
+
+def t_module_span(ctx: FormContext, pd: ParabolicData,
+                  kphi: frozenset) -> tuple[bool, list[int]]:
+    """The span decision by its own closure of S_0 = Q u c(Q) under the
+    moves M = K_Phi u c(K_Phi): (S reaches every root, rank + |S_h| per
+    round), the rounds cut just after the first full entry."""
+    full = len(ctx.rs.roots)
+    moves = set(kphi) | {ctx.c(a) for a in kphi}
+    _, sizes = root_closure(ctx, pd.Q | pd.Qbar, moves)
+    if full in sizes:
+        sizes = sizes[:sizes.index(full) + 1]
+    rk = ctx.rs.rank
+    return sizes[-1] == full, [rk + k for k in sizes]
+
+
+def verify_no_triples(ctx: FormContext) -> int:
+    """Exhaustive scan for triples (a, b, g) with a+conj(a), b+conj(b),
+    g+conj(g) all roots, a+conj(a) != b+conj(b), a+conj(b) = g+conj(g).
+    Must return 0."""
+    rs = ctx.rs
+    B = [a for a in range(len(rs.roots)) if ctx.summed(a, ctx.c(a)) is not None]
+    bar_sums = {}
+    for g in B:
+        bar_sums.setdefault(ctx.summed(g, ctx.c(g)), []).append(g)
+    count = 0
+    for a in B:
+        sa = ctx.summed(a, ctx.c(a))
+        for b in B:
+            if ctx.summed(b, ctx.c(b)) == sa:
+                continue
+            t = ctx.summed(a, ctx.c(b))
+            if t is not None and t in bar_sums:
+                count += len(bar_sums[t])
+    return count
 
 
 def hlc_reachability(ctx: FormContext, pd: ParabolicData, kphi: frozenset,

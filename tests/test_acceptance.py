@@ -6,13 +6,14 @@ import random
 from fractions import Fraction
 
 from algebra_oracle import killing, killing_hh, killing_z_pair
+from chain_oracle import verify_no_triples
 from float_oracle import float_classify
 import levi_oracle as dense
 from minorbit.chevalley import build_chevalley
 from minorbit.cli import default_golden_path
 from minorbit.crflag import (characteristic_real_roots, classify_levi,
                              concavity_verdict, get_context, k_phi,
-                             levi_matrix, parabolic, verify_no_triples)
+                             levi_matrix, parabolic)
 from minorbit.exactla import DefinitenessClass, hermitian_classify, rank
 from minorbit.gaussq import QQi
 from minorbit.golden import compare_golden, load_golden

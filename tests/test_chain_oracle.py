@@ -1,7 +1,8 @@
-"""Differential test: the one-closure-per-cross-set chain search, the
-sum-row `finite_type` and the pair-list `q_form` of `minorbit.crflag`
-against the per-call versions kept in `chain_oracle` (its `q_form` is the
-dense Killing-scaled matrix, compared after scaling the integer entries)."""
+"""Differential test: the one-closure-per-cross-set chain search, the span
+read from it, the support-rule `finite_type` and the pair-list `q_form` of
+`minorbit.crflag` against the versions kept in `chain_oracle` (its `q_form`
+is the dense Killing-scaled matrix, compared after scaling the integer
+entries), and a count of the closures a verdict runs."""
 
 import itertools
 import random
@@ -12,6 +13,7 @@ import chain_oracle as oracle
 from levi_oracle import densify, killing_scale
 from minorbit import crflag
 from minorbit.crflag import get_context, k_phi, parabolic
+from minorbit.realform import catalog
 from test_acceptance import INSTANCES
 
 # every instance row ungauged and under gauge seed 1, and every cross set
@@ -49,14 +51,63 @@ def test_chain_search_matches_per_target_oracle(name, rank, seed):
     for k in range(rank + 1):
         for phi in itertools.combinations(range(1, rank + 1), k):
             pd = parabolic(ctx, phi)
-            assert crflag.finite_type(ctx, pd) == oracle.finite_type(ctx, pd)
+            ft = crflag.finite_type(ctx, pd)
+            assert ft == oracle.finite_type(ctx, pd)
+            assert ft == oracle.finite_type_rows(ctx, pd)
+            # the span runs first, so it starts the cross set's closure
+            kphi = k_phi(ctx, pd)
+            assert crflag.t_module_span(ctx, pd, kphi) == \
+                oracle.t_module_span(ctx, pd, kphi), (name, phi)
             for t in range(len(ctx.rs.roots)):
                 index, entries = crflag.q_form(ctx, pd, t)
                 want_index, want = oracle.q_form(ctx, pd, t)
                 assert index == want_index
                 assert densify(index, entries, killing_scale(ctx, t)) == want
-            _assert_chains_match(ctx, pd, k_phi(ctx, pd),
-                                 _searches(ctx, pd), set())
+            _assert_chains_match(ctx, pd, kphi, _searches(ctx, pd), set())
+
+
+def test_finite_type_matches_closure_on_rank6_catalog():
+    verdicts = set()
+    for entry in catalog(6):
+        if entry.rank > 6:
+            continue
+        ctx = get_context(entry.name, max_rank=6)
+        for k in range(entry.rank + 1):
+            for phi in itertools.combinations(range(1, entry.rank + 1), k):
+                pd = parabolic(ctx, phi)
+                got = crflag.finite_type(ctx, pd)
+                assert got == oracle.finite_type_rows(ctx, pd), \
+                    (entry.name, phi)
+                verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("check", ["all", "span", "mot"])
+def test_verdict_runs_one_root_closure(monkeypatch, check):
+    closure = crflag.root_closure
+    starts = []
+
+    def counting(ctx, start, moves):
+        starts.append(frozenset(start))
+        return closure(ctx, start, moves)
+
+    monkeypatch.setattr(crflag, "root_closure", counting)
+    for name, rank in INSTANCES:
+        ctx = get_context(name)
+        ctx._chain_memo = None
+        for k in range(rank + 1):
+            for phi in itertools.combinations(range(1, rank + 1), k):
+                pd = parabolic(ctx, phi)
+                before = len(starts)
+                crflag.finite_type(ctx, pd)
+                assert len(starts) == before
+                crflag.concavity_verdict(name, phi, check=check)
+                # the span always reads the closure; --check mot reads it
+                # only when a chain is searched
+                made = len(starts) - before
+                assert made == 1 or (check == "mot" and made == 0), (name, phi)
+                # the one closure starts from conj(Q), never Q u conj(Q)
+                assert starts[before:] in ([], [pd.Qbar]), (name, phi)
 
 
 # Real kernel sets rarely leave a target unreached by an exhausted closure,

@@ -1,10 +1,11 @@
 import pytest
 
 import levi_oracle as dense
+from chain_oracle import verify_no_triples
 from minorbit.crflag import (characteristic_real_roots, classify_levi,
                              concavity_verdict, finite_type, get_context,
                              hlc_reachability, k_phi, levi_matrix, parabolic,
-                             q_form, t_module_span, verify_no_triples)
+                             q_form, t_module_span)
 from minorbit.exactla import DefinitenessClass, hermitian_classify, is_hermitian
 from minorbit.exactla import rank as xrank
 from minorbit.rootsys import add, neg

@@ -137,6 +137,31 @@ def test_cli_reads_packaged_golden_once(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_cli_builds_parser_once(monkeypatch, capsys):
+    import argparse
+    from minorbit import cli
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *a, **kw):
+        built.append(1)
+        init(self, *a, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert cli.main(["--form", "sl(3,R)", "--phi", "1"]) == 0
+        assert len(built) == 1
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--form", "sl(3,R)", "--check", "bogus"])
+        assert exc.value.code == 2
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+
+
 def test_cli_missing_coverage(tmp_path):
     p = tmp_path / "g.json"
     p.write_text(json.dumps({"version": 1, "rows": []}))
@@ -219,10 +244,10 @@ def test_enumerate_form_library_api():
 
 
 def test_structure_constant_dump_and_signs():
+    from algebra_oracle import basis_conjugation_signs, ntable_json
     from minorbit.crflag import get_context
-    from minorbit.realform import basis_conjugation_signs
     ctx = get_context("su(1,2)")
-    doc = json.loads(ctx.sc.ntable_json())
+    doc = json.loads(ntable_json(ctx.sc))
     assert doc["n"]
     for a, b, v in doc["n"]:
         assert isinstance(v, int) and v != 0

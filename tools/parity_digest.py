@@ -1,4 +1,4 @@
-"""Digest of `classify` output over two fixed invocation sets, for showing
+"""Digest of `classify` output over three fixed invocation sets, for showing
 that a change leaves every output byte and exit code as it was.
 
     python3 tools/parity_digest.py
@@ -9,7 +9,9 @@ from the `src` directory beside this script:
   `--phi` (248 rows), ungauged and with `--gauge-seed 1`: 496 invocations;
 - sweep: every non-compact catalog form of rank 6-8 and dimension <= 80
   (44 forms) as a whole form with `--check mot --no-golden`, ungauged and
-  with `--gauge-seed 1`: 88 invocations.
+  with `--gauge-seed 1`: 88 invocations;
+- span: the instance rows again with `--check span`, where the span and
+  not a chain search starts the cross set's closure: 496 invocations.
 For each set it prints the number of invocations and the SHA-256 of the
 argv, exit code and stdout of each in turn.  Run it in two checkouts and
 compare the lines.  Standard library only.
@@ -52,7 +54,8 @@ def invocation_sets() -> dict[str, list[list[str]]]:
                          and e.label != "compact")
     sweep = [["--form", name, "--check", "mot", "--no-golden", *gauge]
              for gauge in GAUGES for name in sweep_names]
-    return {"instances": instances, "sweep": sweep}
+    span = [[*argv, "--check", "span"] for argv in instances]
+    return {"instances": instances, "sweep": sweep, "span": span}
 
 
 def run(argv: list[str]) -> tuple[int, bytes]:
