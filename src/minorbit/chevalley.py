@@ -14,10 +14,11 @@ hook below re-randomizes it for robustness tests.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from math import gcd
+from typing import Callable
 
 from .gaussq import QQi, ZERO
-from .rootsys import RootSystem, Root, neg
+from .rootsys import RootSystem, neg
 
 # basis keys: 0..rank-1 are H_1..H_rank, rank + r is Z_{roots[r]}
 
@@ -97,52 +98,69 @@ class StructureConstants:
         return StructureConstants(rs, nt, self.coroots)
 
 
-def _coroot_vector(rs: RootSystem, root: Root, nn: Fraction) -> tuple[int, ...]:
-    # coroot(a) = sum_i k_i * (a_i|a_i)/(a|a) * coroot(a_i), nn = (a|a)
+def _exact_div(num: int, den: int, what: Callable[[], str]) -> int:
+    """num / den for den > 0, raising ArithmeticError unless it is an
+    integer; `what()` names the quotient in the message."""
+    q, r = divmod(num, den)
+    if r:
+        g = gcd(num, den)
+        raise ArithmeticError(f"{what()} = {num // g}/{den // g} is not "
+                              f"integral")
+    return q
+
+
+def _twice_gram(rs: RootSystem) -> list[list[int]]:
+    """The integer matrix 2(alpha_i|alpha_j) of the simple roots."""
     out = []
-    for i in range(rs.rank):
-        c = Fraction(root[i]) * rs.gram[i][i] / nn
-        if c.denominator != 1:
-            raise ArithmeticError(f"coroot of {root} is not integral")
-        out.append(int(c))
-    return tuple(out)
+    for i, grow in enumerate(rs.gram):
+        row = []
+        for j, g in enumerate(grow):
+            if 2 * g != int(2 * g):
+                raise ArithmeticError(f"2(alpha_{i + 1}|alpha_{j + 1}) = "
+                                      f"{2 * g} is not integral")
+            row.append(int(2 * g))
+        out.append(row)
+    return out
 
 
 def build_chevalley(rs: RootSystem) -> StructureConstants:
     """Structure constants via the extraspecial-pair recursion, then
     transported to the normalization [Z_a, Z_-a] = -H_a whose footprint is
     that H -> -H, Z_a -> Z_-a is an automorphism.  Roots are handled by
-    index throughout, and every sum is read from `rs.sum_row`."""
+    index throughout, and every sum is read from `rs.sum_row`.
+
+    Integers only (Carter, Simple Groups of Lie Type, ch. 4): squared
+    lengths enter as the integers nn[a] = 2(a|a), and every quotient of
+    them (the coroots, the mixed-sign rotation, the four-root relation) is
+    an exact integer division that raises ArithmeticError when it leaves a
+    remainder.  Each quotient is homogeneous of degree 0 in the lengths, so
+    the factor 2 cancels."""
     roots, row = rs.roots, rs.sum_row
     half = len(roots) // 2  # negatives come first, positives from here on
     negi = [rs.idx(neg(r)) for r in roots]
-    nn = [rs.inner(r, r) for r in roots]
+    # nn[a] = 2(a|a) = sum over i, j of a_i a_j 2(alpha_i|alpha_j)
+    g2 = _twice_gram(rs)
+    nn = []
+    for r in roots:
+        nz = [(i, k) for i, k in enumerate(r) if k]
+        nn.append(sum(ki * kj * g2[i][j] for i, ki in nz for j, kj in nz))
 
     npos: dict[tuple[int, int], int] = {}
 
-    def n_std(a, b):
-        """n(a,b) for arbitrary roots with a+b a root, from the positive table."""
-        s = row[a].get(b)
-        if s is None:
-            return 0
-        if a >= half and b >= half:
-            v = npos.get((a, b))
-            if v is None:
-                v = -npos[(b, a)]
-            return v
-        if a < half and b < half:
-            return -n_std(negi[a], negi[b])
+    def n_std(a, b, s):
+        """n(a,b) for arbitrary roots a, b with a + b the root s, from the
+        positive table."""
+        if (a >= half) == (b >= half):
+            return npos[(a, b)] if a >= half else -npos[(negi[a], negi[b])]
         # mixed signs: rotate the zero-sum triple (a, b, -s) to a same-sign pair
         # using N(a,b)/|c|^2 = N(b,c)/|a|^2 = N(c,a)/|b|^2
         c = negi[s]
         if (b >= half) == (c >= half):
-            out = Fraction(n_std(b, c)) * nn[s] / nn[a]
+            num, den = n_std(b, c, negi[a]) * nn[s], nn[a]
         else:
-            out = Fraction(n_std(c, a)) * nn[s] / nn[b]
-        if out.denominator != 1:
-            raise ArithmeticError(f"structure constant n{(roots[a], roots[b])} "
-                                  f"= {out} is not integral")
-        return int(out)
+            num, den = n_std(c, a, negi[b]) * nn[s], nn[b]
+        return _exact_div(num, den, lambda: f"structure constant "
+                                            f"n{(roots[a], roots[b])}")
 
     # extraspecial pairs, processed by height of the sum: the special pairs
     # of g are its positive pairs (a, b) with a before b, in index order,
@@ -154,35 +172,50 @@ def build_chevalley(rs: RootSystem) -> StructureConstants:
         if not special:
             raise ArithmeticError(f"no extraspecial pair for {roots[g]}")
         a1, b1 = special[0]
-        npos[(a1, b1)] = rs.root_string(roots[a1], roots[b1])[0] + 1
-        npos[(b1, a1)] = -npos[(a1, b1)]
-        # remaining special pairs for g via the four-root relation against (a1, b1)
+        # p + 1, with p the length of the a1-string below b1
+        p, cur = 0, row[b1].get(negi[a1])
+        while cur is not None:
+            p += 1
+            cur = row[cur].get(negi[a1])
+        n1 = npos[(a1, b1)] = p + 1
+        npos[(b1, a1)] = -n1
+        # remaining special pairs for g via the four-root relation against
+        # (a1, b1): n(a,b) = nn[g] (x2/nn[d2] + x3/nn[d3]) / n(a1,b1), over
+        # the common denominator nn[d2] nn[d3] n(a1,b1)
         for a, b in special[1:]:
             # a + b - a1 - b1 = 0, no two opposite
-            t2 = Fraction(0)
+            # (b - a1 = d a root makes a - b1 = -d one, likewise for a - a1)
+            x2, m2 = 0, 1
             d = row[b].get(negi[a1])
             if d is not None:
-                t2 = Fraction(n_std(b, negi[a1]) * n_std(a, negi[b1])) / nn[d]
-            t3 = Fraction(0)
+                x2 = n_std(b, negi[a1], d) * n_std(a, negi[b1], negi[d])
+                m2 = nn[d]
+            x3, m3 = 0, 1
             d = row[a].get(negi[a1])
             if d is not None:
-                t3 = Fraction(n_std(negi[a1], a) * n_std(b, negi[b1])) / nn[d]
-            val = nn[g] * (t2 + t3) / npos[(a1, b1)]
-            if val.denominator != 1 or val == 0:
-                raise ArithmeticError(f"special pair {(roots[a], roots[b])} of "
-                                      f"{roots[g]}: structure constant {val}")
-            v = int(val)
+                x3 = n_std(negi[a1], a, d) * n_std(b, negi[b1], negi[d])
+                m3 = nn[d]
+            num = nn[g] * (x2 * m3 + x3 * m2)
+
+            def what():
+                return (f"special pair {(roots[a], roots[b])} of {roots[g]}: "
+                        f"structure constant")
+            if not num:
+                raise ArithmeticError(f"{what()} 0")
+            v = _exact_div(num, m2 * m3 * n1, what)
             npos[(a, b)] = v
             npos[(b, a)] = -v
 
     # full table in the target normalization: N(a,b) = e_a e_b e_{a+b} n(a,b)
-    def e(i):
-        return 1 if i >= half else -1
-
+    # with e_a = -1 on negative roots
     ntable: dict[tuple[int, int], int] = {}
     for a, sums in enumerate(row):
         for b, s in sums.items():
-            ntable[(a, b)] = e(a) * e(b) * e(s) * n_std(a, b)
+            v = n_std(a, b, s)
+            ntable[(a, b)] = -v if (a < half) ^ (b < half) ^ (s < half) else v
 
-    coroots = [_coroot_vector(rs, r, n) for r, n in zip(roots, nn)]
+    # coroot(a) = sum_i k_i * (a_i|a_i)/(a|a) * coroot(a_i)
+    coroots = [tuple(_exact_div(k * g2[i][i], m, lambda: f"coroot of {r}")
+                     if k else 0 for i, k in enumerate(r))
+               for r, m in zip(roots, nn)]
     return StructureConstants(rs, ntable, coroots)

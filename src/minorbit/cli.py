@@ -103,9 +103,47 @@ def enumerate_form(name: str, phis=None, gauge_seed=None, check="all",
                      max_rank)) for p in phis]
 
 
-def _run_rows(diag, phis, args) -> list[dict]:
-    tasks = [(diag.name, tuple(sorted(p)), args.gauge_seed, args.check,
-              args.max_rank) for p in phis]
+def _swap_source(diag, phis) -> list[int]:
+    """For each cross set, the position of the cross set whose report row
+    it takes: itself, or for a complex-type form the first cross set of its
+    orbit under the copy swap s, in the order of `phis`.
+
+    Proof that s(Phi) has the report row of Phi but for `phi`.  The form
+    lives on R + R, and s maps alpha_j to alpha_{j+l} and back (l the rank
+    of one copy).  It permutes the roots, preserves addition, sign and
+    height, and maps supports by j <-> j + l, so Q_{s Phi} = s(Q_Phi), and
+    likewise for Qn.  The conjugation c of a complex-type form has no black
+    node and the arrows j <-> j + l, so c = s and s commutes with c.  No
+    root mixes the two copies, while a and c(a) lie in different copies, so
+    a + c(a) is never a root: no root is real, `levi` is empty, and K_Phi
+    = Q_Phi (`k_phi`), so K_{s Phi} = s(K_Phi).  Then s carries every
+    closure of `crflag` (the chain closure of c(Q) under K u c(K), the
+    span's P u c(P)) onto the one for s(Phi), since it maps start, moves
+    and sums; it carries finite type's negative supports onto theirs, and
+    the complex zero pairs {b, c(b)} of Phi and their q_form entry sets
+    onto those of s(Phi).  So finite type, the chain verdict, the span
+    verdict and the verdict agree, under any sign gauge, since none of
+    them reads a structure constant or a sign exponent."""
+    source = list(range(len(phis)))
+    if diag.doubled:
+        half = diag.rank // 2
+        first: dict[frozenset, int] = {}
+        for k, p in enumerate(phis):
+            p = frozenset(p)
+            swapped = frozenset(j + half if j <= half else j - half for j in p)
+            source[k] = first.get(swapped, k)
+            first.setdefault(p, k)
+    return source
+
+
+def _run_rows(diag, phis, args) -> tuple[list[dict], list[dict]]:
+    """(verdict documents, report rows) for `phis`.  A verdict is computed
+    for each cross set that is its own `_swap_source`; every other cross set
+    takes that row with its own `phi`, and has no document."""
+    source = _swap_source(diag, phis)
+    todo = [k for k, src in enumerate(source) if src == k]
+    tasks = [(diag.name, tuple(sorted(phis[k])), args.gauge_seed, args.check,
+              args.max_rank) for k in todo]
     threads = max(1, int(os.environ.get("CONCAVITY_THREADS", "1")))
     docs = []
     if threads > 1 and len(tasks) > 1:
@@ -119,7 +157,12 @@ def _run_rows(diag, phis, args) -> list[dict]:
             docs.append(_worker(t))
             if args.allow_large and (k + 1) % 8 == 0:
                 print(f"rows done: {k + 1}/{total}", file=sys.stderr)
-    return docs
+    computed = dict(zip(todo, _report_rows(docs)))
+    rows = []
+    for k, src in enumerate(source):
+        row = computed[src]
+        rows.append(row if src == k else dict(row, phi=sorted(phis[k])))
+    return docs, rows
 
 
 def _report_rows(docs) -> list[dict]:
@@ -259,7 +302,7 @@ def main(argv=None) -> int:
         phis = list(_all_phi(diag.rank))
 
     try:
-        docs = _run_rows(diag, phis, args)
+        docs, rows = _run_rows(diag, phis, args)
     except (KeyError, ValueError) as e:  # data errors, ConjugationError too
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -267,7 +310,6 @@ def main(argv=None) -> int:
         print("internal error", file=sys.stderr)
         traceback.print_exc()
         return 3
-    rows = _report_rows(docs)
 
     exit_code = 0
     if not args.no_golden:

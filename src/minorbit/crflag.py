@@ -80,23 +80,25 @@ class ParabolicData:
 
 
 def parabolic(ctx: FormContext, phi) -> ParabolicData:
+    """Q holds every positive root and the negative roots whose support
+    misses phi; Qn is the positive roots whose support meets phi, Qr the
+    rest of Q.  The sign is read from the root index (negatives come
+    first) and the support from `support_masks`."""
     phi = frozenset(phi)
     rs = ctx.rs
     if not phi <= set(range(1, rs.rank + 1)):
         raise ValueError(f"phi {sorted(phi)} outside the simple basis")
-    Q, Qn, Qr = set(), set(), set()
-    for ia, (r, supp) in enumerate(zip(rs.roots, rs.supports)):
-        meets = not supp.isdisjoint(phi)
-        if sum(r) > 0:
-            Q.add(ia)
-            (Qn if meets else Qr).add(ia)
-        else:
-            if not meets:
-                Q.add(ia)
-                Qr.add(ia)
-    Qbar = {ctx.c(ia) for ia in Q}
-    return ParabolicData(phi, frozenset(Q), frozenset(Qn), frozenset(Qr),
-                         frozenset(Qbar))
+    pm = sum(1 << (j - 1) for j in phi)
+    masks = rs.support_masks
+    half = len(masks) // 2
+    pos = range(half, len(masks))
+    neg_q = [ia for ia in range(half) if not masks[ia] & pm]
+    Qn = [ia for ia in pos if masks[ia] & pm]
+    pos_r = [ia for ia in pos if not masks[ia] & pm]
+    Q = frozenset(neg_q + list(pos))
+    cidx = ctx.conj.c_index
+    return ParabolicData(phi, Q, frozenset(Qn), frozenset(neg_q + pos_r),
+                         frozenset(cidx[ia] for ia in Q))
 
 
 def characteristic_real_roots(ctx: FormContext, pd: ParabolicData) -> list[int]:
@@ -294,12 +296,13 @@ def finite_type(ctx: FormContext, pd: ParabolicData) -> bool:
       -b and 0, so its support lies in J'), so it holds C.
     So C is every root iff J, that is J', is every simple index.  The tests
     keep the closure itself as a differential oracle."""
-    roots, supports = ctx.rs.roots, ctx.rs.supports
-    covered = set()
+    masks = ctx.rs.support_masks
+    half = len(masks) // 2  # negatives come first
+    covered = 0
     for a in pd.Q | pd.Qbar:
-        if sum(roots[a]) < 0:
-            covered |= supports[a]
-    return len(covered) == ctx.rs.rank
+        if a < half:
+            covered |= masks[a]
+    return covered == (1 << ctx.rs.rank) - 1
 
 
 def root_closure(ctx: FormContext, start, moves) -> tuple[dict, list[int]]:
@@ -311,8 +314,16 @@ def root_closure(ctx: FormContext, start, moves) -> tuple[dict, list[int]]:
     every new root the parent (root, move) that first reaches it.  Rounds
     run until one adds nothing.  Returns the parent map (start roots map to
     (None, None)) and sizes, where sizes[h] is the number of roots reached
-    after round h (sizes[0] = |start|, the last entry repeats)."""
-    moves = sorted(moves)
+    after round h (sizes[0] = |start|, the last entry repeats).
+
+    A root's moves are tried by walking its `sum_row`, which lists every b
+    with cur + b a root in ascending b, and keeping the b that are moves:
+    that visits the moves m with cur + m a root in ascending order, the
+    same sequence as trying every move in sorted order and skipping the
+    ones without a sum.  So the order, the parent map and the sizes are
+    those of the move-by-move walk, at a cost of one row per root instead
+    of one lookup per move."""
+    moves = frozenset(moves)
     frontier = sorted(start)
     parent: dict[int, tuple] = {a: (None, None) for a in frontier}
     sizes = [len(parent)]
@@ -320,10 +331,8 @@ def root_closure(ctx: FormContext, start, moves) -> tuple[dict, list[int]]:
     while frontier:
         nxt = []
         for cur in frontier:
-            row = rows[cur]
-            for mv in moves:
-                t = row.get(mv)
-                if t is not None and t not in parent:
+            for mv, t in rows[cur].items():
+                if mv in moves and t not in parent:
                     parent[t] = (cur, mv)
                     nxt.append(t)
         frontier = nxt

@@ -227,8 +227,11 @@ def _mat_vec(m, v):
 def root_conjugation(diag: SatakeDiagram, rs: RootSystem):
     """Integer lattice involution alpha -> conj(alpha) for the diagram.
 
-    Returns the rank x rank matrix.  Raises ConjugationError when the
-    constructed map violates any structural invariant.
+    Returns the rank x rank matrix and c_index, where c_index[a] is the
+    index of the image of the root with index a.  Each root's image is
+    formed once and serves the permutation check, the positivity check and
+    c_index.  Raises ConjugationError when the constructed map violates any
+    structural invariant.
     """
     n = rs.rank
     black0 = sorted(b - 1 for b in diag.black)
@@ -246,36 +249,42 @@ def root_conjugation(diag: SatakeDiagram, rs: RootSystem):
         else:
             tau[j] = diag.arrows.get(j + 1, j + 1) - 1
 
-    cmat = []
-    for i in range(n):
-        row = [0] * n
-        cmat.append(row)
-    for j in range(n):
-        img = _mat_vec(w_black, tuple(1 if k == tau[j] else 0 for k in range(n)))
-        for i in range(n):
-            cmat[i][j] = img[i]
-    cmat = tuple(tuple(r) for r in cmat)
+    # column j of the matrix is the image of alpha_j
+    cols = [_mat_vec(w_black, tuple(1 if k == tau[j] else 0 for k in range(n)))
+            for j in range(n)]
+    cmat = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+
+    def image(v):
+        out = [0] * n
+        for j, k in enumerate(v):
+            if k:
+                for i, x in enumerate(cols[j]):
+                    if x:
+                        out[i] += k * x
+        return tuple(out)
 
     # ---- invariant battery ----
     for j in range(n):
         ej = tuple(1 if k == j else 0 for k in range(n))
-        if _mat_vec(cmat, _mat_vec(cmat, ej)) != ej:
+        if image(cols[j]) != ej:
             raise ConjugationError(f"{diag.name}: c^2 != id")
-    for r in rs.roots:
-        img = _mat_vec(cmat, r)
-        if img not in rs.index:
+    c_index = []
+    half = len(rs.roots) // 2  # negatives come first
+    images = [image(r) for r in rs.roots]
+    for img in images:
+        ic = rs.index.get(img)
+        if ic is None:
             raise ConjugationError(f"{diag.name}: c does not permute the roots")
+        c_index.append(ic)
     for b in diag.black:
-        ej = tuple(1 if k == b - 1 else 0 for k in range(n))
-        if _mat_vec(cmat, ej) != neg(ej):
+        if cols[b - 1] != neg(tuple(1 if k == b - 1 else 0 for k in range(n))):
             raise ConjugationError(f"{diag.name}: black simple alpha_{b} "
                                    f"not sent to its negative")
-    for r in rs.positives:
-        img = _mat_vec(cmat, r)
+    for r, img in zip(rs.roots[half:], images[half:]):
         if img != r and img != neg(r) and sum(img) < 0:
             raise ConjugationError(f"{diag.name}: complex root {r} loses "
                                    f"positivity under c")
-    return cmat
+    return cmat, tuple(c_index)
 
 
 def _solve_mod4(nvars: int, rows) -> list[int] | None:
@@ -448,8 +457,7 @@ class Conjugation:
         self.diag = diag
         self.rs = rs
         self.sc = sc
-        self.lattice = root_conjugation(diag, rs)
-        self.c_index = tuple(rs.idx(_mat_vec(self.lattice, r)) for r in rs.roots)
+        self.lattice, self.c_index = root_conjugation(diag, rs)
         self.neg_index = tuple(rs.idx(neg(r)) for r in rs.roots)
         self._classes = tuple(self._classify(i) for i in range(len(rs.roots)))
         self.t_exp = tuple(_solve_sign_exponents(rs, sc, self.c_index,

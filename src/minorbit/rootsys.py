@@ -216,26 +216,10 @@ class RootSystem:
         return pairs
 
     @cached_property
-    def supports(self) -> list[frozenset[int]]:
-        """supports[a] is `support` of the root with index a."""
-        return [support(r) for r in self.roots]
-
-    def inner(self, x: Sequence[int], y: Sequence[int]) -> Fraction:
-        n = self.rank
-        tot = Fraction(0)
-        for i in range(n):
-            if x[i]:
-                gi = self.gram[i]
-                tot += x[i] * sum(gi[j] * y[j] for j in range(n) if y[j])
-        return tot
-
-    def pairing(self, alpha: Sequence[int], beta: Sequence[int]) -> int:
-        """2(alpha|beta)/(alpha|alpha); integer whenever alpha is a root."""
-        v = 2 * self.inner(alpha, beta) / self.inner(alpha, alpha)
-        if v.denominator != 1:
-            raise ValueError(f"pairing of {tuple(alpha)} with {tuple(beta)} "
-                             f"is {v}; alpha must be a root")
-        return int(v)
+    def support_masks(self) -> list[int]:
+        """support_masks[a] has bit j - 1 set for each j in `support` of the
+        root with index a."""
+        return [sum(1 << j for j, c in enumerate(r) if c) for r in self.roots]
 
     def root_string(self, alpha: Root, beta: Root) -> tuple[int, int]:
         """(p, q) with p = max{k : beta - k*alpha in R}, q likewise upward."""

@@ -1,13 +1,15 @@
 """Exact linear-algebra and real-form constructions used only by the tests:
-an incremental echelon store and a span-closure fixpoint engine, adjoint
-matrices, the Killing form as an explicit adjoint trace, and the
+the Euclidean inner product and pairing of a root system, the
+`Fraction` form of the Chevalley recursion, an incremental echelon store
+and a span-closure fixpoint engine, adjoint matrices, the Killing form as an explicit adjoint trace, and the
 anti-linear involution sigma of a real form with a basis of its fixed
 points, the completed sign table, and canonical JSON dumps of a root system
 and of a structure constant table.
 
 `classify` decides everything from root-index tables and never forms these
 objects; the tests use them as independent references (the Killing trace,
-the dense span, the Killing character of the real form).
+the Fraction recursion, the dense span, the Killing character of the
+real form).
 """
 
 from __future__ import annotations
@@ -22,6 +24,93 @@ from minorbit.exactla import kernel, rref
 from minorbit.gaussq import I_POW, QQi, ZERO
 from minorbit.realform import Conjugation
 from minorbit.rootsys import RootSystem, neg
+
+
+def inner(rs: RootSystem, x: Sequence[int], y: Sequence[int]) -> Fraction:
+    """(x|y) for coefficient vectors over the simple roots, from the Gram
+    matrix of the Euclidean realisation."""
+    n = rs.rank
+    tot = Fraction(0)
+    for i in range(n):
+        if x[i]:
+            gi = rs.gram[i]
+            tot += x[i] * sum(gi[j] * y[j] for j in range(n) if y[j])
+    return tot
+
+
+def pairing(rs: RootSystem, alpha: Sequence[int], beta: Sequence[int]) -> int:
+    """2(alpha|beta)/(alpha|alpha); integer whenever alpha is a root."""
+    v = 2 * inner(rs, alpha, beta) / inner(rs, alpha, alpha)
+    if v.denominator != 1:
+        raise ValueError(f"pairing of {tuple(alpha)} with {tuple(beta)} "
+                         f"is {v}; alpha must be a root")
+    return int(v)
+
+
+def build_chevalley_fraction(rs: RootSystem) -> StructureConstants:
+    """The extraspecial-pair recursion of `chevalley.build_chevalley` with
+    the squared lengths taken as `Fraction` inner products and every
+    quotient formed in `Fraction`: a differential oracle for the integer
+    build, which must give the same `ntable` (entries and order) and the
+    same coroots."""
+    roots, row = rs.roots, rs.sum_row
+    half = len(roots) // 2
+    negi = [rs.idx(neg(r)) for r in roots]
+    nn = [inner(rs, r, r) for r in roots]
+    npos: dict[tuple[int, int], int] = {}
+
+    def integral(x: Fraction, what: str) -> int:
+        if x.denominator != 1:
+            raise ArithmeticError(f"{what} = {x} is not integral")
+        return int(x)
+
+    def n_std(a, b):
+        s = row[a].get(b)
+        if s is None:
+            return 0
+        if a >= half and b >= half:
+            v = npos.get((a, b))
+            return -npos[(b, a)] if v is None else v
+        if a < half and b < half:
+            return -n_std(negi[a], negi[b])
+        c = negi[s]
+        if (b >= half) == (c >= half):
+            out = Fraction(n_std(b, c)) * nn[s] / nn[a]
+        else:
+            out = Fraction(n_std(c, a)) * nn[s] / nn[b]
+        return integral(out, f"structure constant n{(roots[a], roots[b])}")
+
+    for g in range(half, len(roots)):
+        if sum(roots[g]) == 1:
+            continue
+        special = [(a, b) for a, b in rs.sum_pairs[g] if half <= a < b]
+        a1, b1 = special[0]
+        npos[(a1, b1)] = rs.root_string(roots[a1], roots[b1])[0] + 1
+        npos[(b1, a1)] = -npos[(a1, b1)]
+        for a, b in special[1:]:
+            t2 = t3 = Fraction(0)
+            d = row[b].get(negi[a1])
+            if d is not None:
+                t2 = Fraction(n_std(b, negi[a1]) * n_std(a, negi[b1])) / nn[d]
+            d = row[a].get(negi[a1])
+            if d is not None:
+                t3 = Fraction(n_std(negi[a1], a) * n_std(b, negi[b1])) / nn[d]
+            v = integral(nn[g] * (t2 + t3) / npos[(a1, b1)],
+                         f"special pair {(roots[a], roots[b])}")
+            if not v:
+                raise ArithmeticError(f"special pair {(roots[a], roots[b])}: 0")
+            npos[(a, b)] = v
+            npos[(b, a)] = -v
+
+    ntable = {}
+    for a, sums in enumerate(row):
+        for b, s in sums.items():
+            sign = (1 if a >= half else -1) * (1 if b >= half else -1) * \
+                (1 if s >= half else -1)
+            ntable[(a, b)] = sign * n_std(a, b)
+    coroots = [tuple(integral(Fraction(r[i]) * rs.gram[i][i] / m, "coroot")
+                     for i in range(rs.rank)) for r, m in zip(roots, nn)]
+    return StructureConstants(rs, ntable, coroots)
 
 
 class Echelon:

@@ -1,7 +1,7 @@
-"""The per-target chain search, the finite-type closures (over all of s
-and over sum rows), the two-closure span, the subtraction-based `q_form`
-and the no-triples scan, kept as differential oracles for
-`minorbit.crflag`.
+"""The per-target chain search, the move-by-move root closure, the
+sign-and-support `parabolic`, the finite-type closures (over all of s and
+over sum rows), the two-closure span, the subtraction-based `q_form` and
+the no-triples scan, kept as differential oracles for `minorbit.crflag`.
 
 The production code runs at most one breadth-first closure per cross set,
 reads the span from it and decides finite type from simple-root supports;
@@ -15,6 +15,44 @@ from algebra_oracle import killing_z_pair
 from levi_oracle import _entry
 from minorbit.crflag import FormContext, ParabolicData, root_closure
 from minorbit.gaussq import QQi
+from minorbit.rootsys import support
+
+
+def root_closure_by_moves(ctx: FormContext, start, moves):
+    """`crflag.root_closure` trying every move, in sorted order, at each
+    frontier root: (parent map, sizes)."""
+    moves = sorted(moves)
+    frontier = sorted(start)
+    parent: dict[int, tuple] = {a: (None, None) for a in frontier}
+    sizes = [len(parent)]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for mv in moves:
+                t = ctx.summed(cur, mv)
+                if t is not None and t not in parent:
+                    parent[t] = (cur, mv)
+                    nxt.append(t)
+        frontier = nxt
+        sizes.append(len(parent))
+    return parent, sizes
+
+
+def parabolic(ctx: FormContext, phi) -> ParabolicData:
+    """`crflag.parabolic` with the sign read from the coefficient sum and
+    the support as a set of simple indices."""
+    phi = frozenset(phi)
+    Q, Qn, Qr = set(), set(), set()
+    for ia, r in enumerate(ctx.rs.roots):
+        meets = not support(r).isdisjoint(phi)
+        if sum(r) > 0:
+            Q.add(ia)
+            (Qn if meets else Qr).add(ia)
+        elif not meets:
+            Q.add(ia)
+            Qr.add(ia)
+    return ParabolicData(phi, frozenset(Q), frozenset(Qn), frozenset(Qr),
+                         frozenset(ctx.c(ia) for ia in Q))
 
 
 def q_form(ctx: FormContext, pd: ParabolicData, target: int):

@@ -1,8 +1,9 @@
 """Differential test: the one-closure-per-cross-set chain search, the span
-read from it, the support-rule `finite_type` and the pair-list `q_form` of
-`minorbit.crflag` against the versions kept in `chain_oracle` (its `q_form`
-is the dense Killing-scaled matrix, compared after scaling the integer
-entries), and a count of the closures a verdict runs."""
+read from it, the row-walking `root_closure`, `parabolic`, the support-rule
+`finite_type` and the pair-list `q_form` of `minorbit.crflag` against the
+versions kept in `chain_oracle` (its `q_form` is the dense Killing-scaled
+matrix, compared after scaling the integer entries), and a count of the
+closures a verdict runs."""
 
 import itertools
 import random
@@ -64,6 +65,30 @@ def test_chain_search_matches_per_target_oracle(name, rank, seed):
                 assert index == want_index
                 assert densify(index, entries, killing_scale(ctx, t)) == want
             _assert_chains_match(ctx, pd, kphi, _searches(ctx, pd), set())
+
+
+def test_parabolic_and_closure_match_oracles_on_rank6_catalog():
+    """`parabolic` against the sign-and-support oracle on every cross set of
+    every rank <= 6 form, and the row-walking `root_closure` against the
+    move-by-move one (parent map in discovery order, and sizes), from
+    conj(Q) under K u conj(K) and under a seeded random subset of Q."""
+    rng = random.Random("root-closure")
+    for entry in catalog(6):
+        if entry.rank > 6:
+            continue
+        ctx = get_context(entry.name, max_rank=6)
+        for k in range(entry.rank + 1):
+            for phi in itertools.combinations(range(1, entry.rank + 1), k):
+                pd = parabolic(ctx, phi)
+                assert pd == oracle.parabolic(ctx, phi), (entry.name, phi)
+                kphi = k_phi(ctx, pd)
+                q = sorted(pd.Q)
+                for moves in (kphi | {ctx.c(a) for a in kphi},
+                              rng.sample(q, rng.randint(0, len(q)))):
+                    got = crflag.root_closure(ctx, pd.Qbar, moves)
+                    want = oracle.root_closure_by_moves(ctx, pd.Qbar, moves)
+                    assert list(got[0].items()) == list(want[0].items())
+                    assert got[1] == want[1]
 
 
 def test_finite_type_matches_closure_on_rank6_catalog():

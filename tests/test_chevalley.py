@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from algebra_oracle import adjoint_matrix, killing, killing_z_pair
+from algebra_oracle import (adjoint_matrix, build_chevalley_fraction, killing,
+                            killing_z_pair, pairing)
 from minorbit.chevalley import build_chevalley
 from minorbit.gaussq import QQi
 from minorbit.realform import catalog
@@ -117,7 +118,7 @@ def test_weight_grading(algebras):
     h = {0: QQi(2), 1: QQi(-1)}
     b = (1, 1)
     out = sc.bracket(h, sc.z(b))
-    want = 2 * rs.pairing((1, 0), b) - 1 * rs.pairing((0, 1), b)
+    want = 2 * pairing(rs, (1, 0), b) - 1 * pairing(rs, (0, 1), b)
     assert out == {rs.rank + rs.idx(b): QQi(want)}
 
 
@@ -165,18 +166,19 @@ def test_killing_ad_invariance(algebras):
         assert lhs == rhs
 
 
-def _distinct_root_systems(max_rank):
+def _distinct_forms(max_rank):
+    """One catalog entry per distinct root system of catalog(max_rank)."""
     seen = {}
     for entry in catalog(max_rank):
         seen.setdefault((entry.family, entry.rank, entry.doubled), entry)
-    return [e.root_system() for _, e in sorted(seen.items())]
+    return [e for _, e in sorted(seen.items())]
 
 
 def test_killing_z_pair_closed_form():
     # kappa(H_a, H_a) = -2 kappa(Z_a, Z_-a) by invariance, so the adjoint
     # trace equals -1/2 sum_b <b, a^>^2, negative since b = a gives 4; here
     # <b, a^> = b(H_a) = sum_j a^_j b(H_j) over the simple coroots
-    systems = _distinct_root_systems(6)
+    systems = [e.root_system() for e in _distinct_forms(6)]
     assert len(systems) > 20
     for rs in systems:
         sc = build_chevalley(rs)
@@ -193,7 +195,7 @@ def test_killing_z_pair_closed_form():
         for ia in range(0, len(rs.roots), 7):
             for ib in range(0, len(rs.roots), 5):
                 assert sum(c * hb for c, hb in zip(sc.coroots[ia], on_h[ib])) \
-                    == rs.pairing(rs.roots[ia], rs.roots[ib])
+                    == pairing(rs, rs.roots[ia], rs.roots[ib])
 
 
 @pytest.mark.parametrize("fam,rk", [("A", 2), ("B", 2), ("G", 2), ("C", 3)])
@@ -214,7 +216,7 @@ def test_adjoint_matrix_shape_and_trace(algebras):
         assert sum((m[i][i] for i in range(sc.dim)), QQi(0)) == QQi(0)
     mh = adjoint_matrix(sc, sc.h(0))
     for k, b in enumerate(rs.roots):
-        assert mh[rs.rank + k][rs.rank + k] == QQi(rs.pairing((1, 0), b))
+        assert mh[rs.rank + k][rs.rank + k] == QQi(pairing(rs, (1, 0), b))
 
 
 def test_doubled_algebra_blocks():
@@ -234,3 +236,25 @@ def test_sign_gauge_is_still_chevalley():
         assert sc.ntable[(rs.idx(neg(rs.roots[ia])), rs.idx(neg(rs.roots[ib])))] == v
     for k1, k2, k3 in itertools.combinations(range(sc.dim), 3):
         assert _elt_eq_zero(_jacobi_defect(sc, k1, k2, k3))
+
+
+@pytest.mark.parametrize("entry", _distinct_forms(8),
+                         ids=lambda e: f"{e.family}{e.rank}"
+                                       f"{'-doubled' if e.doubled else ''}")
+def test_integer_build_matches_fraction_oracle(entry):
+    """The integer recursion against the Fraction one on every distinct
+    root system of catalog(8): ntable items in the same order, and the
+    same coroots."""
+    rs = entry.root_system()
+    got, want = build_chevalley(rs), build_chevalley_fraction(rs)
+    assert list(got.ntable.items()) == list(want.ntable.items())
+    assert got.coroots == want.coroots
+
+
+def test_exact_division_raises_on_a_remainder():
+    from minorbit.chevalley import _exact_div
+    assert _exact_div(-12, 4, lambda: "q") == -3
+    with pytest.raises(ArithmeticError, match="q = 3/2 is not integral"):
+        _exact_div(6, 4, lambda: "q")
+    with pytest.raises(ArithmeticError, match="-1/3"):
+        _exact_div(-2, 6, lambda: "q")

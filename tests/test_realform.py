@@ -80,8 +80,12 @@ def test_conjugation_invariant_battery(entry):
         img = conj.c(ej)
         assert rs.is_root(img)
         assert conj.c(img) == ej
-    for r in rs.roots:
+    for ia, r in enumerate(rs.roots):
         assert rs.is_root(conj.c(r))
+        # c_index is the lattice image
+        img = tuple(sum(conj.lattice[i][j] * r[j] for j in range(n))
+                    for i in range(n))
+        assert conj.c_index[ia] == rs.idx(img), r
     # black simples to their own negatives
     for b in entry.black:
         ej = tuple(1 if k == b - 1 else 0 for k in range(n))
@@ -193,3 +197,15 @@ def test_catalog_data_file_matches_generator():
     assert doc["version"] == 1
     regenerated = [e.to_doc() for e in catalog(8)]
     assert doc["entries"] == regenerated
+
+
+@pytest.mark.parametrize("arrows,message", [
+    ({1: 2, 2: 3, 3: 1}, "bad: c^2 != id"),
+    ({1: 2, 2: 1}, "bad: c does not permute the roots"),
+])
+def test_conjugation_battery_messages(arrows, message):
+    from minorbit.realform import root_conjugation
+    bad = SatakeDiagram("x", "bad", "A", 3, {}, frozenset(), arrows, 0)
+    with pytest.raises(ConjugationError) as err:
+        root_conjugation(bad, bad.root_system())
+    assert str(err.value) == message

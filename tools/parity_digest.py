@@ -1,5 +1,6 @@
-"""Digest of `classify` output over three fixed invocation sets, for showing
-that a change leaves every output byte and exit code as it was.
+"""Digest of `classify` output over four fixed invocation sets, and of the
+form contexts of the whole catalog, for showing that a change leaves every
+output byte, exit code and context table as it was.
 
     python3 tools/parity_digest.py
 
@@ -11,10 +12,16 @@ from the `src` directory beside this script:
   (44 forms) as a whole form with `--check mot --no-golden`, ungauged and
   with `--gauge-seed 1`: 88 invocations;
 - span: the instance rows again with `--check span`, where the span and
-  not a chain search starts the cross set's closure: 496 invocations.
+  not a chain search starts the cross set's closure: 496 invocations;
+- complex: every complex-type form of dimension <= 150 (20 forms) as a
+  whole form with `--check all --allow-large` and golden comparison on,
+  ungauged and with `--gauge-seed 1`: 40 invocations.
 For each set it prints the number of invocations and the SHA-256 of the
-argv, exit code and stdout of each in turn.  Run it in two checkouts and
-compare the lines.  Standard library only.
+argv, exit code and stdout of each in turn.  A last line, `context`, is
+the SHA-256 of `ntable` (items in order), `coroots`, `lattice`, `c_index`
+and `t_exp` of the context of each of the 201 `catalog(8)` entries under
+the gauges None, 1 and 7.  Run it in two checkouts and compare the lines.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
 from minorbit import cli  # noqa: E402
+from minorbit.crflag import FormContext  # noqa: E402
 from minorbit.realform import catalog  # noqa: E402
 
 INSTANCE_FORMS = (
@@ -37,6 +45,7 @@ INSTANCE_FORMS = (
     "EIII", "FII",
 )
 GAUGES = ([], ["--gauge-seed", "1"])
+CONTEXT_GAUGES = (None, 1, 7)
 
 
 def invocation_sets() -> dict[str, list[list[str]]]:
@@ -55,7 +64,12 @@ def invocation_sets() -> dict[str, list[list[str]]]:
     sweep = [["--form", name, "--check", "mot", "--no-golden", *gauge]
              for gauge in GAUGES for name in sweep_names]
     span = [[*argv, "--check", "span"] for argv in instances]
-    return {"instances": instances, "sweep": sweep, "span": span}
+    complex_names = sorted(n for n, e in forms.items()
+                           if e.label == "complex" and e.dim <= 150)
+    complex_ = [["--form", name, "--check", "all", "--allow-large", *gauge]
+                for gauge in GAUGES for name in complex_names]
+    return {"instances": instances, "sweep": sweep, "span": span,
+            "complex": complex_}
 
 
 def run(argv: list[str]) -> tuple[int, bytes]:
@@ -82,6 +96,17 @@ def main() -> int:
             rc, stdout = run(argv)
             h.update(repr((argv, rc)).encode() + b"\n" + stdout)
         print(f"{name}: {len(argvs)} invocations sha256 {h.hexdigest()}")
+    h = hashlib.sha256()
+    entries = catalog(8)
+    for gauge in CONTEXT_GAUGES:
+        for diag in entries:
+            ctx = FormContext(diag, gauge)
+            conj = ctx.conj
+            h.update(repr((diag.name, gauge, list(ctx.sc.ntable.items()),
+                           list(ctx.sc.coroots), conj.lattice,
+                           list(conj.c_index), list(conj.t_exp))).encode())
+    print(f"context: {len(entries) * len(CONTEXT_GAUGES)} contexts sha256 "
+          f"{h.hexdigest()}")
     return 0
 
 
