@@ -14,11 +14,8 @@ hook below re-randomizes it for robustness tests.
 from __future__ import annotations
 
 import random
-from math import gcd
-from typing import Callable
 
-from .gaussq import QQi, ZERO
-from .rootsys import RootSystem, neg
+from .rootsys import RootSystem, exact_div, neg
 
 # basis keys: 0..rank-1 are H_1..H_rank, rank + r is Z_{roots[r]}
 
@@ -59,8 +56,9 @@ class StructureConstants:
 
     # -- elements ------------------------------------------------------------
     def bracket(self, x: dict, y: dict) -> dict:
-        """Bilinear bracket of sparse elements {key: QQi}."""
-        out: dict[int, QQi] = {}
+        """Bilinear bracket of sparse elements {key: scalar}, over any
+        scalar type that mixes with int."""
+        out: dict = {}
         for k1, c1 in x.items():
             if not c1:
                 continue
@@ -68,18 +66,12 @@ class StructureConstants:
                 if not c2:
                     continue
                 for k3, m in self.bracket_basis(k1, k2):
-                    v = out.get(k3, ZERO) + c1 * c2 * m
+                    v = out.get(k3, 0) + c1 * c2 * m
                     if v:
                         out[k3] = v
                     elif k3 in out:
                         del out[k3]
         return out
-
-    def h(self, i: int) -> dict:
-        return {i: QQi(1)}
-
-    def z(self, root) -> dict:
-        return {self.rank + self.rs.idx(root): QQi(1)}
 
     # -- gauge ------------------------------------------------------------------
     def sign_gauge(self, seed: int) -> "StructureConstants":
@@ -98,31 +90,6 @@ class StructureConstants:
         return StructureConstants(rs, nt, self.coroots)
 
 
-def _exact_div(num: int, den: int, what: Callable[[], str]) -> int:
-    """num / den for den > 0, raising ArithmeticError unless it is an
-    integer; `what()` names the quotient in the message."""
-    q, r = divmod(num, den)
-    if r:
-        g = gcd(num, den)
-        raise ArithmeticError(f"{what()} = {num // g}/{den // g} is not "
-                              f"integral")
-    return q
-
-
-def _twice_gram(rs: RootSystem) -> list[list[int]]:
-    """The integer matrix 2(alpha_i|alpha_j) of the simple roots."""
-    out = []
-    for i, grow in enumerate(rs.gram):
-        row = []
-        for j, g in enumerate(grow):
-            if 2 * g != int(2 * g):
-                raise ArithmeticError(f"2(alpha_{i + 1}|alpha_{j + 1}) = "
-                                      f"{2 * g} is not integral")
-            row.append(int(2 * g))
-        out.append(row)
-    return out
-
-
 def build_chevalley(rs: RootSystem) -> StructureConstants:
     """Structure constants via the extraspecial-pair recursion, then
     transported to the normalization [Z_a, Z_-a] = -H_a whose footprint is
@@ -139,7 +106,7 @@ def build_chevalley(rs: RootSystem) -> StructureConstants:
     half = len(roots) // 2  # negatives come first, positives from here on
     negi = [rs.idx(neg(r)) for r in roots]
     # nn[a] = 2(a|a) = sum over i, j of a_i a_j 2(alpha_i|alpha_j)
-    g2 = _twice_gram(rs)
+    g2 = rs.twice_gram
     nn = []
     for r in roots:
         nz = [(i, k) for i, k in enumerate(r) if k]
@@ -159,8 +126,8 @@ def build_chevalley(rs: RootSystem) -> StructureConstants:
             num, den = n_std(b, c, negi[a]) * nn[s], nn[a]
         else:
             num, den = n_std(c, a, negi[b]) * nn[s], nn[b]
-        return _exact_div(num, den, lambda: f"structure constant "
-                                            f"n{(roots[a], roots[b])}")
+        return exact_div(num, den, lambda: f"structure constant "
+                                           f"n{(roots[a], roots[b])}")
 
     # extraspecial pairs, processed by height of the sum: the special pairs
     # of g are its positive pairs (a, b) with a before b, in index order,
@@ -202,7 +169,7 @@ def build_chevalley(rs: RootSystem) -> StructureConstants:
                         f"structure constant")
             if not num:
                 raise ArithmeticError(f"{what()} 0")
-            v = _exact_div(num, m2 * m3 * n1, what)
+            v = exact_div(num, m2 * m3 * n1, what)
             npos[(a, b)] = v
             npos[(b, a)] = -v
 
@@ -215,7 +182,7 @@ def build_chevalley(rs: RootSystem) -> StructureConstants:
             ntable[(a, b)] = -v if (a < half) ^ (b < half) ^ (s < half) else v
 
     # coroot(a) = sum_i k_i * (a_i|a_i)/(a|a) * coroot(a_i)
-    coroots = [tuple(_exact_div(k * g2[i][i], m, lambda: f"coroot of {r}")
+    coroots = [tuple(exact_div(k * g2[i][i], m, lambda: f"coroot of {r}")
                      if k else 0 for i, k in enumerate(r))
                for r, m in zip(roots, nn)]
     return StructureConstants(rs, ntable, coroots)

@@ -30,28 +30,22 @@ LARGE_DIM = 150  # algebras above this need --allow-large
 
 
 def _resolve_form(args) -> SatakeDiagram:
+    """The one catalog entry that --form names, exactly or as a label, and
+    that --p, --q and --l do not contradict."""
     entries = catalog(args.max_rank)
-    byname = [e for e in entries if e.name == args.form]
-    if byname:
-        return byname[0]
-    want = {}
-    if args.p is not None:
-        want["p"] = args.p
-    if args.q is not None:
-        want["q"] = args.q
-    if args.l is not None:
-        want["l"] = args.l
-    labeled = [e for e in entries if e.label == args.form]
-    cands = labeled
-    if want:
-        cands = [e for e in labeled
-                 if all(e.params.get(k) == v for k, v in want.items())]
-        if not cands and "l" in want:
-            # --l names the rank for labels without an l parameter
-            byrank = dict(want)
-            del byrank["l"]
-            cands = [e for e in labeled if e.rank == want["l"] and
-                     all(e.params.get(k) == v for k, v in byrank.items())]
+    named = ([e for e in entries if e.name == args.form]
+             or [e for e in entries if e.label == args.form])
+    want = {k: getattr(args, k) for k in ("p", "q", "l")
+            if getattr(args, k) is not None}
+
+    def fits(e, keys):
+        return all(e.params.get(k) == want[k] for k in keys)
+
+    cands = [e for e in named if fits(e, want)]
+    if not cands and "l" in want:
+        # --l names the rank for forms without an l parameter
+        cands = [e for e in named
+                 if e.rank == want["l"] and fits(e, want.keys() - {"l"})]
     if len(cands) == 1:
         return cands[0]
     if not cands:
@@ -317,7 +311,7 @@ def main(argv=None) -> int:
             gold = (goldenmod.load_golden(args.golden) if args.golden
                     else _packaged_golden())
             diff = goldenmod.compare_golden(rows, gold)
-        except (KeyError, OSError, json.JSONDecodeError) as e:
+        except (KeyError, OSError, ValueError) as e:  # JSONDecodeError too
             print(f"error: golden comparison failed: {e}", file=sys.stderr)
             return 2
         ok = all(f["pass"] for f in diff["forms"].values())

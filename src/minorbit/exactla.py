@@ -1,9 +1,8 @@
-"""Exact linear algebra: Hermitian semidefiniteness classification of a
-dense matrix by congruence (diagonal pivots plus 2x2 blocks for the
-zero-diagonal case) over Gaussian rationals, and the one Gauss-Jordan
-elimination `rref`, with `rank` and `kernel` on top, over any exact field
-(QQi or Fraction entries).  The sign table's solve over Z/4, a ring, is
-`realform._solve_mod4`.
+"""Exact Hermitian semidefiniteness classification of a dense matrix by
+congruence (diagonal pivots plus 2x2 blocks for the zero-diagonal case).
+The entries may be of any exact scalar type with field arithmetic, `conj`,
+`is_real` and a real part `re`; the package itself imports none, and the
+tests supply Gaussian rationals.
 
 The Levi layer does not call `hermitian_classify`: `crflag.classify_levi`
 reads each Levi form from its root involution.  The dense classifier is the
@@ -12,9 +11,6 @@ general one, and the tests use it as the oracle of `classify_levi`."""
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable
-
-from .gaussq import QQi
 
 
 class DefinitenessClass(Enum):
@@ -38,11 +34,7 @@ class DefinitenessClass(Enum):
         return self is not DefinitenessClass.INDEFINITE
 
 
-Matrix = list  # list of rows of QQi
-
-
-def mat(rows: Iterable[Iterable]) -> Matrix:
-    return [[QQi.of(x) for x in row] for row in rows]
+Matrix = list  # list of rows of exact scalars
 
 
 def is_hermitian(m: Matrix) -> bool:
@@ -112,54 +104,3 @@ def hermitian_classify(m: Matrix) -> DefinitenessClass:
             DefinitenessClass.POSITIVE_SEMIDEFINITE_NONZERO
     return DefinitenessClass.NEGATIVE_DEFINITE if z == 0 else \
         DefinitenessClass.NEGATIVE_SEMIDEFINITE_NONZERO
-
-
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot columns, over the field of the
-    entries.  A linear system given as an augmented matrix is inconsistent
-    exactly when its last column is a pivot column."""
-    work = [row[:] for row in m]
-    rows = len(work)
-    cols = len(work[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((k for k in range(r, rows) if work[k][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        lead = work[r][c]
-        work[r] = [x / lead for x in work[r]]
-        for k in range(rows):
-            if k != r and work[k][c]:
-                f = work[k][c]
-                work[k] = [x - f * y for x, y in zip(work[k], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return work, pivots
-
-
-def rank(m: Matrix) -> int:
-    if not m:
-        return 0
-    return len(rref(m)[1])
-
-
-def kernel(m: Matrix) -> list[list]:
-    """Exact basis of {x : m x = 0}, over the field of the entries."""
-    if not m or not m[0]:
-        return []
-    red, pivots = rref(m)
-    cols = len(m[0])
-    zero = m[0][0] * 0
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [zero] * cols
-        v[fc] = zero + 1
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis

@@ -83,10 +83,26 @@ def golden_table_doc(entries) -> dict:
     return {"version": 1, "rows": rows}
 
 
+_ROW_KEYS = frozenset(("form", "params", "predicates", "ambiguous"))
+
+
 def load_golden(path: str) -> dict:
+    """The golden table at path, keyed by form name.  Raises ValueError
+    unless the document has the shape {"rows": [{"form", "params",
+    "predicates", "ambiguous"}, ...]}, with a list of predicate objects."""
     with open(path, "r") as fh:
         doc = json.load(fh)
-    return {row["form"]: row for row in doc["rows"]}
+    rows = doc.get("rows") if isinstance(doc, dict) else None
+    if not isinstance(rows, list) or not all(
+            isinstance(row, dict) and row.keys() >= _ROW_KEYS
+            and isinstance(row["params"], dict)
+            and isinstance(row["predicates"], list)
+            and all(isinstance(p, dict) for p in row["predicates"])
+            for row in rows):
+        raise ValueError(f"{path} is not a golden table: expected "
+                         f'{{"rows": [{{"form", "params", "predicates", '
+                         f'"ambiguous"}}, ...]}}')
+    return {row["form"]: row for row in rows}
 
 
 def expected_values(row_doc: dict, diag: SatakeDiagram, phis) -> list[list[bool]]:

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
-from .rootsys import (RootSystem, Root, build_doubled_system,
-                      build_root_system, neg)
+from .rootsys import (RootSystem, build_doubled_system, build_root_system,
+                      neg)
 from .chevalley import StructureConstants
 
 
@@ -459,9 +459,9 @@ class Conjugation:
         self.sc = sc
         self.lattice, self.c_index = root_conjugation(diag, rs)
         self.neg_index = tuple(rs.idx(neg(r)) for r in rs.roots)
-        self._classes = tuple(self._classify(i) for i in range(len(rs.roots)))
+        self.classes = tuple(self._classify(i) for i in range(len(rs.roots)))
         self.t_exp = tuple(_solve_sign_exponents(rs, sc, self.c_index,
-                                                 self._classes))
+                                                 self.classes))
 
     def _classify(self, ia: int) -> RootClass:
         if self.c_index[ia] == ia:
@@ -469,12 +469,6 @@ class Conjugation:
         if self.c_index[ia] == self.neg_index[ia]:
             return RootClass.IMAGINARY_COMPACT
         return RootClass.COMPLEX
-
-    def classify_root(self, root: Root) -> RootClass:
-        return self._classes[self.rs.idx(root)]
-
-    def c(self, root: Root) -> Root:
-        return self.rs.roots[self.c_index[self.rs.idx(root)]]
 
 
 def build_conjugation(diag: SatakeDiagram, rs: RootSystem,

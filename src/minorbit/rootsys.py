@@ -2,18 +2,20 @@
 vectors over a fixed simple basis, plus doubled systems for the real forms
 of complex type.
 
-Roots are plain tuples of ints.  All inner products come from explicit
-Euclidean realizations of the simple roots, so every pairing is exact and
-convention-free.
+Roots are plain tuples of ints.  All inner products come from one integer
+table, `twice_gram` = 2(alpha_i|alpha_j), read off the Bourbaki Dynkin
+diagram and the squared lengths of the simple roots, so every pairing is an
+exact integer computation.  (The Euclidean realizations of the simple roots
+are a test oracle that pins the table.)
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from math import gcd
+from typing import Callable, Iterable, Sequence
 
 Root = tuple  # integer coefficient vector over the simple basis
 
@@ -48,57 +50,39 @@ class SimpleType:
         return f"{self.family}{self.rank}"
 
 
-def _simple_root_vectors(st: SimpleType) -> list[tuple[Fraction, ...]]:
-    """Standard Euclidean realization (Bourbaki) of the simple roots."""
-    l, F = st.rank, Fraction
+def _twice_gram_block(st: SimpleType) -> list[list[int]]:
+    """2(alpha_i|alpha_j) for the simple roots of one type, from the Dynkin
+    diagram in Bourbaki's numbering (Lie VI, Plates I-IX): the squared
+    lengths |alpha_i|^2 are all 2 in ADE, (2, ..., 2, 1) in B, (2, ..., 2,
+    4) in C, (2, 2, 1, 1) in F4 and (2, 6) in G2; the nodes form a chain,
+    except that in D node l-2 joins l and in E the edges are 1-3, 2-4 and
+    3-4-...-l.  The matrix has 2|alpha_i|^2 on the diagonal,
+    -max(|alpha_i|^2, |alpha_j|^2) on each edge and 0 elsewhere."""
+    l, fam = st.rank, st.family
+    norms = {"B": [2] * (l - 1) + [1], "C": [2] * (l - 1) + [4],
+             "F": [2, 2, 1, 1], "G": [2, 6]}.get(fam, [2] * l)
+    edges = [(i, i + 1) for i in range(l - 1)]
+    if fam == "D":
+        edges[-1] = (l - 3, l - 1)
+    elif fam == "E":
+        edges = [(0, 2), (1, 3)] + edges[2:]
+    m = [[0] * l for _ in range(l)]
+    for i, x in enumerate(norms):
+        m[i][i] = 2 * x
+    for i, j in edges:
+        m[i][j] = m[j][i] = -max(norms[i], norms[j])
+    return m
 
-    def e(i, n, c=1):
-        v = [F(0)] * n
-        v[i] = F(c)
-        return v
 
-    def diff(i, n):
-        v = [F(0)] * n
-        v[i], v[i + 1] = F(1), F(-1)
-        return v
-
-    if st.family == "A":
-        return [tuple(diff(i, l + 1)) for i in range(l)]
-    if st.family == "B":
-        out = [diff(i, l) for i in range(l - 1)] + [e(l - 1, l)]
-        return [tuple(v) for v in out]
-    if st.family == "C":
-        out = [diff(i, l) for i in range(l - 1)] + [e(l - 1, l, 2)]
-        return [tuple(v) for v in out]
-    if st.family == "D":
-        last = [F(0)] * l
-        last[l - 2], last[l - 1] = F(1), F(1)
-        out = [diff(i, l) for i in range(l - 1)] + [last]
-        return [tuple(v) for v in out]
-    if st.family == "E":
-        # Bourbaki E8 coordinates; E6/E7 are the leading subsets.
-        a1 = [F(1, 2), F(-1, 2), F(-1, 2), F(-1, 2),
-              F(-1, 2), F(-1, 2), F(-1, 2), F(1, 2)]
-        a2 = [F(1), F(1)] + [F(0)] * 6
-        rest = []
-        for i in range(1, 7):  # alpha_3..alpha_8 = e_i - e_{i-1}
-            v = [F(0)] * 8
-            v[i], v[i - 1] = F(1), F(-1)
-            rest.append(v)
-        roots8 = [a1, a2] + rest
-        return [tuple(v) for v in roots8[:l]]
-    if st.family == "F":
-        a1 = [F(0), F(1), F(-1), F(0)]
-        a2 = [F(0), F(0), F(1), F(-1)]
-        a3 = [F(0), F(0), F(0), F(1)]
-        a4 = [F(1, 2), F(-1, 2), F(-1, 2), F(-1, 2)]
-        return [tuple(a1), tuple(a2), tuple(a3), tuple(a4)]
-    if st.family == "G":
-        # alpha_1 short, alpha_2 long, in the sum-zero plane of R^3
-        a1 = [F(1), F(-1), F(0)]
-        a2 = [F(-2), F(1), F(1)]
-        return [tuple(a1), tuple(a2)]
-    raise AssertionError
+def exact_div(num: int, den: int, what: Callable[[], str]) -> int:
+    """num / den for den > 0, raising ArithmeticError unless it is an
+    integer; `what()` names the quotient in the message."""
+    q, r = divmod(num, den)
+    if r:
+        g = gcd(num, den)
+        raise ArithmeticError(f"{what()} = {num // g}/{den // g} is not "
+                              f"integral")
+    return q
 
 
 class RootSystem:
@@ -117,53 +101,25 @@ class RootSystem:
     def __init__(self, types: Sequence[SimpleType]):
         self.types = tuple(types)
         self.rank = sum(t.rank for t in self.types)
-        self._ambient = self._build_ambient()
-        self.gram = self._build_gram()           # (alpha_i | alpha_j), Fractions
-        self.cartan = self._build_cartan()       # cartan[i][j] = pairing(a_i, a_j)
+        # twice_gram[i][j] = 2(alpha_i|alpha_j), block-diagonal over types
+        g2 = [[0] * self.rank for _ in range(self.rank)]
+        off = 0
+        for t in self.types:
+            for i, row in enumerate(_twice_gram_block(t)):
+                g2[off + i][off:off + t.rank] = row
+            off += t.rank
+        self.twice_gram = tuple(map(tuple, g2))
+        # cartan[i][j] = pairing(a_i, a_j) = 2(a_i|a_j)/(a_i|a_i)
+        self.cartan = tuple(
+            tuple(exact_div(2 * g, row[i],
+                            lambda: f"Cartan entry ({i}, {j})")
+                  for j, g in enumerate(row))
+            for i, row in enumerate(self.twice_gram))
         self.roots = self._generate_roots()
         self.index = {r: k for k, r in enumerate(self.roots)}
         self.positives = [r for r in self.roots if sum(r) > 0]
 
     # -- construction ---------------------------------------------------
-    def _build_ambient(self):
-        vecs: list[tuple[Fraction, ...]] = []
-        offset = 0
-        dims = []
-        per_type = [_simple_root_vectors(t) for t in self.types]
-        total = sum(len(v[0]) for v in per_type)
-        for tv in per_type:
-            d = len(tv[0])
-            for v in tv:
-                full = [Fraction(0)] * total
-                for k, x in enumerate(v):
-                    full[offset + k] = x
-                vecs.append(tuple(full))
-            offset += d
-            dims.append(d)
-        return vecs
-
-    def _build_gram(self):
-        n = self.rank
-        g = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                g[i][j] = sum(a * b for a, b in zip(self._ambient[i], self._ambient[j]))
-        return tuple(tuple(row) for row in g)
-
-    def _build_cartan(self):
-        n = self.rank
-        m = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                v = 2 * self.gram[i][j] / self.gram[i][i]
-                if v.denominator != 1:
-                    raise ArithmeticError(f"Cartan entry ({i}, {j}) = {v} "
-                                          f"is not integral")
-                row.append(int(v))
-            m.append(tuple(row))
-        return tuple(m)
-
     def _reflect(self, i: int, v: Root) -> Root:
         # s_i(v) = v - pairing(a_i, v) * a_i
         c = sum(self.cartan[i][j] * v[j] for j in range(self.rank))
@@ -191,20 +147,23 @@ class RootSystem:
         return sorted(seen, key=lambda r: (sum(r), r))
 
     # -- queries ----------------------------------------------------------
-    def is_root(self, v: Iterable[int]) -> bool:
-        return tuple(v) in self.index
-
     def idx(self, root: Root) -> int:
         return self.index[tuple(root)]
 
     @cached_property
     def sum_row(self) -> list[dict[int, int]]:
-        rows: list[dict[int, int]] = [{} for _ in self.roots]
-        for row, ra in zip(rows, self.roots):
-            for ib, rb in enumerate(self.roots):
-                si = self.index.get(tuple(map(operator.add, ra, rb)))
+        # a + b = b + a: each unordered pair is added once and fills both
+        # rows; row k gets its keys below k from the earlier passes, then
+        # its keys above k, so every row iterates in ascending order
+        roots, index = self.roots, self.index
+        rows: list[dict[int, int]] = [{} for _ in roots]
+        for ia, ra in enumerate(roots):
+            row = rows[ia]
+            for ib in range(ia + 1, len(roots)):
+                si = index.get(tuple(map(operator.add, ra, roots[ib])))
                 if si is not None:
                     row[ib] = si
+                    rows[ib][ia] = si
         return rows
 
     @cached_property
@@ -217,26 +176,9 @@ class RootSystem:
 
     @cached_property
     def support_masks(self) -> list[int]:
-        """support_masks[a] has bit j - 1 set for each j in `support` of the
-        root with index a."""
+        """support_masks[a] has bit j - 1 set for each simple index j
+        (1-based) whose coefficient in the root with index a is nonzero."""
         return [sum(1 << j for j, c in enumerate(r) if c) for r in self.roots]
-
-    def root_string(self, alpha: Root, beta: Root) -> tuple[int, int]:
-        """(p, q) with p = max{k : beta - k*alpha in R}, q likewise upward."""
-        a, b = tuple(alpha), tuple(beta)
-        if a == b or a == tuple(-x for x in b):
-            raise ValueError("root_string needs non-proportional roots")
-        p = 0
-        cur = tuple(x - y for x, y in zip(b, a))
-        while cur in self.index:
-            p += 1
-            cur = tuple(x - y for x, y in zip(cur, a))
-        q = 0
-        cur = tuple(x + y for x, y in zip(b, a))
-        while cur in self.index:
-            q += 1
-            cur = tuple(x + y for x, y in zip(cur, a))
-        return p, q
 
     def weyl_longest_element(self, subset: Iterable[int]) -> tuple[tuple[int, ...], ...]:
         """Lattice matrix of the longest element of the Weyl subgroup
@@ -272,11 +214,6 @@ class RootSystem:
         return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
-def support(alpha: Root) -> frozenset[int]:
-    """Indices (1-based) of the simple roots appearing in alpha."""
-    return frozenset(j + 1 for j, c in enumerate(alpha) if c != 0)
-
-
 def build_root_system(family: str, rank: int) -> RootSystem:
     return RootSystem([SimpleType(family, rank)])
 
@@ -290,6 +227,3 @@ def build_doubled_system(family: str, rank: int) -> RootSystem:
 def neg(root: Root) -> Root:
     return tuple(-x for x in root)
 
-
-def add(a: Root, b: Root) -> Root:
-    return tuple(x + y for x, y in zip(a, b))

@@ -1,15 +1,19 @@
 """Exact linear-algebra and real-form constructions used only by the tests:
-the Euclidean inner product and pairing of a root system, the
-`Fraction` form of the Chevalley recursion, an incremental echelon store
-and a span-closure fixpoint engine, adjoint matrices, the Killing form as an explicit adjoint trace, and the
-anti-linear involution sigma of a real form with a basis of its fixed
-points, the completed sign table, and canonical JSON dumps of a root system
-and of a structure constant table.
+the Euclidean realisation of the simple roots (Bourbaki) with its inner
+product and pairing, root strings, supports and tuple addition of roots,
+the `Fraction` form of the Chevalley recursion, the one Gauss-Jordan
+elimination `rref` with `rank` and `kernel`, an incremental echelon store
+and a span-closure fixpoint engine, basis elements, adjoint matrices, the
+Killing form as an explicit adjoint trace, the root classes and root images
+of a conjugation, and the anti-linear involution sigma of a real form with
+a basis of its fixed points, the completed sign table, and canonical JSON
+dumps of a root system and of a structure constant table.
 
-`classify` decides everything from root-index tables and never forms these
-objects; the tests use them as independent references (the Killing trace,
-the Fraction recursion, the dense span, the Killing character of the
-real form).
+`classify` decides everything in integers from root-index tables and never
+forms these objects; the tests use them as independent references (the
+Euclidean Gram matrix behind `RootSystem.twice_gram`, the Killing trace,
+the Fraction recursion, the dense span, the Killing character of the real
+form).
 """
 
 from __future__ import annotations
@@ -17,24 +21,100 @@ from __future__ import annotations
 import json
 from functools import cache
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
+from gaussq import I_POW, QQi, ZERO
 from minorbit.chevalley import StructureConstants
-from minorbit.exactla import kernel, rref
-from minorbit.gaussq import I_POW, QQi, ZERO
-from minorbit.realform import Conjugation
-from minorbit.rootsys import RootSystem, neg
+from minorbit.realform import Conjugation, RootClass
+from minorbit.rootsys import Root, RootSystem, SimpleType, neg
+
+
+def _simple_root_vectors(st: SimpleType) -> list[tuple[Fraction, ...]]:
+    """Standard Euclidean realization (Bourbaki) of the simple roots."""
+    l, F = st.rank, Fraction
+
+    def e(i, n, c=1):
+        v = [F(0)] * n
+        v[i] = F(c)
+        return v
+
+    def diff(i, n):
+        v = [F(0)] * n
+        v[i], v[i + 1] = F(1), F(-1)
+        return v
+
+    if st.family == "A":
+        return [tuple(diff(i, l + 1)) for i in range(l)]
+    if st.family == "B":
+        out = [diff(i, l) for i in range(l - 1)] + [e(l - 1, l)]
+        return [tuple(v) for v in out]
+    if st.family == "C":
+        out = [diff(i, l) for i in range(l - 1)] + [e(l - 1, l, 2)]
+        return [tuple(v) for v in out]
+    if st.family == "D":
+        last = [F(0)] * l
+        last[l - 2], last[l - 1] = F(1), F(1)
+        out = [diff(i, l) for i in range(l - 1)] + [last]
+        return [tuple(v) for v in out]
+    if st.family == "E":
+        # Bourbaki E8 coordinates; E6/E7 are the leading subsets.
+        a1 = [F(1, 2), F(-1, 2), F(-1, 2), F(-1, 2),
+              F(-1, 2), F(-1, 2), F(-1, 2), F(1, 2)]
+        a2 = [F(1), F(1)] + [F(0)] * 6
+        rest = []
+        for i in range(1, 7):  # alpha_3..alpha_8 = e_i - e_{i-1}
+            v = [F(0)] * 8
+            v[i], v[i - 1] = F(1), F(-1)
+            rest.append(v)
+        roots8 = [a1, a2] + rest
+        return [tuple(v) for v in roots8[:l]]
+    if st.family == "F":
+        a1 = [F(0), F(1), F(-1), F(0)]
+        a2 = [F(0), F(0), F(1), F(-1)]
+        a3 = [F(0), F(0), F(0), F(1)]
+        a4 = [F(1, 2), F(-1, 2), F(-1, 2), F(-1, 2)]
+        return [tuple(a1), tuple(a2), tuple(a3), tuple(a4)]
+    if st.family == "G":
+        # alpha_1 short, alpha_2 long, in the sum-zero plane of R^3
+        a1 = [F(1), F(-1), F(0)]
+        a2 = [F(-2), F(1), F(1)]
+        return [tuple(a1), tuple(a2)]
+    raise AssertionError
+
+
+def ambient(rs: RootSystem) -> list[tuple[Fraction, ...]]:
+    """The simple roots of rs in the Euclidean realisation, each type in its
+    own block of coordinates."""
+    per_type = [_simple_root_vectors(t) for t in rs.types]
+    total = sum(len(tv[0]) for tv in per_type)
+    out, offset = [], 0
+    for tv in per_type:
+        d = len(tv[0])
+        for v in tv:
+            full = [Fraction(0)] * total
+            full[offset:offset + d] = v
+            out.append(tuple(full))
+        offset += d
+    return out
+
+
+@cache
+def gram(rs: RootSystem) -> tuple[tuple[Fraction, ...], ...]:
+    """(alpha_i|alpha_j) of the Euclidean realisation."""
+    amb = ambient(rs)
+    return tuple(tuple(sum(a * b for a, b in zip(u, v)) for v in amb)
+                 for u in amb)
 
 
 def inner(rs: RootSystem, x: Sequence[int], y: Sequence[int]) -> Fraction:
     """(x|y) for coefficient vectors over the simple roots, from the Gram
     matrix of the Euclidean realisation."""
     n = rs.rank
+    g = gram(rs)
     tot = Fraction(0)
     for i in range(n):
         if x[i]:
-            gi = rs.gram[i]
-            tot += x[i] * sum(gi[j] * y[j] for j in range(n) if y[j])
+            tot += x[i] * sum(g[i][j] * y[j] for j in range(n) if y[j])
     return tot
 
 
@@ -45,6 +125,37 @@ def pairing(rs: RootSystem, alpha: Sequence[int], beta: Sequence[int]) -> int:
         raise ValueError(f"pairing of {tuple(alpha)} with {tuple(beta)} "
                          f"is {v}; alpha must be a root")
     return int(v)
+
+
+def is_root(rs: RootSystem, v: Iterable[int]) -> bool:
+    return tuple(v) in rs.index
+
+
+def add(a: Root, b: Root) -> Root:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def support(alpha: Root) -> frozenset[int]:
+    """Indices (1-based) of the simple roots appearing in alpha."""
+    return frozenset(j + 1 for j, c in enumerate(alpha) if c != 0)
+
+
+def root_string(rs: RootSystem, alpha: Root, beta: Root) -> tuple[int, int]:
+    """(p, q) with p = max{k : beta - k*alpha in R}, q likewise upward."""
+    a, b = tuple(alpha), tuple(beta)
+    if a == b or a == neg(b):
+        raise ValueError("root_string needs non-proportional roots")
+    p = 0
+    cur = tuple(x - y for x, y in zip(b, a))
+    while cur in rs.index:
+        p += 1
+        cur = tuple(x - y for x, y in zip(cur, a))
+    q = 0
+    cur = add(b, a)
+    while cur in rs.index:
+        q += 1
+        cur = add(cur, a)
+    return p, q
 
 
 def build_chevalley_fraction(rs: RootSystem) -> StructureConstants:
@@ -85,7 +196,7 @@ def build_chevalley_fraction(rs: RootSystem) -> StructureConstants:
             continue
         special = [(a, b) for a, b in rs.sum_pairs[g] if half <= a < b]
         a1, b1 = special[0]
-        npos[(a1, b1)] = rs.root_string(roots[a1], roots[b1])[0] + 1
+        npos[(a1, b1)] = root_string(rs, roots[a1], roots[b1])[0] + 1
         npos[(b1, a1)] = -npos[(a1, b1)]
         for a, b in special[1:]:
             t2 = t3 = Fraction(0)
@@ -108,9 +219,68 @@ def build_chevalley_fraction(rs: RootSystem) -> StructureConstants:
             sign = (1 if a >= half else -1) * (1 if b >= half else -1) * \
                 (1 if s >= half else -1)
             ntable[(a, b)] = sign * n_std(a, b)
-    coroots = [tuple(integral(Fraction(r[i]) * rs.gram[i][i] / m, "coroot")
-                     for i in range(rs.rank)) for r, m in zip(roots, nn)]
+    g = gram(rs)
+    coroots = [tuple(integral(Fraction(r[i]) * g[i][i] / m, "coroot")
+                   for i in range(rs.rank)) for r, m in zip(roots, nn)]
     return StructureConstants(rs, ntable, coroots)
+
+
+Matrix = list  # list of rows over a field
+
+
+def mat(rows: Iterable[Iterable]) -> Matrix:
+    return [[QQi.of(x) for x in row] for row in rows]
+
+
+def rref(m: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and pivot columns, over the field of the
+    entries.  A linear system given as an augmented matrix is inconsistent
+    exactly when its last column is a pivot column."""
+    work = [row[:] for row in m]
+    rows = len(work)
+    cols = len(work[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((k for k in range(r, rows) if work[k][c]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        lead = work[r][c]
+        work[r] = [x / lead for x in work[r]]
+        for k in range(rows):
+            if k != r and work[k][c]:
+                f = work[k][c]
+                work[k] = [x - f * y for x, y in zip(work[k], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return work, pivots
+
+
+def rank(m: Matrix) -> int:
+    if not m:
+        return 0
+    return len(rref(m)[1])
+
+
+def kernel(m: Matrix) -> list[list]:
+    """Exact basis of {x : m x = 0}, over the field of the entries."""
+    if not m or not m[0]:
+        return []
+    red, pivots = rref(m)
+    cols = len(m[0])
+    zero = m[0][0] * 0
+    free = [c for c in range(cols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [zero] * cols
+        v[fc] = zero + 1
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
 
 
 class Echelon:
@@ -164,6 +334,16 @@ def span_closure(generators: Sequence[Sequence], step: Callable) -> list[list[QQ
                 produced.append(ech.rows[-1])
         fresh = produced
     return [row[:] for row in ech.rows]
+
+
+def h(sc: StructureConstants, i: int) -> dict:
+    """The basis element H_{i+1}."""
+    return {i: QQi(1)}
+
+
+def z(sc: StructureConstants, root: Root) -> dict:
+    """The basis element Z_root."""
+    return {sc.rank + sc.rs.idx(root): QQi(1)}
 
 
 def adjoint_matrix(sc: StructureConstants, x: dict) -> list[list[QQi]]:
@@ -230,6 +410,15 @@ def killing(sc: StructureConstants, x: dict, y: dict) -> QQi:
                 if rs.roots[k2 - rk] == neg(rs.roots[k1 - rk]):
                     tot = tot + c1 * c2 * killing_z_pair(sc, k1 - rk)
     return tot
+
+
+def classify_root(conj: Conjugation, root: Root) -> RootClass:
+    return conj.classes[conj.rs.idx(root)]
+
+
+def conj_image(conj: Conjugation, root: Root) -> Root:
+    """c(root) under the lattice involution of the conjugation."""
+    return conj.rs.roots[conj.c_index[conj.rs.idx(root)]]
 
 
 @cache

@@ -11,11 +11,10 @@ for result.
 
 from __future__ import annotations
 
-from algebra_oracle import killing_z_pair
+from algebra_oracle import killing_z_pair, support
+from gaussq import QQi
 from levi_oracle import _entry
 from minorbit.crflag import FormContext, ParabolicData, root_closure
-from minorbit.gaussq import QQi
-from minorbit.rootsys import support
 
 
 def root_closure_by_moves(ctx: FormContext, start, moves):

@@ -11,9 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from algebra_oracle import killing_z_pair
+from gaussq import I_POW, QQi
 from minorbit.crflag import FormContext, ParabolicData
 from minorbit.exactla import DefinitenessClass, hermitian_classify
-from minorbit.gaussq import I_POW, QQi
 
 
 def _entry(ctx: FormContext, x: int, y: int, kpair: Fraction) -> QQi:

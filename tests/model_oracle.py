@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from minorbit.exactla import rref
+from algebra_oracle import ambient, rref
 from minorbit.realform import SatakeDiagram
 from minorbit.rootsys import RootSystem
 
@@ -76,7 +76,7 @@ def expected_lattice_conjugation(entry: SatakeDiagram, rs: RootSystem):
     if act is None:
         return None
     perm, sign = act
-    amb = rs._ambient  # simple roots in ambient coordinates
+    amb = ambient(rs)  # simple roots in ambient coordinates
     m = len(amb[0])
     n = rs.rank
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 
 from algebra_oracle import real_pair
+from gaussq import QQi
 from minorbit.crflag import FormContext, ParabolicData
-from minorbit.gaussq import QQi
 
 
 def _scale_integral(elt: dict) -> dict[int, tuple[int, int]]:

@@ -5,17 +5,18 @@ import itertools
 import random
 from fractions import Fraction
 
-from algebra_oracle import killing, killing_hh, killing_z_pair
+from algebra_oracle import (classify_root, conj_image, is_root, killing,
+                            killing_hh, killing_z_pair, rank, root_string)
 from chain_oracle import verify_no_triples
 from float_oracle import float_classify
+from gaussq import QQi
 import levi_oracle as dense
 from minorbit.chevalley import build_chevalley
 from minorbit.cli import default_golden_path
 from minorbit.crflag import (characteristic_real_roots, classify_levi,
                              concavity_verdict, get_context, k_phi,
                              levi_matrix, parabolic)
-from minorbit.exactla import DefinitenessClass, hermitian_classify, rank
-from minorbit.gaussq import QQi
+from minorbit.exactla import DefinitenessClass, hermitian_classify
 from minorbit.golden import compare_golden, load_golden
 from minorbit.realform import RootClass, catalog
 from minorbit.rootsys import build_root_system, neg
@@ -184,7 +185,7 @@ def test_criterion_4_chevalley_invariants():
             assert jac_zero(sc, k1, k2, k3)
             checked += 1
         for (ia, ib), v in sc.ntable.items():
-            p, _ = rs.root_string(rs.roots[ia], rs.roots[ib])
+            p, _ = root_string(rs, rs.roots[ia], rs.roots[ib])
             assert abs(v) == p + 1
     for fam, rk in [("A", 5), ("C", 5), ("E", 6)]:
         rs = build_root_system(fam, rk)
@@ -193,7 +194,7 @@ def test_criterion_4_chevalley_invariants():
             assert jac_zero(sc, rng.randrange(sc.dim), rng.randrange(sc.dim),
                             rng.randrange(sc.dim))
         for (ia, ib), v in sc.ntable.items():
-            p, _ = rs.root_string(rs.roots[ia], rs.roots[ib])
+            p, _ = root_string(rs, rs.roots[ia], rs.roots[ib])
             assert abs(v) == p + 1
         # footnote involution is an automorphism
 
@@ -233,9 +234,9 @@ def test_criterion_5_conjugation_invariants():
         ctx = get_context(entry.name, max_rank=6)
         rs, conj = ctx.rs, ctx.conj
         for r in rs.roots:
-            img = conj.c(r)
-            assert rs.is_root(img) and conj.c(img) == r
-            cl = conj.classify_root(r)
+            img = conj_image(conj, r)
+            assert is_root(rs, img) and conj_image(conj, img) == r
+            cl = classify_root(conj, r)
             assert cl is not RootClass.IMAGINARY_NONCOMPACT
             if cl is RootClass.COMPLEX and sum(r) > 0:
                 assert sum(img) > 0
@@ -243,7 +244,7 @@ def test_criterion_5_conjugation_invariants():
                 assert conj.t_exp[rs.idx(r)] == 0
         for b in entry.black:
             ej = tuple(1 if k == b - 1 else 0 for k in range(rs.rank))
-            assert conj.c(ej) == neg(ej)
+            assert conj_image(conj, ej) == neg(ej)
         # cocycle consistency over every composable pair
         for ia in range(len(rs.roots)):
             for ib in range(len(rs.roots)):

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from algebra_oracle import Echelon, span_closure
+from algebra_oracle import Echelon, kernel, mat, rank, rref, span_closure
 from float_oracle import float_classify, float_eigen_oracle
+from gaussq import QQi
 from minorbit.exactla import (DefinitenessClass, hermitian_classify, inertia,
-                              is_hermitian, kernel, mat, rank, rref)
-from minorbit.gaussq import QQi
+                              is_hermitian)
 
 D = DefinitenessClass
 

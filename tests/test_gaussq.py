@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from minorbit.gaussq import QQi, I_POW
+from gaussq import QQi, I_POW
 
 
 def test_arithmetic():

@@ -76,6 +76,17 @@ def test_cli_usage_errors():
     assert r.returncode == 2
 
 
+def test_cli_params_must_agree_with_an_exact_name(capsys):
+    from minorbit import cli
+    for extra in (["--p", "1", "--q", "9"], ["--p", "3"], ["--l", "5"]):
+        assert cli.main(["--form", "su(2,3)", "--dump-form", *extra]) == 2
+        assert "unknown form" in capsys.readouterr().err
+    # agreeing parameters, and --l as the rank of a form without an l
+    for extra in (["--p", "2"], ["--p", "2", "--q", "3"], ["--l", "4"]):
+        assert cli.main(["--form", "su(2,3)", "--dump-form", *extra]) == 0
+        assert json.loads(capsys.readouterr().out)["name"] == "su(2,3)"
+
+
 def test_cli_internal_error_exit_code(monkeypatch, capsys):
     from minorbit import cli, crflag
     from minorbit.realform import ConjugationError
@@ -160,6 +171,38 @@ def test_cli_builds_parser_once(monkeypatch, capsys):
     finally:
         cli._parser.cache_clear()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("shape", ["top-level list", "unknown kind",
+                                   "no predicates"])
+def test_cli_malformed_golden_exits_2(tmp_path, shape):
+    row = dict(load_golden(default_golden_path())["su(2,3)"])
+    if shape == "top-level list":
+        doc = [row]
+    elif shape == "unknown kind":
+        doc = {"rows": [dict(row, predicates=[{"kind": "bogus"}])]}
+    else:
+        del row["predicates"]
+        doc = {"rows": [row]}
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(doc))
+    r = run_cli(["--form", "su(2,3)", "--golden", str(p)])
+    assert r.returncode == 2, r.stderr
+    assert b"error: golden comparison failed" in r.stderr
+    assert b"Traceback" not in r.stderr
+
+
+def test_classify_never_imports_fractions():
+    """The installed package computes in integers only: a gauged classify
+    row leaves `fractions` unimported."""
+    code = ("import sys\n"
+            "from minorbit import cli\n"
+            "rc = cli.main(['--form', 'su(2,3)', '--phi', '2', "
+            "'--gauge-seed', '1'])\n"
+            "assert rc == 0, rc\n"
+            "assert 'fractions' not in sys.modules, 'fractions imported'\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert r.returncode == 0, r.stderr
 
 
 def test_cli_missing_coverage(tmp_path):
@@ -252,6 +295,6 @@ def test_structure_constant_dump_and_signs():
     for a, b, v in doc["n"]:
         assert isinstance(v, int) and v != 0
     signs = basis_conjugation_signs(ctx.conj)
-    from minorbit.gaussq import QQi
+    from gaussq import QQi
     assert signs[(1, 1)] == QQi(1)          # the real root
     assert signs[(1, 0)] in (QQi(0, 1), QQi(0, -1))  # complex needs +-i

@@ -4,14 +4,15 @@ from importlib import resources
 
 import pytest
 
-from algebra_oracle import killing, real_basis, sigma
+from algebra_oracle import (classify_root, conj_image, is_root, killing,
+                            real_basis, sigma, support)
+from gaussq import QQi
 from minorbit.chevalley import build_chevalley
 from minorbit.crflag import get_context
 from minorbit.exactla import inertia
-from minorbit.gaussq import QQi
 from minorbit.realform import (ConjugationError, RootClass, SatakeDiagram,
                                catalog, find_form)
-from minorbit.rootsys import neg, support
+from minorbit.rootsys import neg
 from model_oracle import expected_lattice_conjugation
 
 CATALOG6 = catalog(6)
@@ -77,11 +78,11 @@ def test_conjugation_invariant_battery(entry):
     # involution and root permutation
     for j in range(n):
         ej = tuple(1 if k == j else 0 for k in range(n))
-        img = conj.c(ej)
-        assert rs.is_root(img)
-        assert conj.c(img) == ej
+        img = conj_image(conj, ej)
+        assert is_root(rs, img)
+        assert conj_image(conj, img) == ej
     for ia, r in enumerate(rs.roots):
-        assert rs.is_root(conj.c(r))
+        assert is_root(rs, conj_image(conj, r))
         # c_index is the lattice image
         img = tuple(sum(conj.lattice[i][j] * r[j] for j in range(n))
                     for i in range(n))
@@ -89,14 +90,14 @@ def test_conjugation_invariant_battery(entry):
     # black simples to their own negatives
     for b in entry.black:
         ej = tuple(1 if k == b - 1 else 0 for k in range(n))
-        assert conj.c(ej) == neg(ej)
+        assert conj_image(conj, ej) == neg(ej)
     # positivity preserved on complex roots
     for r in rs.positives:
-        if conj.classify_root(r) is RootClass.COMPLEX:
-            assert sum(conj.c(r)) > 0
+        if classify_root(conj, r) is RootClass.COMPLEX:
+            assert sum(conj_image(conj, r)) > 0
     # no noncompact imaginary roots; real and imaginary signs +1
     for ia, r in enumerate(rs.roots):
-        cl = conj.classify_root(r)
+        cl = classify_root(conj, r)
         assert cl is not RootClass.IMAGINARY_NONCOMPACT
         if cl is not RootClass.COMPLEX:
             assert conj.t_exp[ia] == 0
@@ -145,22 +146,22 @@ def test_matrix_realization_oracle(entry):
 def test_compact_and_split_classification():
     c = _ctx("compact-A2")
     for r in c.rs.roots:
-        assert c.conj.classify_root(r) is RootClass.IMAGINARY_COMPACT
+        assert classify_root(c.conj, r) is RootClass.IMAGINARY_COMPACT
     s = _ctx("sl(3,R)")
     for r in s.rs.roots:
-        assert s.conj.classify_root(r) is RootClass.REAL
+        assert classify_root(s.conj, r) is RootClass.REAL
 
 
 def test_su23_real_roots():
     ctx = _ctx("su(2,3)")
     for s in (1, 2):
         g = tuple(1 if s <= j + 1 <= 5 - s else 0 for j in range(4))
-        assert ctx.conj.c(g) == g
+        assert conj_image(ctx.conj, g) == g
     # and the remaining roots are complex
     counts = {}
     for r in ctx.rs.roots:
-        counts[ctx.conj.classify_root(r)] = \
-            counts.get(ctx.conj.classify_root(r), 0) + 1
+        counts[classify_root(ctx.conj, r)] = \
+            counts.get(classify_root(ctx.conj, r), 0) + 1
     assert counts[RootClass.REAL] == 4
     assert counts[RootClass.COMPLEX] == 16
 
@@ -168,14 +169,14 @@ def test_su23_real_roots():
 def test_fii_unique_positive_real_root():
     ctx = _ctx("FII")
     reals = [r for r in ctx.rs.positives
-             if ctx.conj.classify_root(r) is RootClass.REAL]
+             if classify_root(ctx.conj, r) is RootClass.REAL]
     assert reals == [(1, 2, 3, 2)]
 
 
 def test_complex_type_has_no_real_or_imaginary_roots():
     ctx = _ctx("sl(3,C)")
     for r in ctx.rs.roots:
-        assert ctx.conj.classify_root(r) is RootClass.COMPLEX
+        assert classify_root(ctx.conj, r) is RootClass.COMPLEX
 
 
 def test_bad_catalog_data_is_rejected():

@@ -18,10 +18,10 @@ from the `src` directory beside this script:
   ungauged and with `--gauge-seed 1`: 40 invocations.
 For each set it prints the number of invocations and the SHA-256 of the
 argv, exit code and stdout of each in turn.  A last line, `context`, is
-the SHA-256 of `ntable` (items in order), `coroots`, `lattice`, `c_index`
-and `t_exp` of the context of each of the 201 `catalog(8)` entries under
-the gauges None, 1 and 7.  Run it in two checkouts and compare the lines.
-Standard library only.
+the SHA-256 of `roots` (in order), `cartan`, `ntable` (items in order),
+`coroots`, `lattice`, `c_index` and `t_exp` of the context of each of the
+201 `catalog(8)` entries under the gauges None, 1 and 7.  Run it in two
+checkouts and compare the lines.  Standard library only.
 """
 
 from __future__ import annotations
@@ -102,7 +102,8 @@ def main() -> int:
         for diag in entries:
             ctx = FormContext(diag, gauge)
             conj = ctx.conj
-            h.update(repr((diag.name, gauge, list(ctx.sc.ntable.items()),
+            h.update(repr((diag.name, gauge, ctx.rs.roots, ctx.rs.cartan,
+                           list(ctx.sc.ntable.items()),
                            list(ctx.sc.coroots), conj.lattice,
                            list(conj.c_index), list(conj.t_exp))).encode())
     print(f"context: {len(entries) * len(CONTEXT_GAUGES)} contexts sha256 "
