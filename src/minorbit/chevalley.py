@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 
-from .rootsys import RootSystem, exact_div, neg
+from .rootsys import RootSystem, exact_div
 
 # basis keys: 0..rank-1 are H_1..H_rank, rank + r is Z_{roots[r]}
 
@@ -49,7 +49,7 @@ class StructureConstants:
         si = rs.sum_row[ia].get(ib)
         if si is not None:
             return [(rk + si, self.ntable[(ia, ib)])]
-        if rs.roots[ib] == neg(rs.roots[ia]):
+        if ib == rs.neg_index[ia]:
             # [Z_a, Z_-a] = -H_a
             return [(j, -c) for j, c in enumerate(self.coroots[ia]) if c]
         return []
@@ -79,11 +79,10 @@ class StructureConstants:
         but equally valid Chevalley basis (used by robustness tests)."""
         rng = random.Random(seed)
         rs = self.rs
-        u = {}
-        for r in rs.positives:
-            s = 1 if rng.random() < 0.5 else -1
-            u[rs.idx(r)] = s
-            u[rs.idx(neg(r))] = s
+        n = len(rs.roots)
+        u = [0] * n
+        for a in range(n // 2, n):  # the positive roots, in index order
+            u[a] = u[rs.neg_index[a]] = 1 if rng.random() < 0.5 else -1
         nt = {}
         for (ia, ib), v in self.ntable.items():
             nt[(ia, ib)] = u[ia] * u[ib] * u[rs.sum_row[ia][ib]] * v
@@ -104,7 +103,7 @@ def build_chevalley(rs: RootSystem) -> StructureConstants:
     the factor 2 cancels."""
     roots, row = rs.roots, rs.sum_row
     half = len(roots) // 2  # negatives come first, positives from here on
-    negi = [rs.idx(neg(r)) for r in roots]
+    negi = rs.neg_index
     # nn[a] = 2(a|a) = sum over i, j of a_i a_j 2(alpha_i|alpha_j)
     g2 = rs.twice_gram
     nn = []

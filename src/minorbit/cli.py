@@ -7,8 +7,8 @@
 
 Exit codes: 0 all golden parity passed, 1 mismatches, 2 usage or data error,
 3 internal error (an implementation bug; the traceback goes to stderr).
-CONCAVITY_THREADS caps worker parallelism.  Identical invocations produce
-byte-identical JSON.
+--form, --p, --q and --l pick one catalog entry by `realform.find_form`.
+Identical invocations produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -16,43 +16,18 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import traceback
 from importlib import resources
 from itertools import combinations
 
 from . import golden as goldenmod
-from .crflag import concavity_verdict, get_context
-from .realform import SatakeDiagram, catalog
+from .crflag import concavity_verdict
+# catalog is not called here, but perfbench/tracing.py wraps cli.catalog by
+# name, so it stays a module attribute
+from .realform import catalog, find_form  # noqa: F401
 
 LARGE_DIM = 150  # algebras above this need --allow-large
-
-
-def _resolve_form(args) -> SatakeDiagram:
-    """The one catalog entry that --form names, exactly or as a label, and
-    that --p, --q and --l do not contradict."""
-    entries = catalog(args.max_rank)
-    named = ([e for e in entries if e.name == args.form]
-             or [e for e in entries if e.label == args.form])
-    want = {k: getattr(args, k) for k in ("p", "q", "l")
-            if getattr(args, k) is not None}
-
-    def fits(e, keys):
-        return all(e.params.get(k) == want[k] for k in keys)
-
-    cands = [e for e in named if fits(e, want)]
-    if not cands and "l" in want:
-        # --l names the rank for forms without an l parameter
-        cands = [e for e in named
-                 if e.rank == want["l"] and fits(e, want.keys() - {"l"})]
-    if len(cands) == 1:
-        return cands[0]
-    if not cands:
-        raise SystemExit(f"error: unknown form {args.form!r} "
-                         f"(params {want or 'none'})")
-    names = ", ".join(e.name for e in cands[:8])
-    raise SystemExit(f"error: ambiguous form {args.form!r}; candidates: {names}")
 
 
 def _all_phi(rank: int):
@@ -77,24 +52,15 @@ def _phi_str(phi) -> str:
     return "+".join(str(j) for j in sorted(phi)) if phi else "-"
 
 
-def _worker(task):
-    name, phi, gauge_seed, check, max_rank = task
-    v = concavity_verdict(name, phi, gauge_seed, check, max_rank)
-    return v.to_doc()
-
-
 def enumerate_form(name: str, phis=None, gauge_seed=None, check="all",
                    max_rank: int = 8) -> list[dict]:
     """Verdict documents for the given cross sets (all subsets by default),
-    in deterministic row order."""
-    entries = [e for e in catalog(max_rank) if e.name == name]
-    if not entries:
-        raise KeyError(f"unknown form {name!r}")
-    diag = entries[0]
+    in deterministic row order, each computed directly."""
+    diag = find_form(name, max_rank)
     if phis is None:
         phis = list(_all_phi(diag.rank))
-    return [_worker((diag.name, tuple(sorted(p)), gauge_seed, check,
-                     max_rank)) for p in phis]
+    return [concavity_verdict(diag.name, tuple(sorted(p)), gauge_seed, check,
+                              max_rank).to_doc() for p in phis]
 
 
 def _swap_source(diag, phis) -> list[int]:
@@ -136,21 +102,13 @@ def _run_rows(diag, phis, args) -> tuple[list[dict], list[dict]]:
     takes that row with its own `phi`, and has no document."""
     source = _swap_source(diag, phis)
     todo = [k for k, src in enumerate(source) if src == k]
-    tasks = [(diag.name, tuple(sorted(phis[k])), args.gauge_seed, args.check,
-              args.max_rank) for k in todo]
-    threads = max(1, int(os.environ.get("CONCAVITY_THREADS", "1")))
     docs = []
-    if threads > 1 and len(tasks) > 1:
-        import multiprocessing as mp
-        get_context(diag.name, args.gauge_seed, args.max_rank)  # warm for fork
-        with mp.get_context("fork").Pool(threads) as pool:
-            docs = pool.map(_worker, tasks)
-    else:
-        total = len(tasks)
-        for k, t in enumerate(tasks):
-            docs.append(_worker(t))
-            if args.allow_large and (k + 1) % 8 == 0:
-                print(f"rows done: {k + 1}/{total}", file=sys.stderr)
+    for n, k in enumerate(todo, 1):
+        docs.append(concavity_verdict(diag.name, tuple(sorted(phis[k])),
+                                      args.gauge_seed, args.check,
+                                      args.max_rank).to_doc())
+        if args.allow_large and n % 8 == 0:
+            print(f"rows done: {n}/{len(todo)}", file=sys.stderr)
     computed = dict(zip(todo, _report_rows(docs)))
     rows = []
     for k, src in enumerate(source):
@@ -267,9 +225,10 @@ def main(argv=None) -> int:
         ap.print_usage(sys.stderr)
         return 2
     try:
-        diag = _resolve_form(args)
-    except SystemExit as e:
-        print(e, file=sys.stderr)
+        diag = find_form(args.form, args.max_rank, p=args.p, q=args.q,
+                         l=args.l)
+    except (KeyError, ValueError) as e:
+        print(f"error: {e.args[0]}", file=sys.stderr)
         return 2
 
     if args.dump_form:

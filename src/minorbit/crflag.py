@@ -50,7 +50,7 @@ class FormContext:
         return self.conj.c_index[ia]
 
     def negi(self, ia: int) -> int:
-        return self.conj.neg_index[ia]
+        return self.rs.neg_index[ia]
 
     def summed(self, ia: int, ib: int):
         return self.rs.sum_row[ia].get(ib)

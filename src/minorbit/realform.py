@@ -199,21 +199,34 @@ def catalog(max_rank: int) -> tuple[SatakeDiagram, ...]:
     return tuple(out)
 
 
-def find_form(name: str, max_rank: int = 8) -> SatakeDiagram:
-    """The catalog entry with this exact name, else the only entry with this
-    label.  Raises KeyError for an unknown form and ValueError for a label
-    shared by several entries."""
+def find_form(name: str, max_rank: int = 8, *, p: int | None = None,
+              q: int | None = None, l: int | None = None) -> SatakeDiagram:
+    """The one entry of catalog(max_rank) that `name` and the parameters
+    given pick out.
+
+    The rule: the entries with this exact name, else those with this label
+    (AIIIa, DIIIa, compact, ...), keeping the ones whose `params` agree with
+    every given p, q and l.  If none is left and l is given, l names the
+    rank instead, for forms without an l parameter.  Raises KeyError when no
+    entry is left and ValueError when several are."""
     entries = catalog(max_rank)
-    for e in entries:
-        if e.name == name:
-            return e
-    labeled = [e for e in entries if e.label == name]
-    if not labeled:
-        raise KeyError(f"unknown form {name!r}")
-    if len(labeled) > 1:
-        names = ", ".join(e.name for e in labeled)
+    named = ([e for e in entries if e.name == name]
+             or [e for e in entries if e.label == name])
+    want = {k: v for k, v in (("p", p), ("q", q), ("l", l)) if v is not None}
+
+    def fits(e, keys):
+        return all(e.params.get(k) == want[k] for k in keys)
+
+    cands = [e for e in named if fits(e, want)]
+    if not cands and l is not None:
+        cands = [e for e in named
+                 if e.rank == l and fits(e, want.keys() - {"l"})]
+    if not cands:
+        raise KeyError(f"unknown form {name!r} (params {want or 'none'})")
+    if len(cands) > 1:
+        names = ", ".join(e.name for e in cands[:8])
         raise ValueError(f"ambiguous form {name!r}; candidates: {names}")
-    return labeled[0]
+    return cands[0]
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +381,6 @@ def _solve_sign_exponents(rs: RootSystem, sc: StructureConstants, c_idx, cls):
     roots and solved exactly; residual freedom is a gauge fixed to 0."""
     nroots = len(rs.roots)
     nrank = rs.rank
-    neg_idx = [rs.idx(neg(rs.roots[a])) for a in range(nroots)]
 
     def e_of(ia, ib):
         n, m = sc.n(ia, ib), sc.n(c_idx[ia], c_idx[ib])
@@ -399,7 +411,7 @@ def _solve_sign_exponents(rs: RootSystem, sc: StructureConstants, c_idx, cls):
         else:
             raise AssertionError("positive root with no simple summand")
     for r in rs.positives:
-        const[neg_idx[rs.idx(r)]] = (-const[rs.idx(r)]) % 4
+        const[rs.neg_index[rs.idx(r)]] = (-const[rs.idx(r)]) % 4
 
     # the cocycle k_a + k_b - k_{a+b} = e(a,b): the variable parts cancel
     # identically in the affine representation, so these are pure
@@ -439,7 +451,7 @@ def _solve_sign_exponents(rs: RootSystem, sc: StructureConstants, c_idx, cls):
                                    "imaginary root")
         if kexp[c_idx[ia]] != kexp[ia]:
             raise ConjugationError("t(c a) != t(a)")
-        if (kexp[neg_idx[ia]] + kexp[ia]) % 4:
+        if (kexp[rs.neg_index[ia]] + kexp[ia]) % 4:
             raise ConjugationError("t(-a) != conj(t(a))")
     for ia, row in enumerate(rs.sum_row):
         for ib, si in row.items():
@@ -458,7 +470,6 @@ class Conjugation:
         self.rs = rs
         self.sc = sc
         self.lattice, self.c_index = root_conjugation(diag, rs)
-        self.neg_index = tuple(rs.idx(neg(r)) for r in rs.roots)
         self.classes = tuple(self._classify(i) for i in range(len(rs.roots)))
         self.t_exp = tuple(_solve_sign_exponents(rs, sc, self.c_index,
                                                  self.classes))
@@ -466,7 +477,7 @@ class Conjugation:
     def _classify(self, ia: int) -> RootClass:
         if self.c_index[ia] == ia:
             return RootClass.REAL
-        if self.c_index[ia] == self.neg_index[ia]:
+        if self.c_index[ia] == self.rs.neg_index[ia]:
             return RootClass.IMAGINARY_COMPACT
         return RootClass.COMPLEX
 

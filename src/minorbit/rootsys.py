@@ -151,6 +151,18 @@ class RootSystem:
         return self.index[tuple(root)]
 
     @cached_property
+    def neg_index(self) -> tuple[int, ...]:
+        """neg_index[a] is the index of -roots[a], which is N - 1 - a for
+        N roots.
+
+        Proof: R = -R, and negation reverses the sort key (height, lex):
+        it negates the height, and two vectors of equal height first differ
+        at the same coordinate after negation, with the order there
+        flipped.  So listing -R in key order lists R backwards, that is
+        roots[N - 1 - a] = -roots[a]."""
+        return tuple(range(len(self.roots) - 1, -1, -1))
+
+    @cached_property
     def sum_row(self) -> list[dict[int, int]]:
         # a + b = b + a: each unordered pair is added once and fills both
         # rows; row k gets its keys below k from the earlier passes, then

@@ -212,14 +212,6 @@ def test_cli_missing_coverage(tmp_path):
     assert r.returncode == 2
 
 
-def test_cli_threads_env():
-    r = run_cli(["--form", "sl(3,R)", "--format", "csv"],
-                env={"CONCAVITY_THREADS": "2"})
-    assert r.returncode == 0
-    r1 = run_cli(["--form", "sl(3,R)", "--format", "csv"])
-    assert r.stdout == r1.stdout
-
-
 def test_cli_gauge_seed_same_verdicts():
     base = json.loads(run_cli(["--form", "sp(1,2)"]).stdout)
     for seed in ("1", "2", "3"):
@@ -284,6 +276,19 @@ def test_enumerate_form_library_api():
         enumerate_form("not-a-form")
     one = enumerate_form("FII", phis=[{3}])
     assert len(one) == 1 and one[0]["verdict"] is False
+
+
+def test_library_and_cli_resolve_labels_alike(capsys):
+    from minorbit import cli
+    from minorbit.realform import find_form
+    direct = cli.enumerate_form("DIIIa", phis=[{1}], max_rank=4)
+    assert cli.main(["--form", "DIIIa", "--max-rank", "4", "--phi", "1",
+                     "--no-golden"]) == 0
+    assert json.loads(capsys.readouterr().out)["details"] == direct
+    assert direct[0]["form"] == "so*(8)"
+    assert find_form("AIIIa", p=2, q=3).name == "su(2,3)"
+    with pytest.raises(KeyError):
+        find_form("su(2,3)", p=1, q=9)
 
 
 def test_structure_constant_dump_and_signs():

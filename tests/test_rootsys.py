@@ -24,6 +24,16 @@ def test_root_counts_and_negation(family, rank):
         assert all(c > 0 for c in ks) or all(c < 0 for c in ks)
 
 
+def test_neg_index_matches_negation_on_catalog():
+    forms = {(e.family, e.rank, e.doubled): e for e in catalog(8)}
+    assert len(forms) == 64
+    for e in forms.values():
+        rs = e.root_system()
+        assert len(rs.neg_index) == len(rs.roots)
+        for a, r in enumerate(rs.roots):
+            assert rs.neg_index[a] == rs.idx(neg(r))
+
+
 def test_e8_count():
     assert len(build_root_system("E", 8).roots) == 240
 

@@ -1,4 +1,4 @@
-"""Digest of `classify` output over four fixed invocation sets, and of the
+"""Digest of `classify` output over five fixed invocation sets, and of the
 form contexts of the whole catalog, for showing that a change leaves every
 output byte, exit code and context table as it was.
 
@@ -15,7 +15,12 @@ from the `src` directory beside this script:
   not a chain search starts the cross set's closure: 496 invocations;
 - complex: every complex-type form of dimension <= 150 (20 forms) as a
   whole form with `--check all --allow-large` and golden comparison on,
-  ungauged and with `--gauge-seed 1`: 40 invocations.
+  ungauged and with `--gauge-seed 1`: 40 invocations;
+- resolve: `--dump-form` for every `catalog(8)` entry given by its name,
+  by its label, by its label with its `--p`/`--q`/`--l` parameters, and by
+  its label with `--l <rank>` when it has no `l` parameter; the same four
+  again with `--max-rank 4` for the entries of rank <= 4: 1,016
+  invocations, which pin every exit code and entry of form resolution.
 For each set it prints the number of invocations and the SHA-256 of the
 argv, exit code and stdout of each in turn.  A last line, `context`, is
 the SHA-256 of `roots` (in order), `cartan`, `ntable` (items in order),
@@ -69,7 +74,23 @@ def invocation_sets() -> dict[str, list[list[str]]]:
     complex_ = [["--form", name, "--check", "all", "--allow-large", *gauge]
                 for gauge in GAUGES for name in complex_names]
     return {"instances": instances, "sweep": sweep, "span": span,
-            "complex": complex_}
+            "complex": complex_, "resolve": resolve_set()}
+
+
+def resolve_set() -> list[list[str]]:
+    out = []
+    for limit in ([], ["--max-rank", "4"]):
+        for e in catalog(8):
+            if limit and e.rank > 4:
+                continue
+            params = [x for k in ("p", "q", "l") if k in e.params
+                      for x in (f"--{k}", str(e.params[k]))]
+            rank = [] if "l" in e.params else ["--l", str(e.rank)]
+            for ident in (["--form", e.name], ["--form", e.label],
+                          ["--form", e.label, *params],
+                          ["--form", e.label, *rank]):
+                out.append([*ident, "--dump-form", *limit])
+    return out
 
 
 def run(argv: list[str]) -> tuple[int, bytes]:
