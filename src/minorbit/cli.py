@@ -43,7 +43,7 @@ def _parse_phi(text: str, rank: int) -> frozenset:
     for tok in text.split(","):
         j = int(tok)
         if not 1 <= j <= rank:
-            raise SystemExit(f"error: phi index {j} outside 1..{rank}")
+            raise ValueError(f"error: phi index {j} outside 1..{rank}")
         out.add(j)
     return frozenset(out)
 
@@ -244,7 +244,7 @@ def main(argv=None) -> int:
     if args.phi is not None:
         try:
             phis = [_parse_phi(args.phi, diag.rank)]
-        except (SystemExit, ValueError) as e:
+        except ValueError as e:
             print(e, file=sys.stderr)
             return 2
     else:

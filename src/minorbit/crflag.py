@@ -75,15 +75,14 @@ class ParabolicData:
     phi: frozenset          # 1-based simple indices
     Q: frozenset            # root indices
     Qn: frozenset
-    Qr: frozenset
     Qbar: frozenset
 
 
 def parabolic(ctx: FormContext, phi) -> ParabolicData:
     """Q holds every positive root and the negative roots whose support
-    misses phi; Qn is the positive roots whose support meets phi, Qr the
-    rest of Q.  The sign is read from the root index (negatives come
-    first) and the support from `support_masks`."""
+    misses phi; Qn is the positive roots whose support meets phi.  The
+    sign is read from the root index (negatives come first) and the
+    support from `support_masks`."""
     phi = frozenset(phi)
     rs = ctx.rs
     if not phi <= set(range(1, rs.rank + 1)):
@@ -93,12 +92,10 @@ def parabolic(ctx: FormContext, phi) -> ParabolicData:
     half = len(masks) // 2
     pos = range(half, len(masks))
     neg_q = [ia for ia in range(half) if not masks[ia] & pm]
-    Qn = [ia for ia in pos if masks[ia] & pm]
-    pos_r = [ia for ia in pos if not masks[ia] & pm]
+    Qn = frozenset(ia for ia in pos if masks[ia] & pm)
     Q = frozenset(neg_q + list(pos))
     cidx = ctx.conj.c_index
-    return ParabolicData(phi, Q, frozenset(Qn), frozenset(neg_q + pos_r),
-                         frozenset(cidx[ia] for ia in Q))
+    return ParabolicData(phi, Q, Qn, frozenset(cidx[ia] for ia in Q))
 
 
 def characteristic_real_roots(ctx: FormContext, pd: ParabolicData) -> list[int]:

@@ -14,19 +14,11 @@ against the full battery (the tests add the matrix-realization oracles).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache
 
-from .rootsys import (RootSystem, build_doubled_system, build_root_system,
-                      neg)
+from .rootsys import (ROOT_COUNT, RootSystem, build_doubled_system,
+                      build_root_system, neg)
 from .chevalley import StructureConstants
-
-
-class RootClass(Enum):
-    REAL = "Real"
-    IMAGINARY_COMPACT = "ImaginaryCompact"
-    IMAGINARY_NONCOMPACT = "ImaginaryNoncompact"
-    COMPLEX = "Complex"
 
 
 class ConjugationError(ValueError):
@@ -73,15 +65,7 @@ class SatakeDiagram:
 
 
 def _dim(family: str, l: int) -> int:
-    if family == "A":
-        return l * (l + 2)
-    if family in "BC":
-        return l * (2 * l + 1)
-    if family == "D":
-        return l * (2 * l - 1)
-    if family == "E":
-        return {6: 78, 7: 133, 8: 248}[l]
-    return 52 if family == "F" else 14
+    return l + ROOT_COUNT[family](l)
 
 
 def _so_char(p: int, q: int) -> int:
@@ -232,11 +216,6 @@ def find_form(name: str, max_rank: int = 8, *, p: int | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _mat_vec(m, v):
-    n = len(v)
-    return tuple(sum(m[i][j] * v[j] for j in range(n)) for i in range(n))
-
-
 def root_conjugation(diag: SatakeDiagram, rs: RootSystem):
     """Integer lattice involution alpha -> conj(alpha) for the diagram.
 
@@ -250,11 +229,13 @@ def root_conjugation(diag: SatakeDiagram, rs: RootSystem):
     black0 = sorted(b - 1 for b in diag.black)
     w_black = rs.weyl_longest_element(black0)
 
+    def w_col(j):  # w_black(alpha_j)
+        return tuple(row[j] for row in w_black)
+
     tau = {}
     for j in range(n):
         if j in black0:
-            img = _mat_vec(w_black, tuple(1 if k == j else 0 for k in range(n)))
-            negs = neg(img)
+            negs = neg(w_col(j))
             if negs not in rs.index or sum(negs) != 1:
                 raise ConjugationError(f"{diag.name}: black subsystem opposition "
                                        f"undefined at alpha_{j + 1}")
@@ -263,8 +244,7 @@ def root_conjugation(diag: SatakeDiagram, rs: RootSystem):
             tau[j] = diag.arrows.get(j + 1, j + 1) - 1
 
     # column j of the matrix is the image of alpha_j
-    cols = [_mat_vec(w_black, tuple(1 if k == tau[j] else 0 for k in range(n)))
-            for j in range(n)]
+    cols = [w_col(tau[j]) for j in range(n)]
     cmat = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
     def image(v):
@@ -300,87 +280,86 @@ def root_conjugation(diag: SatakeDiagram, rs: RootSystem):
     return cmat, tuple(c_index)
 
 
+def _gauss_jordan(rows, nvars: int, mod: int):
+    """Gauss-Jordan elimination of augmented rows over Z/mod, mod 2 or 4,
+    in place.  Each column pivots on the first remaining row with an odd
+    entry; the units 1 and 3 of Z/4 are their own inverses, so multiplying
+    that row by its pivot normalises it.  Returns the pivot columns: row k
+    holds the pivot of the k-th, and every other row is zero there."""
+    piv = []
+    for col in range(nvars):
+        pr = len(piv)
+        hit = next((i for i in range(pr, len(rows)) if rows[i][col] % 2), None)
+        if hit is None:
+            continue
+        rows[pr], rows[hit] = rows[hit], rows[pr]
+        p = rows[pr][col]
+        prow = rows[pr] = [p * x % mod for x in rows[pr]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != pr and f:
+                rows[i] = [(x - f * y) % mod for x, y in zip(row, prow)]
+        piv.append(col)
+    return piv
+
+
 def _solve_mod4(nvars: int, rows) -> list[int] | None:
     """Solve a linear system over Z/4 with augmented rows (coeffs, rhs).
 
-    Unit pivots first (Gauss-Jordan); the residual rows then have all
-    coefficients in {0, 2} and reduce to a GF(2) stage.  Free variables are
-    fixed to 0 (deterministic gauge).  Returns None when infeasible."""
+    Unit pivots first; the residual rows then have all coefficients in
+    {0, 2}, and halved they form a GF(2) system, eliminated by the same
+    routine.  Free variables are fixed to 0 (deterministic gauge), each
+    GF(2) pivot takes its right-hand side (lifted as {0, 1}), and each unit
+    pivot its right-hand side minus its row's dot product with the rest of
+    the solution.  Returns None when infeasible."""
     aug = [[x % 4 for x in cf] + [r % 4] for cf, r in rows]
-    piv = []  # (row, col)
-    pr = 0
-    for col in range(nvars):
-        hit = next((i for i in range(pr, len(aug)) if aug[i][col] in (1, 3)), None)
-        if hit is None:
-            continue
-        aug[pr], aug[hit] = aug[hit], aug[pr]
-        inv = 1 if aug[pr][col] == 1 else 3
-        aug[pr] = [(inv * x) % 4 for x in aug[pr]]
-        for i in range(len(aug)):
-            if i != pr and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [(x - f * y) % 4 for x, y in zip(aug[i], aug[pr])]
-        piv.append((pr, col))
-        pr += 1
-    sol = [None] * nvars
-    # GF(2) stage on the residual rows (coefficients all even now)
+    piv = _gauss_jordan(aug, nvars, 4)
     res = []
-    for row in aug[pr:]:
+    for row in aug[len(piv):]:
         if any(x % 2 for x in row[:nvars]):
             raise AssertionError("unit survived past pivot stage")
         if row[nvars] % 2:
             return None
-        cf2 = [(x // 2) % 2 for x in row[:nvars]]
-        r2 = (row[nvars] // 2) % 2
-        if any(cf2):
-            res.append(cf2 + [r2])
-        elif r2:
-            return None
-    pr2 = 0
-    piv2 = []
-    for col in range(nvars):
-        hit = next((i for i in range(pr2, len(res)) if res[i][col]), None)
-        if hit is None:
-            continue
-        res[pr2], res[hit] = res[hit], res[pr2]
-        for i in range(len(res)):
-            if i != pr2 and res[i][col]:
-                res[i] = [(x - y) % 2 for x, y in zip(res[i], res[pr2])]
-        piv2.append((pr2, col))
-        pr2 += 1
-    for row in res[pr2:]:
-        if row[nvars]:
-            return None
-    piv_cols = {c for _, c in piv} | {c for _, c in piv2}
-    for v in range(nvars):
-        if v not in piv_cols:
-            sol[v] = 0
-    for r2, c2 in reversed(piv2):
-        row = res[r2]
-        val = row[nvars]
-        for w in range(nvars):
-            if w != c2 and row[w]:
-                val = (val - row[w] * sol[w]) % 2
-        sol[c2] = val  # determined mod 2; lift as {0, 1}
-    for r1, c1 in reversed(piv):
-        row = aug[r1]
-        val = row[nvars]
-        for w in range(nvars):
-            if w != c1 and row[w]:
-                val = (val - row[w] * sol[w]) % 4
-        sol[c1] = val
+        res.append([x // 2 for x in row])
+    piv2 = _gauss_jordan(res, nvars, 2)
+    if any(row[nvars] for row in res[len(piv2):]):
+        return None
+    sol = [0] * nvars
+    for row, col in zip(res, piv2):
+        sol[col] = row[nvars]
+    for row, col in zip(aug, piv):
+        sol[col] = (row[nvars] - sum(x * s for x, s in zip(row, sol))) % 4
     return sol
 
 
-def _solve_sign_exponents(rs: RootSystem, sc: StructureConstants, c_idx, cls):
+def _solve_sign_exponents(rs: RootSystem, sc: StructureConstants, c_idx):
     """Exponents k(a) in t_a = i**k(a) for sigma(Z_a) = t_a Z_{c(a)}.
 
     Constraints: k = 0 on real and compact-imaginary roots, k(c a) = k(a),
     k(-a) = -k(a), and the cocycle k(a)+k(b)-k(a+b) = e(a,b) (mod 4) with
-    i**e = N(a,b)/N(ca,cb).  Reduced to a small mod-4 system on the simple
-    roots and solved exactly; residual freedom is a gauge fixed to 0."""
+    i**e = N(a,b)/N(ca,cb).  Write k(a) = lin(a) + const(a), where lin is
+    linear in the simple-root exponents; this reduces everything to a small
+    mod-4 system on the simple roots, solved exactly; residual freedom is a
+    gauge fixed to 0.
+
+    Constants: const = 0 on simple roots; a positive root g of height > 1
+    takes const(a) + const(b) - e(a, b) from the first pair (a, b) of
+    `sum_pairs[g]` with a simple, and const(-g) = -const(g).  The choice of
+    pair does not matter.  By induction on height: once the cocycle check
+    below passes for the constants of one choice, every decomposition of g
+    gives const(g), so every choice yields these constants; and when the
+    check fails under one choice it fails under every other (which would
+    otherwise yield constants that pass it), with the same message.
+
+    Only the constants need the cocycle check: k = lin + const with lin
+    additive and odd, so k(a) + k(b) - k(a+b) = const(a) + const(b) -
+    const(a+b), which the check compares with e(a, b), and k(-a) + k(a) =
+    const(-a) + const(a) = 0 by construction.  So the solved table obeys
+    the cocycle and k(-a) = -k(a) without a further pass."""
     nroots = len(rs.roots)
     nrank = rs.rank
+    half = nroots // 2  # negatives first, then the simple roots
+    negi = rs.neg_index
 
     def e_of(ia, ib):
         n, m = sc.n(ia, ib), sc.n(c_idx[ia], c_idx[ib])
@@ -390,32 +369,12 @@ def _solve_sign_exponents(rs: RootSystem, sc: StructureConstants, c_idx, cls):
             return 2
         raise ConjugationError("structure constant ratio not a sign")
 
-    # c_gamma: constant term of k_gamma = sum_i gamma_i k_i + c_gamma (mod 4)
-    const = {}
-    for r in rs.positives:
-        const[rs.idx(r)] = 0
-    for r in rs.positives:
-        if sum(r) == 1:
-            continue
-        ir = rs.idx(r)
-        for i in range(nrank):
-            if r[i]:
-                rest = list(r)
-                rest[i] -= 1
-                rest = tuple(rest)
-                if rest in rs.index:
-                    ia = rs.idx(tuple(1 if k == i else 0 for k in range(nrank)))
-                    ib = rs.idx(rest)
-                    const[ir] = (const[ia] + const[ib] - e_of(ia, ib)) % 4
-                    break
-        else:
-            raise AssertionError("positive root with no simple summand")
-    for r in rs.positives:
-        const[rs.neg_index[rs.idx(r)]] = (-const[rs.idx(r)]) % 4
+    const = [0] * nroots
+    for g in range(half + nrank, nroots):
+        a, b = next(p for p in rs.sum_pairs[g] if half <= p[0] < half + nrank)
+        const[g] = (const[a] + const[b] - e_of(a, b)) % 4
+        const[negi[g]] = -const[g] % 4
 
-    # the cocycle k_a + k_b - k_{a+b} = e(a,b): the variable parts cancel
-    # identically in the affine representation, so these are pure
-    # consistency checks on the constants
     for ia, row in enumerate(rs.sum_row):
         for ib, si in row.items():
             if ib >= ia and (e_of(ia, ib) + const[si]
@@ -423,12 +382,12 @@ def _solve_sign_exponents(rs: RootSystem, sc: StructureConstants, c_idx, cls):
                 raise ConjugationError("sign cocycle inconsistent; bad "
                                        "catalog data or conjugation")
 
-    # boundary and orbit-tie conditions give a small mod-4 system on the
-    # simple-root exponents
+    # boundary (real and compact imaginary roots) and orbit-tie conditions
+    # give a small mod-4 system on the simple-root exponents
     rows = []
     for ia in range(nroots):
         ica = c_idx[ia]
-        if cls[ia] is not RootClass.COMPLEX:
+        if ica in (ia, negi[ia]):
             rows.append(([x % 4 for x in rs.roots[ia]], (-const[ia]) % 4))
         if ica != ia:
             cf = [(x - y) % 4 for x, y in zip(rs.roots[ica], rs.roots[ia])]
@@ -439,30 +398,20 @@ def _solve_sign_exponents(rs: RootSystem, sc: StructureConstants, c_idx, cls):
                                "imaginary or positive real normalization "
                                "cannot be met)")
 
-    kexp = [0] * nroots
+    kexp = [(sum(x * s for x, s in zip(r, sol)) + const[ia]) % 4
+            for ia, r in enumerate(rs.roots)]
     for ia in range(nroots):
-        kexp[ia] = (sum(rs.roots[ia][i] * sol[i] for i in range(nrank))
-                    + const[ia]) % 4
-
-    # verify everything
-    for ia in range(nroots):
-        if cls[ia] is not RootClass.COMPLEX and kexp[ia] % 4:
+        if c_idx[ia] in (ia, negi[ia]) and kexp[ia]:
             raise ConjugationError("sign normalization failed on a real or "
                                    "imaginary root")
         if kexp[c_idx[ia]] != kexp[ia]:
             raise ConjugationError("t(c a) != t(a)")
-        if (kexp[rs.neg_index[ia]] + kexp[ia]) % 4:
-            raise ConjugationError("t(-a) != conj(t(a))")
-    for ia, row in enumerate(rs.sum_row):
-        for ib, si in row.items():
-            if (kexp[ia] + kexp[ib] - kexp[si] - e_of(ia, ib)) % 4:
-                raise ConjugationError("sign cocycle violated")
     return kexp
 
 
 class Conjugation:
     """Validated conjugation of a catalog real form: lattice involution,
-    root classes and sign table."""
+    root permutation and sign table."""
 
     def __init__(self, diag: SatakeDiagram, rs: RootSystem,
                  sc: StructureConstants):
@@ -470,16 +419,7 @@ class Conjugation:
         self.rs = rs
         self.sc = sc
         self.lattice, self.c_index = root_conjugation(diag, rs)
-        self.classes = tuple(self._classify(i) for i in range(len(rs.roots)))
-        self.t_exp = tuple(_solve_sign_exponents(rs, sc, self.c_index,
-                                                 self.classes))
-
-    def _classify(self, ia: int) -> RootClass:
-        if self.c_index[ia] == ia:
-            return RootClass.REAL
-        if self.c_index[ia] == self.rs.neg_index[ia]:
-            return RootClass.IMAGINARY_COMPACT
-        return RootClass.COMPLEX
+        self.t_exp = tuple(_solve_sign_exponents(rs, sc, self.c_index))
 
 
 def build_conjugation(diag: SatakeDiagram, rs: RootSystem,

@@ -198,32 +198,22 @@ class RootSystem:
 
         Returned as a rank x rank integer matrix acting on coefficient
         columns; maps every subset-positive root of the subsystem to a
-        negative one.
+        negative one.  Starting from w = 1, it keeps the columns
+        w(alpha_k) and sets w <- w s_j while some w(alpha_j), j in
+        `subset`, is positive; w s_j sends alpha_k to
+        w(alpha_k) - cartan[j][k] w(alpha_j).
         """
         S = sorted(set(subset))
         n = self.rank
-        cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-
-        def apply_w(v):
-            return tuple(sum(cols[j][i] * v[j] for j in range(n)) for i in range(n))
-
+        cols = [[1 if i == k else 0 for i in range(n)] for k in range(n)]
         while True:
-            j_found = None
-            for j in S:
-                ej = tuple(1 if k == j else 0 for k in range(n))
-                if sum(apply_w(ej)) > 0:
-                    j_found = j
-                    break
-            if j_found is None:
+            j = next((j for j in S if sum(cols[j]) > 0), None)
+            if j is None:
                 break
-            # w <- w o s_j : new column action on e_k computed through s_j
-            newcols = []
-            for k in range(n):
-                ek = tuple(1 if t == k else 0 for t in range(n))
-                v = self._reflect(j_found, ek)
-                newcols.append(list(apply_w(v)))
-            cols = newcols
-        return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+            wj = cols[j]
+            cols = [[x - c * y for x, y in zip(col, wj)] if c else col
+                    for col, c in zip(cols, self.cartan[j])]
+        return tuple(tuple(cols[k][i] for k in range(n)) for i in range(n))
 
 
 def build_root_system(family: str, rank: int) -> RootSystem:

@@ -19,13 +19,14 @@ form).
 from __future__ import annotations
 
 import json
+from enum import Enum
 from functools import cache
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from gaussq import I_POW, QQi, ZERO
 from minorbit.chevalley import StructureConstants
-from minorbit.realform import Conjugation, RootClass
+from minorbit.realform import Conjugation
 from minorbit.rootsys import Root, RootSystem, SimpleType, neg
 
 
@@ -412,8 +413,24 @@ def killing(sc: StructureConstants, x: dict, y: dict) -> QQi:
     return tot
 
 
+class RootClass(Enum):
+    REAL = "Real"
+    IMAGINARY_COMPACT = "ImaginaryCompact"
+    IMAGINARY_NONCOMPACT = "ImaginaryNoncompact"
+    COMPLEX = "Complex"
+
+
 def classify_root(conj: Conjugation, root: Root) -> RootClass:
-    return conj.classes[conj.rs.idx(root)]
+    """The class of a root under the conjugation c: real when c fixes it,
+    compact imaginary when c negates it (the sign solve sets t = 1 there),
+    complex otherwise.  IMAGINARY_NONCOMPACT is never returned; the tests
+    assert that no root has it."""
+    ia = conj.rs.idx(root)
+    if conj.c_index[ia] == ia:
+        return RootClass.REAL
+    if conj.c_index[ia] == conj.rs.neg_index[ia]:
+        return RootClass.IMAGINARY_COMPACT
+    return RootClass.COMPLEX
 
 
 def conj_image(conj: Conjugation, root: Root) -> Root:

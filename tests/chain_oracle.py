@@ -41,16 +41,16 @@ def parabolic(ctx: FormContext, phi) -> ParabolicData:
     """`crflag.parabolic` with the sign read from the coefficient sum and
     the support as a set of simple indices."""
     phi = frozenset(phi)
-    Q, Qn, Qr = set(), set(), set()
+    Q, Qn = set(), set()
     for ia, r in enumerate(ctx.rs.roots):
         meets = not support(r).isdisjoint(phi)
         if sum(r) > 0:
             Q.add(ia)
-            (Qn if meets else Qr).add(ia)
+            if meets:
+                Qn.add(ia)
         elif not meets:
             Q.add(ia)
-            Qr.add(ia)
-    return ParabolicData(phi, frozenset(Q), frozenset(Qn), frozenset(Qr),
+    return ParabolicData(phi, frozenset(Q), frozenset(Qn),
                          frozenset(ctx.c(ia) for ia in Q))
 
 

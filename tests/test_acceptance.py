@@ -5,8 +5,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from algebra_oracle import (classify_root, conj_image, is_root, killing,
-                            killing_hh, killing_z_pair, rank, root_string)
+from algebra_oracle import (RootClass, classify_root, conj_image, is_root,
+                            killing, killing_hh, killing_z_pair, rank,
+                            root_string)
 from chain_oracle import verify_no_triples
 from float_oracle import float_classify
 from gaussq import QQi
@@ -18,7 +19,7 @@ from minorbit.crflag import (characteristic_real_roots, classify_levi,
                              levi_matrix, parabolic)
 from minorbit.exactla import DefinitenessClass, hermitian_classify
 from minorbit.golden import compare_golden, load_golden
-from minorbit.realform import RootClass, catalog
+from minorbit.realform import catalog
 from minorbit.rootsys import build_root_system, neg
 from model_oracle import expected_lattice_conjugation
 

@@ -26,7 +26,6 @@ def test_parabolic_empty_phi():
     pd = parabolic(ctx, set())
     assert len(pd.Q) == len(ctx.rs.roots)
     assert not pd.Qn
-    assert pd.Qr == pd.Q
 
 
 def test_parabolic_a2():

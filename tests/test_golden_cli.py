@@ -303,3 +303,31 @@ def test_structure_constant_dump_and_signs():
     from gaussq import QQi
     assert signs[(1, 1)] == QQi(1)          # the real root
     assert signs[(1, 0)] in (QQi(0, 1), QQi(0, -1))  # complex needs +-i
+
+
+def test_cli_passes_golden_on_every_rank6_form(capsys):
+    """`classify --form <name>` (--check all, packaged golden table) exits 0
+    on every form of catalog(6), and the reading each form selects is
+    pinned: reading 0 for every form but so*(2l), BI and BII included
+    (where so(p, p+1) has no parity row, every reading passes vacuously);
+    reading 1 for DIIIa (so*(8), so*(12): `always`) and DIIIb (so*(6),
+    so*(10): `so_star_ends`)."""
+    from minorbit import cli
+    from minorbit.realform import catalog
+    gold = cli._packaged_golden()
+    readings = {}
+    for e in catalog(6):
+        argv = ["--form", e.name]
+        if e.rank > 8 or e.dim > cli.LARGE_DIM:
+            argv.append("--allow-large")
+        assert cli.main(argv) == 0, e.name
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        summary = compare_golden(rows, gold)["forms"]
+        assert summary.keys() == {e.name} and summary[e.name]["pass"]
+        readings[e.name] = summary[e.name]["reading"]
+    assert readings == {e.name: int(e.label.startswith("DIII"))
+                        for e in catalog(6)}
+    diii = {"so*(6)": "so_star_ends", "so*(8)": "always",
+            "so*(10)": "so_star_ends", "so*(12)": "always"}
+    for name, kind in diii.items():
+        assert gold[name]["predicates"][readings[name]]["kind"] == kind

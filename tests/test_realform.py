@@ -4,14 +4,14 @@ from importlib import resources
 
 import pytest
 
-from algebra_oracle import (classify_root, conj_image, is_root, killing,
-                            real_basis, sigma, support)
+from algebra_oracle import (RootClass, classify_root, conj_image, is_root,
+                            killing, real_basis, sigma, support)
 from gaussq import QQi
 from minorbit.chevalley import build_chevalley
 from minorbit.crflag import get_context
 from minorbit.exactla import inertia
-from minorbit.realform import (ConjugationError, RootClass, SatakeDiagram,
-                               catalog, find_form)
+from minorbit.realform import (ConjugationError, SatakeDiagram, catalog,
+                               find_form)
 from minorbit.rootsys import neg
 from model_oracle import expected_lattice_conjugation
 
@@ -210,3 +210,33 @@ def test_conjugation_battery_messages(arrows, message):
     with pytest.raises(ConjugationError) as err:
         root_conjugation(bad, bad.root_system())
     assert str(err.value) == message
+
+
+def test_solve_mod4_against_brute_force():
+    """`_solve_mod4` returns None exactly when no vector of (Z/4)^n solves
+    every row, and otherwise a vector that does; on seeded random systems
+    with n <= 4 and up to 8 rows, half of them built around a solution."""
+    from itertools import product
+    from minorbit.realform import _solve_mod4
+    rng = random.Random(4)
+    feasible = 0
+    for t in range(1500):
+        n, m = rng.randint(1, 4), rng.randint(0, 8)
+        rows = [[rng.randrange(4) for _ in range(n)] for _ in range(m)]
+        if t % 2:
+            x = [rng.randrange(4) for _ in range(n)]
+            rows = [(cf, sum(a * b for a, b in zip(cf, x))) for cf in rows]
+        else:
+            rows = [(cf, rng.randrange(4)) for cf in rows]
+
+        def solves(v):
+            return all((sum(a * b for a, b in zip(cf, v)) - r) % 4 == 0
+                       for cf, r in rows)
+
+        sol = _solve_mod4(n, rows)
+        if sol is None:
+            assert not any(solves(v) for v in product(range(4), repeat=n))
+        else:
+            assert len(sol) == n and solves(sol)
+            feasible += 1
+    assert 750 < feasible < 1500  # both outcomes are exercised
