@@ -8,6 +8,7 @@
 Exit codes: 0 all golden parity passed, 1 mismatches, 2 usage or data error,
 3 internal error (an implementation bug; the traceback goes to stderr).
 --form, --p, --q and --l pick one catalog entry by `realform.find_form`.
+A complex-type form's whole-form rows come from `complex_type_verdict`.
 Identical invocations produce byte-identical JSON.
 """
 
@@ -22,7 +23,7 @@ from importlib import resources
 from itertools import combinations
 
 from . import golden as goldenmod
-from .crflag import concavity_verdict
+from .crflag import complex_type_verdict, concavity_verdict
 # catalog is not called here, but perfbench/tracing.py wraps cli.catalog by
 # name, so it stays a module attribute
 from .realform import catalog, find_form  # noqa: F401
@@ -41,7 +42,10 @@ def _parse_phi(text: str, rank: int) -> frozenset:
         return frozenset()
     out = set()
     for tok in text.split(","):
-        j = int(tok)
+        try:
+            j = int(tok)
+        except ValueError:
+            raise ValueError(f"error: phi index {tok!r} is not an integer")
         if not 1 <= j <= rank:
             raise ValueError(f"error: phi index {j} outside 1..{rank}")
         out.add(j)
@@ -63,78 +67,31 @@ def enumerate_form(name: str, phis=None, gauge_seed=None, check="all",
                               max_rank).to_doc() for p in phis]
 
 
-def _swap_source(diag, phis) -> list[int]:
-    """For each cross set, the position of the cross set whose report row
-    it takes: itself, or for a complex-type form the first cross set of its
-    orbit under the copy swap s, in the order of `phis`.
-
-    Proof that s(Phi) has the report row of Phi but for `phi`.  The form
-    lives on R + R, and s maps alpha_j to alpha_{j+l} and back (l the rank
-    of one copy).  It permutes the roots, preserves addition, sign and
-    height, and maps supports by j <-> j + l, so Q_{s Phi} = s(Q_Phi), and
-    likewise for Qn.  The conjugation c of a complex-type form has no black
-    node and the arrows j <-> j + l, so c = s and s commutes with c.  No
-    root mixes the two copies, while a and c(a) lie in different copies, so
-    a + c(a) is never a root: no root is real, `levi` is empty, and K_Phi
-    = Q_Phi (`k_phi`), so K_{s Phi} = s(K_Phi).  Then s carries every
-    closure of `crflag` (the chain closure of c(Q) under K u c(K), the
-    span's P u c(P)) onto the one for s(Phi), since it maps start, moves
-    and sums; it carries finite type's negative supports onto theirs, and
-    the complex zero pairs {b, c(b)} of Phi and their q_form entry sets
-    onto those of s(Phi).  So finite type, the chain verdict, the span
-    verdict and the verdict agree, under any sign gauge, since none of
-    them reads a structure constant or a sign exponent."""
-    source = list(range(len(phis)))
-    if diag.doubled:
-        half = diag.rank // 2
-        first: dict[frozenset, int] = {}
-        for k, p in enumerate(phis):
-            p = frozenset(p)
-            swapped = frozenset(j + half if j <= half else j - half for j in p)
-            source[k] = first.get(swapped, k)
-            first.setdefault(p, k)
-    return source
-
-
 def _run_rows(diag, phis, args) -> tuple[list[dict], list[dict]]:
-    """(verdict documents, report rows) for `phis`.  A verdict is computed
-    for each cross set that is its own `_swap_source`; every other cross set
-    takes that row with its own `phi`, and has no document."""
-    source = _swap_source(diag, phis)
-    todo = [k for k, src in enumerate(source) if src == k]
+    """(verdict documents, report rows) for `phis`.  The rows of a whole-form
+    run of a complex-type form come from the formula, with no documents."""
+    if diag.doubled and args.phi is None:
+        return [], [dict(complex_type_verdict(diag, p, args.check),
+                         form=diag.name, phi=sorted(p), expected=None,
+                         match=None) for p in phis]
     docs = []
-    for n, k in enumerate(todo, 1):
-        docs.append(concavity_verdict(diag.name, tuple(sorted(phis[k])),
+    for n, p in enumerate(phis, 1):
+        docs.append(concavity_verdict(diag.name, tuple(sorted(p)),
                                       args.gauge_seed, args.check,
                                       args.max_rank).to_doc())
         if args.allow_large and n % 8 == 0:
-            print(f"rows done: {n}/{len(todo)}", file=sys.stderr)
-    computed = dict(zip(todo, _report_rows(docs)))
-    rows = []
-    for k, src in enumerate(source):
-        row = computed[src]
-        rows.append(row if src == k else dict(row, phi=sorted(phis[k])))
-    return docs, rows
+            print(f"rows done: {n}/{len(phis)}", file=sys.stderr)
+    return docs, _report_rows(docs)
 
 
 def _report_rows(docs) -> list[dict]:
-    rows = []
-    for d in docs:
-        levi = ";".join(
-            "%s:%s" % ("".join(str(c) for c in g["root"]), g["class"])
-            for g in d["gammas"])
-        rows.append({
-            "form": d["form"],
-            "phi": d["phi"],
-            "finite_type": d["finite_type"],
-            "levi": levi,
-            "mot": d["mot_satisfied"],
-            "span": d["span_satisfied"],
-            "verdict": d["verdict"],
-            "expected": None,
-            "match": None,
-        })
-    return rows
+    return [{"form": d["form"], "phi": d["phi"],
+             "finite_type": d["finite_type"],
+             "levi": ";".join("%s:%s" % ("".join(map(str, g["root"])),
+                                         g["class"]) for g in d["gammas"]),
+             "mot": d["mot_satisfied"], "span": d["span_satisfied"],
+             "verdict": d["verdict"], "expected": None, "match": None}
+            for d in docs]
 
 
 def emit(rows: list[dict], fmt: str, details=None) -> bytes:

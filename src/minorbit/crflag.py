@@ -6,12 +6,14 @@ at most once per cross set: the chain search reads its parent map, and the
 span, which equals the iterated bracket module, is read from the same
 closure and its conjugate (see `t_module_span`).  Finite type needs no
 closure: by the theorem on closed root sets that contain every positive
-root it is read from simple-root supports (see `finite_type`).  Every root
-sum comes from the root system's `sum_row` and `sum_pairs` tables.  A Levi
-form is read from the root involution: its Gaussian-integer entries come
-from the pair lists, the conjugation and the Chevalley constants, and
-`classify_levi` decides its class and category from their positions and
-signs, with no Killing value, no dense matrix and no elimination.
+root it is read from simple-root supports (see `finite_type`).  A theorem
+gives the rows of a complex-type form with no context or closure at all
+(see `complex_type_verdict`).  Every root sum comes from the root system's
+`sum_row` and `sum_pairs` tables.  A Levi form is read from the root
+involution: its Gaussian-integer entries come from the pair lists, the
+conjugation and the Chevalley constants, and `classify_levi` decides its
+class and category from their positions and signs, with no Killing value,
+no dense matrix and no elimination.
 """
 
 from __future__ import annotations
@@ -300,6 +302,51 @@ def finite_type(ctx: FormContext, pd: ParabolicData) -> bool:
         if a < half:
             covered |= masks[a]
     return covered == (1 << ctx.rs.rank) - 1
+
+
+def complex_type_verdict(diag: SatakeDiagram, phi, check: str = "all") -> dict:
+    """Report fields of the cross set `phi` of a complex-type form, from phi
+    alone: with s the copy swap j <-> j + l (l the rank of a copy) and ft =
+    [phi n s(phi) empty] (Phi_1 n Phi_2 empty), `concavity_verdict` finds
+    finite type, mot (under --check mot|all, else False), span (under
+    --check span|all, else False) and verdict all ft, and `levi` empty.
+
+    Proof.  No root of R + R meets both copies, and with no black node and
+    the arrows j <-> j + l, c = s swaps them.  Q = R+ u {-b : supp(b) n phi
+    empty} and Qn = {b > 0 : supp(b) n phi not empty} (`parabolic`).
+    - K_Phi = Q, no real root: a + c(a) meets both copies, so it is not a
+      root (`k_phi`), and a != c(a).  The moves are M = Q u c(Q).
+    - Finite type: the negative roots of Q have supports covering exactly
+      the complement of phi (-alpha_j is in Q iff j is not in phi), those
+      of c(Q) the complement of s(phi).  By `finite_type` (Bourbaki, Lie VI
+      section 1.7 Prop. 20) finite type is ft, and without ft the closure
+      of M is C = R+ u R_J != R, J the complement of phi n s(phi).
+    - Lemma: for roots 0 < beta <= gamma a chain of roots from beta to
+      gamma adds one simple root per step.  Induct on ht(gamma - beta) > 0:
+      gamma - beta = sum c_j alpha_j, c_j >= 0, has 0 < (gamma - beta,
+      gamma - beta) = sum c_j (gamma - beta, alpha_j), so (gamma - beta,
+      alpha_j) > 0 for some c_j > 0.  So (beta, alpha_j) < 0 and beta +
+      alpha_j <= gamma is a root, or (gamma, alpha_j) > 0 and gamma -
+      alpha_j >= beta is one (Humphreys, section 9.4; neither pair is
+      proportional): the gap left is shorter.  Under ft every -alpha_j is
+      in M: in Q, or s(j) is not in phi and -alpha_j = c(-alpha_{s(j)}).
+      So the negated chain from -alpha_i to -b, i in supp(b), runs by moves.
+    - Span = ft: with ft, M holds R+ and every -alpha_i, so the span
+      closure of M under M reaches every -b; without ft it stays in C.
+    - mot = ft: with no real root, mot asks of each complex zero pair {b,
+      c(b)} in Qn that -b or -c(b) be reached from c(Q) by moves.  With ft,
+      each i in supp(b) n phi has s(i) not in phi, so -alpha_i is in c(Q)
+      and the chain reaches -b.  Without ft, for j in phi n s(phi) the pair
+      {alpha_j, c(alpha_j)} lies in Qn and its `q_form` is empty: if x +
+      c(y) = -alpha_j, one summand is p > 0 and the other -alpha_j - p, with
+      j in its support, so x, or y (s(j) in its support), is not in Q.  As
+      s(j) is in phi n s(phi) too, neither target is in C, which holds the
+      chain closure.  So the verdict, ft and (span or mot), is ft.
+    No step reads a sign; the tests keep `concavity_verdict` as the oracle."""
+    ft = not any(j + diag.rank // 2 in phi for j in phi)
+    return {"finite_type": ft, "levi": "", "verdict": ft,
+            "mot": ft and check in ("mot", "all"),
+            "span": ft and check in ("span", "all")}
 
 
 def root_closure(ctx: FormContext, start, moves) -> tuple[dict, list[int]]:

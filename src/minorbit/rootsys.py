@@ -117,7 +117,6 @@ class RootSystem:
             for i, row in enumerate(self.twice_gram))
         self.roots = self._generate_roots()
         self.index = {r: k for k, r in enumerate(self.roots)}
-        self.positives = [r for r in self.roots if sum(r) > 0]
 
     # -- construction ---------------------------------------------------
     def _reflect(self, i: int, v: Root) -> Root:
@@ -147,9 +146,6 @@ class RootSystem:
         return sorted(seen, key=lambda r: (sum(r), r))
 
     # -- queries ----------------------------------------------------------
-    def idx(self, root: Root) -> int:
-        return self.index[tuple(root)]
-
     @cached_property
     def neg_index(self) -> tuple[int, ...]:
         """neg_index[a] is the index of -roots[a], which is N - 1 - a for

@@ -132,6 +132,11 @@ def is_root(rs: RootSystem, v: Iterable[int]) -> bool:
     return tuple(v) in rs.index
 
 
+def idx(rs: RootSystem, v: Iterable[int]) -> int:
+    """The index of the root v in rs.roots."""
+    return rs.index[tuple(v)]
+
+
 def add(a: Root, b: Root) -> Root:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -167,7 +172,7 @@ def build_chevalley_fraction(rs: RootSystem) -> StructureConstants:
     same coroots."""
     roots, row = rs.roots, rs.sum_row
     half = len(roots) // 2
-    negi = [rs.idx(neg(r)) for r in roots]
+    negi = [idx(rs, neg(r)) for r in roots]
     nn = [inner(rs, r, r) for r in roots]
     npos: dict[tuple[int, int], int] = {}
 
@@ -344,7 +349,7 @@ def h(sc: StructureConstants, i: int) -> dict:
 
 def z(sc: StructureConstants, root: Root) -> dict:
     """The basis element Z_root."""
-    return {sc.rank + sc.rs.idx(root): QQi(1)}
+    return {sc.rank + idx(sc.rs, root): QQi(1)}
 
 
 def adjoint_matrix(sc: StructureConstants, x: dict) -> list[list[QQi]]:
@@ -386,7 +391,7 @@ def killing_hh(sc: StructureConstants) -> tuple:
 def killing_z_pair(sc: StructureConstants, ia: int) -> Fraction:
     """kappa(Z_a, Z_-a), cached; computed as an explicit adjoint trace."""
     rs = sc.rs
-    ineg = rs.idx(neg(rs.roots[ia]))
+    ineg = idx(rs, neg(rs.roots[ia]))
     ad1 = _ad_sparse(sc, sc.rank + ia)
     ad2 = _ad_sparse(sc, sc.rank + ineg)
     tot = Fraction(0)
@@ -425,7 +430,7 @@ def classify_root(conj: Conjugation, root: Root) -> RootClass:
     compact imaginary when c negates it (the sign solve sets t = 1 there),
     complex otherwise.  IMAGINARY_NONCOMPACT is never returned; the tests
     assert that no root has it."""
-    ia = conj.rs.idx(root)
+    ia = idx(conj.rs, root)
     if conj.c_index[ia] == ia:
         return RootClass.REAL
     if conj.c_index[ia] == conj.rs.neg_index[ia]:
@@ -435,7 +440,7 @@ def classify_root(conj: Conjugation, root: Root) -> RootClass:
 
 def conj_image(conj: Conjugation, root: Root) -> Root:
     """c(root) under the lattice involution of the conjugation."""
-    return conj.rs.roots[conj.c_index[conj.rs.idx(root)]]
+    return conj.rs.roots[conj.c_index[idx(conj.rs, root)]]
 
 
 @cache

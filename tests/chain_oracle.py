@@ -11,7 +11,7 @@ for result.
 
 from __future__ import annotations
 
-from algebra_oracle import killing_z_pair, support
+from algebra_oracle import idx, killing_z_pair, support
 from gaussq import QQi
 from levi_oracle import _entry
 from minorbit.crflag import FormContext, ParabolicData, root_closure
@@ -66,7 +66,7 @@ def q_form(ctx: FormContext, pd: ParabolicData, target: int):
         rest = tuple(t - v for t, v in zip(tgt, rs.roots[x]))
         if rest not in rs.index:
             continue
-        y = ctx.c(rs.idx(rest))
+        y = ctx.c(idx(rs, rest))
         if y in pd.Q:
             rows.append((x, y))
     index = sorted({x for x, _ in rows} | {y for _, y in rows})

@@ -1,6 +1,6 @@
 import pytest
 
-from algebra_oracle import add, is_root
+from algebra_oracle import add, idx, is_root
 from algebra_oracle import rank as xrank
 import levi_oracle as dense
 from chain_oracle import verify_no_triples
@@ -39,7 +39,7 @@ def test_parabolic_a2():
 def test_parabolic_f4_contains_gamma():
     ctx = get_context("FII")
     pd = parabolic(ctx, {3})
-    assert ctx.rs.idx((1, 2, 3, 2)) in pd.Qn
+    assert idx(ctx.rs, (1, 2, 3, 2)) in pd.Qn
 
 
 def test_parabolic_invalid_phi():
@@ -80,7 +80,7 @@ def test_fii_characteristic_and_levi():
     pd = parabolic(ctx, {3})
     chars = characteristic_real_roots(ctx, pd)
     assert roots_of(ctx, chars) == [[1, 2, 3, 2]]
-    idx, m = dense.levi_matrix(ctx, pd, chars[0])
+    index, m = dense.levi_matrix(ctx, pd, chars[0])
     assert is_hermitian(m)
     cls, cat = classify_levi(*levi_matrix(ctx, pd, chars[0]))
     assert xrank(m) == 1
@@ -104,9 +104,9 @@ def test_eiii_characteristic_and_levi():
             semidef.append(g)
     assert roots_of(ctx, semidef) == [[1, 2, 2, 3, 2, 1]]
     g = semidef[0]
-    idx, m = dense.levi_matrix(ctx, pd, g)
+    index, m = dense.levi_matrix(ctx, pd, g)
     assert xrank(m) == 1
-    diag = [idx[i] for i in range(len(idx)) if m[i][i]]
+    diag = [index[i] for i in range(len(index)) if m[i][i]]
     assert roots_of(ctx, diag) == [[-1, -1, -2, -2, -1, 0]]
 
 
@@ -158,7 +158,7 @@ def test_levi_matrix_preconditions():
     # a real root outside Qn is not characteristic
     ctx2 = get_context("su(2,3)")
     pd2 = parabolic(ctx2, {1})
-    gamma2 = ctx2.rs.idx((0, 1, 1, 0))
+    gamma2 = idx(ctx2.rs, (0, 1, 1, 0))
     assert ctx2.c(gamma2) == gamma2 and gamma2 not in pd2.Qn
     with pytest.raises(ValueError):
         levi_matrix(ctx2, pd2, gamma2)
@@ -205,7 +205,7 @@ def test_eiii_simple_roots_in_kernel_closure():
     kk = set(kp) | {ctx.c(a) for a in kp}
     for j in range(6):
         ej = tuple(1 if k == j else 0 for k in range(6))
-        assert ctx.rs.idx(ej) in kk or ctx.rs.idx(neg(ej)) in kk
+        assert idx(ctx.rs, ej) in kk or idx(ctx.rs, neg(ej)) in kk
 
 
 def test_k_phi_isotropy_invariant():
@@ -216,11 +216,11 @@ def test_k_phi_isotropy_invariant():
         pd = parabolic(ctx, phi)
         kp = k_phi(ctx, pd)
         for g in characteristic_real_roots(ctx, pd):
-            idx, m = dense.q_form(ctx, pd, ctx.negi(g))
+            index, m = dense.q_form(ctx, pd, ctx.negi(g))
             _, entries = q_form(ctx, pd, ctx.negi(g))
             if not hermitian_classify(m).is_semidefinite():
                 continue
-            pos = {a: k for k, a in enumerate(idx)}
+            pos = {a: k for k, a in enumerate(index)}
             for a in kp:
                 assert (a, a) not in entries
                 if a in pos:
@@ -273,7 +273,7 @@ def test_eiii_chain_succeeds_with_witness():
         assert is_root(ctx.rs, total)
         kk = set(kp) | {ctx.c(a) for a in kp}
         for step in chain[1:]:
-            assert ctx.rs.idx(step) in kk
+            assert idx(ctx.rs, step) in kk
             total = add(total, step)
             assert is_root(ctx.rs, total)
         assert total == neg(ctx.rs.roots[g])

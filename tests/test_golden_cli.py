@@ -87,6 +87,14 @@ def test_cli_params_must_agree_with_an_exact_name(capsys):
         assert json.loads(capsys.readouterr().out)["name"] == "su(2,3)"
 
 
+def test_cli_non_integer_phi_index(capsys):
+    from minorbit import cli
+    for phi, tok in (("1,x", "'x'"), ("1,,2", "''")):
+        assert cli.main(["--form", "su(2,3)", "--phi", phi]) == 2
+        assert capsys.readouterr().err == \
+            f"error: phi index {tok} is not an integer\n"
+
+
 def test_cli_internal_error_exit_code(monkeypatch, capsys):
     from minorbit import cli, crflag
     from minorbit.realform import ConjugationError

@@ -4,8 +4,8 @@ from importlib import resources
 
 import pytest
 
-from algebra_oracle import (RootClass, classify_root, conj_image, is_root,
-                            killing, real_basis, sigma, support)
+from algebra_oracle import (RootClass, classify_root, conj_image, idx,
+                            is_root, killing, real_basis, sigma, support)
 from gaussq import QQi
 from minorbit.chevalley import build_chevalley
 from minorbit.crflag import get_context
@@ -86,13 +86,13 @@ def test_conjugation_invariant_battery(entry):
         # c_index is the lattice image
         img = tuple(sum(conj.lattice[i][j] * r[j] for j in range(n))
                     for i in range(n))
-        assert conj.c_index[ia] == rs.idx(img), r
+        assert conj.c_index[ia] == idx(rs, img), r
     # black simples to their own negatives
     for b in entry.black:
         ej = tuple(1 if k == b - 1 else 0 for k in range(n))
         assert conj_image(conj, ej) == neg(ej)
     # positivity preserved on complex roots
-    for r in rs.positives:
+    for r in rs.roots[len(rs.roots) // 2:]:
         if classify_root(conj, r) is RootClass.COMPLEX:
             assert sum(conj_image(conj, r)) > 0
     # no noncompact imaginary roots; real and imaginary signs +1
@@ -168,7 +168,7 @@ def test_su23_real_roots():
 
 def test_fii_unique_positive_real_root():
     ctx = _ctx("FII")
-    reals = [r for r in ctx.rs.positives
+    reals = [r for r in ctx.rs.roots[len(ctx.rs.roots) // 2:]
              if classify_root(ctx.conj, r) is RootClass.REAL]
     assert reals == [(1, 2, 3, 2)]
 

@@ -1,29 +1,32 @@
-"""Whole-form runs of complex-type forms compute one verdict per orbit of
-the copy swap (Phi_1, Phi_2) -> (Phi_2, Phi_1) and give the swapped cross
-set the same report row with its own phi (`cli._swap_source`).  Checked
-here against rows built directly from `enumerate_form`, which computes
-every cross set, on every complex-type form of dimension <= 150, ungauged
-and under gauge seed 1, with golden comparison on."""
+"""Whole-form runs of complex-type forms read their report rows from
+`crflag.complex_type_verdict`, with no form context and no closure.  The
+engine stays as the oracle: rows built from `enumerate_form`, which runs
+`concavity_verdict` on every cross set, are compared with `classify`'s
+output on every complex-type form of dimension <= 150 (ungauged and under
+gauge seed 1, with golden comparison on), and under `--check mot` and
+`--check span` on those of dimension <= 80.  The proof's hypotheses are
+checked too: the shape of every doubled catalog entry, and the root-poset
+lemma on every simple type of rank <= 8."""
 
 import io
 import sys
 
 import pytest
 
-from minorbit import cli
-from minorbit.cli import _all_phi, _report_rows, emit, enumerate_form
+from minorbit import cli, crflag
+from minorbit.cli import _report_rows, emit, enumerate_form
 from minorbit.golden import compare_golden
 from minorbit.realform import catalog
+from minorbit.rootsys import build_root_system
 
 COMPLEX = [e for e in catalog(8) if e.label == "complex" and e.dim <= 150]
 CASES = [(e, seed) for seed in (None, 1) for e in COMPLEX]
-
-
-def _orbits(rank: int) -> int:
-    half = rank // 2
-    return len({frozenset({p, frozenset(j + half if j <= half else j - half
-                                        for j in p)})
-                for p in _all_phi(rank)})
+SMALL = [(e, check) for check in ("mot", "span") for e in COMPLEX
+         if e.dim <= 80]
+SIMPLE_TYPES = ([("A", l) for l in range(1, 9)] +
+                [(f, l) for f, lo in (("B", 2), ("C", 3), ("D", 3))
+                 for l in range(lo, 9)] +
+                [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
 
 
 def _classify(argv):
@@ -54,20 +57,70 @@ def calls(monkeypatch):
     return seen
 
 
+def _forbid_engine(monkeypatch):
+    """Make building a form context or computing a verdict fail."""
+    def fail(*args, **kwargs):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(crflag, "get_context", fail)
+    monkeypatch.setattr(crflag, "FormContext", fail)
+    monkeypatch.setattr(cli, "concavity_verdict", fail)
+
+
 @pytest.mark.parametrize("entry,seed", CASES,
                          ids=[f"{e.name}-seed{s}" for e, s in CASES])
-def test_reused_rows_equal_direct_rows(calls, entry, seed):
+def test_reused_rows_equal_direct_rows(monkeypatch, entry, seed):
+    """The formula's rows, as `classify` prints them, equal the engine's."""
+    rows = _report_rows(enumerate_form(entry.name, gauge_seed=seed))
+    assert compare_golden(rows, cli._packaged_golden())["mismatches"] == []
     argv = ["--form", entry.name, "--check", "all", "--allow-large"]
     if seed is not None:
         argv += ["--gauge-seed", str(seed)]
-    rc, stdout = _classify(argv)
-    assert rc == 0
-    made = list(calls)
-    assert len(made) == len(set(made)) == _orbits(entry.rank)
+    _forbid_engine(monkeypatch)
+    assert _classify(argv) == (0, emit(rows, "json"))
 
-    rows = _report_rows(enumerate_form(entry.name, gauge_seed=seed))
-    assert compare_golden(rows, cli._packaged_golden())["mismatches"] == []
-    assert emit(rows, "json") == stdout
+
+@pytest.mark.parametrize("entry,check", SMALL,
+                         ids=[f"{e.name}-{c}" for e, c in SMALL])
+def test_formula_rows_under_one_check(monkeypatch, entry, check):
+    rows = _report_rows(enumerate_form(entry.name, check=check))
+    _forbid_engine(monkeypatch)
+    assert _classify(["--form", entry.name, "--check", check, "--no-golden",
+                      "--allow-large"]) == (0, emit(rows, "json"))
+
+
+def test_doubled_entries_have_the_proofs_shape():
+    """No black node and the arrows j <-> j + l, so the conjugation is the
+    copy swap: the hypothesis of `complex_type_verdict`."""
+    doubled = [e for e in catalog(8) if e.doubled]
+    assert [e.name for e in doubled] == [e.name for e in catalog(8)
+                                         if e.label == "complex"]
+    for e in doubled:
+        half = e.rank // 2
+        assert not e.black, e.name
+        assert e.arrows == {j: j + half if j <= half else j - half
+                            for j in range(1, e.rank + 1)}, e.name
+
+
+@pytest.mark.parametrize("family,rank", SIMPLE_TYPES,
+                         ids=[f"{f}{l}" for f, l in SIMPLE_TYPES])
+def test_root_poset_lemma(family, rank):
+    """Adding simple roots to alpha_i, staying inside the root set, reaches
+    every positive root whose support holds i."""
+    rs = build_root_system(family, rank)
+    simples = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    for i, start in enumerate(simples):
+        reached, frontier = {start}, [start]
+        while frontier:
+            nxt = []
+            for r in frontier:
+                for s in simples:
+                    t = tuple(x + y for x, y in zip(r, s))
+                    if t in rs.index and t not in reached:
+                        reached.add(t)
+                        nxt.append(t)
+            frontier = nxt
+        assert reached == {r for r in rs.roots if r[i] > 0}
 
 
 def test_single_phi_is_computed_directly(calls):

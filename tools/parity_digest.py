@@ -1,4 +1,4 @@
-"""Digest of `classify` output over five fixed invocation sets, and of the
+"""Digest of `classify` output over six fixed invocation sets, and of the
 form contexts of the whole catalog, for showing that a change leaves every
 output byte, exit code and context table as it was.
 
@@ -16,6 +16,9 @@ from the `src` directory beside this script:
 - complex: every complex-type form of dimension <= 150 (20 forms) as a
   whole form with `--check all --allow-large` and golden comparison on,
   ungauged and with `--gauge-seed 1`: 40 invocations;
+- complex-all: every complex-type form of `catalog(8)` (32 forms, up to
+  e8(C) with 2^16 cross sets) as a whole form with `--check all
+  --allow-large` and golden comparison on, ungauged: 32 invocations;
 - resolve: `--dump-form` for every `catalog(8)` entry given by its name,
   by its label, by its label with its `--p`/`--q`/`--l` parameters, and by
   its label with `--l <rank>` when it has no `l` parameter; the same four
@@ -73,8 +76,12 @@ def invocation_sets() -> dict[str, list[list[str]]]:
                            if e.label == "complex" and e.dim <= 150)
     complex_ = [["--form", name, "--check", "all", "--allow-large", *gauge]
                 for gauge in GAUGES for name in complex_names]
+    complex_all = [["--form", name, "--check", "all", "--allow-large"]
+                   for name in sorted(n for n, e in forms.items()
+                                      if e.label == "complex")]
     return {"instances": instances, "sweep": sweep, "span": span,
-            "complex": complex_, "resolve": resolve_set()}
+            "complex": complex_, "resolve": resolve_set(),
+            "complex-all": complex_all}
 
 
 def resolve_set() -> list[list[str]]:
