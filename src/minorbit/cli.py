@@ -2,12 +2,14 @@
 
     classify --form <label> [--p N --q N --l N] [--phi 1,4]
              [--check mot|span|all] [--format json|csv|table]
-             [--golden <file>] [--gauge-seed N] [--allow-large]
+             [--golden <file>] [--no-golden] [--gauge-seed N]
              [--dump-form] [--max-rank N]
 
 Exit codes: 0 all golden parity passed, 1 mismatches, 2 usage or data error,
 3 internal error (an implementation bug; the traceback goes to stderr).
 --form, --p, --q and --l pick one catalog entry by `realform.find_form`.
+Before any row is computed: a whole-form run (no --phi) needs rank <= 16,
+and the golden table, unless --no-golden, must cover the form.
 A complex-type form's whole-form rows come from `complex_type_verdict`.
 Identical invocations produce byte-identical JSON.
 """
@@ -28,7 +30,7 @@ from .crflag import complex_type_verdict, concavity_verdict
 # name, so it stays a module attribute
 from .realform import catalog, find_form  # noqa: F401
 
-LARGE_DIM = 150  # algebras above this need --allow-large
+MAX_WHOLE_FORM_RANK = 16  # the largest rank in catalog(8): 2^16 cross sets
 
 
 def _all_phi(rank: int):
@@ -74,13 +76,9 @@ def _run_rows(diag, phis, args) -> tuple[list[dict], list[dict]]:
         return [], [dict(complex_type_verdict(diag, p, args.check),
                          form=diag.name, phi=sorted(p), expected=None,
                          match=None) for p in phis]
-    docs = []
-    for n, p in enumerate(phis, 1):
-        docs.append(concavity_verdict(diag.name, tuple(sorted(p)),
-                                      args.gauge_seed, args.check,
-                                      args.max_rank).to_doc())
-        if args.allow_large and n % 8 == 0:
-            print(f"rows done: {n}/{len(phis)}", file=sys.stderr)
+    docs = [concavity_verdict(diag.name, tuple(sorted(p)), args.gauge_seed,
+                              args.check, args.max_rank).to_doc()
+            for p in phis]
     return docs, _report_rows(docs)
 
 
@@ -167,7 +165,6 @@ def _parser() -> argparse.ArgumentParser:
     ap.add_argument("--no-golden", action="store_true",
                     help="skip golden comparison")
     ap.add_argument("--gauge-seed", type=int, default=None)
-    ap.add_argument("--allow-large", action="store_true")
     ap.add_argument("--max-rank", type=int, default=8)
     ap.add_argument("--dump-form", action="store_true",
                     help="print the catalog entry and exit")
@@ -193,11 +190,6 @@ def main(argv=None) -> int:
                                     separators=(",", ":")) + "\n")
         return 0
 
-    if diag.dim > LARGE_DIM and not args.allow_large:
-        print(f"error: {diag.name} has dimension {diag.dim}; rerun with "
-              f"--allow-large", file=sys.stderr)
-        return 2
-
     if args.phi is not None:
         try:
             phis = [_parse_phi(args.phi, diag.rank)]
@@ -205,11 +197,23 @@ def main(argv=None) -> int:
             print(e, file=sys.stderr)
             return 2
     else:
-        if diag.rank > 8 and not args.allow_large:
-            print(f"error: rank {diag.rank} enumeration needs --phi or "
-                  f"--allow-large", file=sys.stderr)
+        if diag.rank > MAX_WHOLE_FORM_RANK:
+            print(f"error: {diag.name} has 2^{diag.rank} cross sets; give "
+                  f"--phi", file=sys.stderr)
             return 2
         phis = list(_all_phi(diag.rank))
+
+    gold = None
+    if not args.no_golden:
+        try:
+            gold = (goldenmod.load_golden(args.golden) if args.golden
+                    else _packaged_golden())
+            if diag.name not in gold:
+                raise KeyError(f"golden table does not cover form "
+                               f"{diag.name!r}")
+        except (KeyError, OSError, ValueError) as e:  # JSONDecodeError too
+            print(f"error: golden comparison failed: {e}", file=sys.stderr)
+            return 2
 
     try:
         docs, rows = _run_rows(diag, phis, args)
@@ -222,12 +226,10 @@ def main(argv=None) -> int:
         return 3
 
     exit_code = 0
-    if not args.no_golden:
+    if gold is not None:
         try:
-            gold = (goldenmod.load_golden(args.golden) if args.golden
-                    else _packaged_golden())
             diff = goldenmod.compare_golden(rows, gold)
-        except (KeyError, OSError, ValueError) as e:  # JSONDecodeError too
+        except (KeyError, ValueError) as e:  # a bad predicate or params
             print(f"error: golden comparison failed: {e}", file=sys.stderr)
             return 2
         ok = all(f["pass"] for f in diff["forms"].values())

@@ -34,7 +34,8 @@ class SufficiencyViolation(RuntimeError):
 
 
 class FormContext:
-    """Immutable bundle of the algebraic data of one catalog real form."""
+    """The algebraic data of one catalog real form, fixed once built, and a
+    one-entry memo of the chain search of its latest cross set."""
 
     def __init__(self, diag: SatakeDiagram, gauge_seed: int | None = None):
         self.diag = diag
@@ -102,8 +103,7 @@ def parabolic(ctx: FormContext, phi) -> ParabolicData:
 
 def characteristic_real_roots(ctx: FormContext, pd: ParabolicData) -> list[int]:
     """Positive real roots in Qn (automatically in conj(Qn))."""
-    out = [ia for ia in sorted(pd.Qn) if ctx.c(ia) == ia]
-    return out
+    return [ia for ia in sorted(pd.Qn) if ctx.c(ia) == ia]
 
 
 # -- Levi forms ---------------------------------------------------------------
@@ -404,11 +404,15 @@ def _chain_closure(ctx: FormContext, pd: ParabolicData, kphi) -> tuple:
 
 
 def hlc_reachability(ctx: FormContext, pd: ParabolicData, kphi: frozenset,
-                     gamma: int, toward_minus: bool = True) -> dict:
+                     gamma: int) -> dict:
     """Breadth-first chain search: start at any root of conj(Q), repeatedly
-    add elements of K u conj(K) staying inside the root set, reach -gamma
-    (or +gamma).  Returns reached flag plus witness chain or a failure
-    certificate.
+    add elements of K u conj(K) staying inside the root set, reach -gamma.
+    Returns reached flag plus witness chain or a failure certificate.
+
+    No search runs toward +gamma: a real characteristic root gamma lies in
+    Qn, inside Q, and c(gamma) = gamma, so gamma is in conj(Q), the start
+    set, and such a search stops at round 0 with the chain [gamma], which
+    `concavity_verdict` writes directly (the tests keep the search).
 
     Every search of one cross set has the same start and moves, so the
     first call for (pd, kphi) runs one full `root_closure` and later calls
@@ -421,7 +425,7 @@ def hlc_reachability(ctx: FormContext, pd: ParabolicData, kphi: frozenset,
       `reachable_count` is the size of the full closure;
     - a coefficient bound depends only on moves, start and target."""
     rs = ctx.rs
-    target = ctx.negi(gamma) if toward_minus else gamma
+    target = ctx.negi(gamma)
     _, parent, _, bounds = _chain_closure(ctx, pd, kphi)
     if target in parent:
         chain = []
@@ -555,49 +559,41 @@ def concavity_verdict(form: str, phi, gauge_seed: int | None = None,
             semidef.append(g)
 
     mot_details = []
-    mot = True
-    if check in ("mot", "all"):
+    mot = check in ("mot", "all")
+    if mot:
         for g in semidef:
-            res_minus = hlc_reachability(ctx, pd, kphi, g, toward_minus=True)
-            res_plus = hlc_reachability(ctx, pd, kphi, g, toward_minus=False)
+            res_minus = hlc_reachability(ctx, pd, kphi, g)
             mot_details.append({"kind": "real", "gamma": list(rs.roots[g]),
                                 "toward_minus": res_minus,
-                                "toward_plus": res_plus})
+                                "toward_plus": {"reached": True,
+                                                "chain": [list(rs.roots[g])]}})
             if not res_minus["reached"]:
                 mot = False
         # complex characteristic pairs whose Levi form vanishes identically
         # still span semidefinite (zero) covector directions; a chain must
-        # reach one of the two conjugate targets for each such pair
-        seen_pairs = set()
+        # reach one of the two conjugate targets for each such pair, taken
+        # once, at its smaller root
         for b in sorted(pd.Qn):
             cb = ctx.c(b)
-            if cb == b or cb == ctx.negi(b) or b in seen_pairs:
+            if cb <= b or cb not in pd.Qn:
                 continue
-            if cb not in pd.Qn:
-                continue
-            seen_pairs.add(b)
-            seen_pairs.add(cb)
             if q_form(ctx, pd, ctx.negi(b))[1]:
                 continue
-            res_b = hlc_reachability(ctx, pd, kphi, b, toward_minus=True)
-            res_cb = hlc_reachability(ctx, pd, kphi, cb, toward_minus=True)
+            res_b = hlc_reachability(ctx, pd, kphi, b)
+            res_cb = hlc_reachability(ctx, pd, kphi, cb)
             mot_details.append({"kind": "complex-zero-pair",
                                 "beta": list(rs.roots[b]),
                                 "toward_minus_beta": res_b,
                                 "toward_minus_conj_beta": res_cb})
             if not (res_b["reached"] or res_cb["reached"]):
                 mot = False
-    else:
-        mot = False
 
-    span, dims = (True, [])
-    if check in ("span", "all"):
-        span, dims = t_module_span(ctx, pd, kphi)
+    span, dims = (t_module_span(ctx, pd, kphi) if check in ("span", "all")
+                  else (False, []))
     if check == "all" and mot and not span:
         raise SufficiencyViolation(f"{form} phi={sorted(set(phi))}: chain "
                                    f"condition held but span failed")
 
-    authority = span if check in ("span", "all") else mot
     annotation = "orbit is a point (elliptic, empty cross set)" if not phi else ""
     return ConcavityVerdict(
         form=form,
@@ -605,11 +601,11 @@ def concavity_verdict(form: str, phi, gauge_seed: int | None = None,
         finite_type=ft,
         gammas=gammas,
         k_phi=[list(rs.roots[a]) for a in sorted(kphi)],
-        mot_satisfied=mot if check in ("mot", "all") else False,
+        mot_satisfied=mot,
         mot_details=mot_details,
-        span_satisfied=span if check in ("span", "all") else False,
+        span_satisfied=span,
         span_dims=dims,
-        verdict=ft and authority,
+        verdict=ft and (mot if check == "mot" else span),
         annotation=annotation,
         gauge_seed=gauge_seed,
     )

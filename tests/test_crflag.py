@@ -246,7 +246,7 @@ def test_fii_chain_fails_with_certificate():
     pd = parabolic(ctx, {3})
     kp = k_phi(ctx, pd)
     g = characteristic_real_roots(ctx, pd)[0]
-    res = hlc_reachability(ctx, pd, kp, g, toward_minus=True)
+    res = hlc_reachability(ctx, pd, kp, g)
     assert not res["reached"]
     cert = res["certificate"]
     assert cert["kind"] == "coefficient-bound"
@@ -254,7 +254,9 @@ def test_fii_chain_fails_with_certificate():
     assert cert["target_coefficient"] == -2
     assert cert["start_minimum"] == -1
     # the positive direction is trivially reachable
-    assert hlc_reachability(ctx, pd, kp, g, toward_minus=False)["reached"]
+    real = concavity_verdict("FII", {3}, check="mot").mot_details[0]
+    assert real["gamma"] == list(ctx.rs.roots[g])
+    assert real["toward_plus"]["reached"]
 
 
 def test_eiii_chain_succeeds_with_witness():
@@ -266,7 +268,7 @@ def test_eiii_chain_succeeds_with_witness():
         if classify_levi(*levi_matrix(ctx, pd, g))[0].is_semidefinite():
             semidef.append(g)
     for g in semidef:
-        res = hlc_reachability(ctx, pd, kp, g, toward_minus=True)
+        res = hlc_reachability(ctx, pd, kp, g)
         assert res["reached"]
         chain = [tuple(r) for r in res["chain"]]
         total = chain[0]
@@ -288,7 +290,7 @@ def test_ciia_small_threshold_reaches_all_characteristics():
     chars = sorted(pd.Qn & frozenset(ctx.c(a) for a in pd.Qn))
     assert chars
     for d in chars:
-        assert hlc_reachability(ctx, pd, kp, d, toward_minus=True)["reached"]
+        assert hlc_reachability(ctx, pd, kp, d)["reached"]
 
 
 # -- no-triples scan -----------------------------------------------------------

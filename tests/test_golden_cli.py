@@ -8,6 +8,7 @@ import pytest
 
 from minorbit.cli import default_golden_path, emit
 from minorbit.golden import compare_golden, load_golden
+from test_swap_reuse import _forbid_engine
 
 
 def run_cli(args, env=None):
@@ -115,10 +116,44 @@ def test_cli_internal_error_exit_code(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: bad catalog entry\n"
 
 
-def test_cli_large_gate():
-    r = run_cli(["--form", "EIX", "--phi", "1"])
-    assert r.returncode == 2
-    assert b"--allow-large" in r.stderr
+def test_cli_single_phi_of_e8(capsys):
+    from minorbit import cli
+    assert cli.main(["--form", "EIX", "--phi", "1"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(r["form"], r["phi"]) for r in rows] == [("EIX", [1])]
+
+
+def _forbid_rows(monkeypatch):
+    """Make building a form context or computing any row fail, the
+    formula's rows of a complex-type form included."""
+    from minorbit import cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a row was computed")
+
+    _forbid_engine(monkeypatch)
+    monkeypatch.setattr(cli, "complex_type_verdict", fail)
+
+
+def test_cli_whole_form_rank_cap(monkeypatch, capsys):
+    """A whole-form run past rank 16 is refused before any row is built."""
+    from minorbit import cli
+    _forbid_rows(monkeypatch)
+    assert cli.main(["--form", "sl(10,C)", "--max-rank", "9",
+                     "--no-golden"]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == "error: sl(10,C) has 2^18 cross sets; give --phi\n"
+
+
+def test_cli_uncovered_form_fails_before_rows(monkeypatch, capsys):
+    from minorbit import cli
+    _forbid_rows(monkeypatch)
+    assert cli.main(["--form", "sl(10,R)", "--max-rank", "9"]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == ("error: golden comparison failed: \"golden table does "
+                   "not cover form 'sl(10,R)'\"\n")
 
 
 def test_cli_mismatch_exit_code(tmp_path):
@@ -325,10 +360,7 @@ def test_cli_passes_golden_on_every_rank6_form(capsys):
     gold = cli._packaged_golden()
     readings = {}
     for e in catalog(6):
-        argv = ["--form", e.name]
-        if e.rank > 8 or e.dim > cli.LARGE_DIM:
-            argv.append("--allow-large")
-        assert cli.main(argv) == 0, e.name
+        assert cli.main(["--form", e.name]) == 0, e.name
         rows = json.loads(capsys.readouterr().out)["rows"]
         summary = compare_golden(rows, gold)["forms"]
         assert summary.keys() == {e.name} and summary[e.name]["pass"]

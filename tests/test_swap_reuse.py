@@ -73,7 +73,7 @@ def test_reused_rows_equal_direct_rows(monkeypatch, entry, seed):
     """The formula's rows, as `classify` prints them, equal the engine's."""
     rows = _report_rows(enumerate_form(entry.name, gauge_seed=seed))
     assert compare_golden(rows, cli._packaged_golden())["mismatches"] == []
-    argv = ["--form", entry.name, "--check", "all", "--allow-large"]
+    argv = ["--form", entry.name, "--check", "all"]
     if seed is not None:
         argv += ["--gauge-seed", str(seed)]
     _forbid_engine(monkeypatch)
@@ -85,8 +85,8 @@ def test_reused_rows_equal_direct_rows(monkeypatch, entry, seed):
 def test_formula_rows_under_one_check(monkeypatch, entry, check):
     rows = _report_rows(enumerate_form(entry.name, check=check))
     _forbid_engine(monkeypatch)
-    assert _classify(["--form", entry.name, "--check", check, "--no-golden",
-                      "--allow-large"]) == (0, emit(rows, "json"))
+    assert _classify(["--form", entry.name, "--check", check,
+                      "--no-golden"]) == (0, emit(rows, "json"))
 
 
 def test_doubled_entries_have_the_proofs_shape():

@@ -14,11 +14,11 @@ from the `src` directory beside this script:
 - span: the instance rows again with `--check span`, where the span and
   not a chain search starts the cross set's closure: 496 invocations;
 - complex: every complex-type form of dimension <= 150 (20 forms) as a
-  whole form with `--check all --allow-large` and golden comparison on,
-  ungauged and with `--gauge-seed 1`: 40 invocations;
+  whole form with `--check all` and golden comparison on, ungauged and
+  with `--gauge-seed 1`: 40 invocations;
 - complex-all: every complex-type form of `catalog(8)` (32 forms, up to
-  e8(C) with 2^16 cross sets) as a whole form with `--check all
-  --allow-large` and golden comparison on, ungauged: 32 invocations;
+  e8(C) with 2^16 cross sets) as a whole form with `--check all` and
+  golden comparison on, ungauged: 32 invocations;
 - resolve: `--dump-form` for every `catalog(8)` entry given by its name,
   by its label, by its label with its `--p`/`--q`/`--l` parameters, and by
   its label with `--l <rank>` when it has no `l` parameter; the same four
@@ -74,9 +74,9 @@ def invocation_sets() -> dict[str, list[list[str]]]:
     span = [[*argv, "--check", "span"] for argv in instances]
     complex_names = sorted(n for n, e in forms.items()
                            if e.label == "complex" and e.dim <= 150)
-    complex_ = [["--form", name, "--check", "all", "--allow-large", *gauge]
+    complex_ = [["--form", name, "--check", "all", *gauge]
                 for gauge in GAUGES for name in complex_names]
-    complex_all = [["--form", name, "--check", "all", "--allow-large"]
+    complex_all = [["--form", name, "--check", "all"]
                    for name in sorted(n for n, e in forms.items()
                                       if e.label == "complex")]
     return {"instances": instances, "sweep": sweep, "span": span,
