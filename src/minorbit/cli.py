@@ -2,15 +2,21 @@
 
     classify --form <label> [--p N --q N --l N] [--phi 1,4]
              [--check mot|span|all] [--format json|csv|table]
-             [--golden <file>] [--no-golden] [--gauge-seed N]
+             [--golden <file> | --no-golden] [--gauge-seed N]
              [--dump-form] [--max-rank N]
 
 Exit codes: 0 all golden parity passed, 1 mismatches, 2 usage or data error,
 3 internal error (an implementation bug; the traceback goes to stderr).
 --form, --p, --q and --l pick one catalog entry by `realform.find_form`.
-Before any row is computed: a whole-form run (no --phi) needs rank <= 16,
-and the golden table, unless --no-golden, must cover the form.
-A complex-type form's whole-form rows come from `complex_type_verdict`.
+--golden and --no-golden exclude each other.  Before any row is computed:
+a whole-form run (no --phi) needs rank <= 16, and the golden table, unless
+--no-golden, must cover the form.
+A single-Phi run (--phi) prints the report row and, under "details", the
+full verdict document of `concavity_verdict`.  A whole-form run prints
+only the rows, so it builds no documents: a complex-type form's rows come
+from `complex_type_verdict`, a real form's from `verdict_fields`, which
+decides the chain condition bound first and stops at its first failed
+target.
 Identical invocations produce byte-identical JSON.
 """
 
@@ -25,7 +31,7 @@ from importlib import resources
 from itertools import combinations
 
 from . import golden as goldenmod
-from .crflag import complex_type_verdict, concavity_verdict
+from .crflag import complex_type_verdict, concavity_verdict, verdict_fields
 # catalog is not called here, but perfbench/tracing.py wraps cli.catalog by
 # name, so it stays a module attribute
 from .realform import catalog, find_form  # noqa: F401
@@ -70,12 +76,18 @@ def enumerate_form(name: str, phis=None, gauge_seed=None, check="all",
 
 
 def _run_rows(diag, phis, args) -> tuple[list[dict], list[dict]]:
-    """(verdict documents, report rows) for `phis`.  The rows of a whole-form
-    run of a complex-type form come from the formula, with no documents."""
-    if diag.doubled and args.phi is None:
-        return [], [dict(complex_type_verdict(diag, p, args.check),
-                         form=diag.name, phi=sorted(p), expected=None,
-                         match=None) for p in phis]
+    """(verdict documents, report rows) for `phis`.  A whole-form run builds
+    no documents: it reads each row's fields from `complex_type_verdict`
+    for a complex-type form and from `verdict_fields` for a real one."""
+    if args.phi is None:
+        if diag.doubled:
+            fields = [complex_type_verdict(diag, p, args.check) for p in phis]
+        else:
+            fields = [verdict_fields(diag.name, tuple(sorted(p)),
+                                     args.gauge_seed, args.check,
+                                     args.max_rank) for p in phis]
+        return [], [dict(f, form=diag.name, phi=sorted(p), expected=None,
+                         match=None) for p, f in zip(phis, fields)]
     docs = [concavity_verdict(diag.name, tuple(sorted(p)), args.gauge_seed,
                               args.check, args.max_rank).to_doc()
             for p in phis]
@@ -161,9 +173,11 @@ def _parser() -> argparse.ArgumentParser:
     ap.add_argument("--check", choices=("mot", "span", "all"), default="all")
     ap.add_argument("--format", choices=("json", "csv", "table"),
                     default="json")
-    ap.add_argument("--golden", help="golden table JSON (default: packaged)")
-    ap.add_argument("--no-golden", action="store_true",
-                    help="skip golden comparison")
+    golden = ap.add_mutually_exclusive_group()
+    golden.add_argument("--golden",
+                        help="golden table JSON (default: packaged)")
+    golden.add_argument("--no-golden", action="store_true",
+                        help="skip golden comparison")
     ap.add_argument("--gauge-seed", type=int, default=None)
     ap.add_argument("--max-rank", type=int, default=8)
     ap.add_argument("--dump-form", action="store_true",

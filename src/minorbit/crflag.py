@@ -2,18 +2,26 @@
 characteristic real roots, exact Levi forms, the common kernel set K_Phi,
 finite type, the root-chain sufficient condition, and the authoritative
 span decision in the real form.  One root-set closure, `root_closure`, runs
-at most once per cross set: the chain search reads its parent map, and the
-span, which equals the iterated bracket module, is read from the same
-closure and its conjugate (see `t_module_span`).  Finite type needs no
-closure: by the theorem on closed root sets that contain every positive
-root it is read from simple-root supports (see `finite_type`).  A theorem
-gives the rows of a complex-type form with no context or closure at all
-(see `complex_type_verdict`).  Every root sum comes from the root system's
+at most once per cross set, and only when something reads it: the span,
+which equals the iterated bracket module, is read from the closure and its
+conjugate (see `t_module_span`), and a chain decision reads it only for a
+target that no coefficient bound excludes (see `chain_decision`, which
+tests the bound first).  Finite type needs no closure: by the theorem on
+closed root sets that contain every positive root it is read from
+simple-root supports (see `finite_type`).  A theorem gives the rows of a
+complex-type form with no context or closure at all (see
+`complex_type_verdict`).  Every root sum comes from the root system's
 `sum_row` and `sum_pairs` tables.  A Levi form is read from the root
 involution: its Gaussian-integer entries come from the pair lists, the
 conjugation and the Chevalley constants, and `classify_levi` decides its
 class and category from their positions and signs, with no Killing value,
 no dense matrix and no elimination.
+
+Two paths share these pieces.  `concavity_verdict` builds the full verdict
+document of one cross set, with witness chains, certificates, the kernel
+set and the span dimensions.  `verdict_fields` computes only the report
+fields of a row: it stops the chain condition at the first failed target
+and reads the span as one set, with the same checks on the way.
 """
 
 from __future__ import annotations
@@ -46,8 +54,8 @@ class FormContext:
         self.sc: StructureConstants = sc
         self.conj: Conjugation = build_conjugation(diag, self.rs, sc)
         self.gauge_seed = gauge_seed
-        # one-entry memo of the chain search, see _chain_closure
-        self._chain_memo: tuple | None = None
+        # one-entry memo of the chain data of a cross set, see _cross_set_memo
+        self._chain_memo: dict | None = None
 
     def c(self, ia: int) -> int:
         return self.conj.c_index[ia]
@@ -247,25 +255,17 @@ def k_phi(ctx: FormContext, pd: ParabolicData) -> frozenset:
     characteristic Levi forms: a + conj(a) not a root (imaginary counts as
     not a root), or -(a + conj(a)) outside Q, or the form at a + conj(a)
     indefinite."""
-    rs = ctx.rs
+    cidx, rows, negi = ctx.conj.c_index, ctx.rs.sum_row, ctx.rs.neg_index
     cls_cache: dict[int, DefinitenessClass] = {}
-
-    def form_class(target: int) -> DefinitenessClass:
-        if target not in cls_cache:
-            cls_cache[target] = classify_levi(*q_form(ctx, pd, target))[0]
-        return cls_cache[target]
-
     out = set()
     for a in pd.Q:
-        ca = ctx.c(a)
-        beta = ctx.summed(a, ca)
-        if beta is None:
+        beta = rows[a].get(cidx[a])
+        if beta is None or negi[beta] not in pd.Q:
             out.add(a)
             continue
-        if ctx.negi(beta) not in pd.Q:
-            out.add(a)
-            continue
-        if form_class(beta) is DefinitenessClass.INDEFINITE:
+        if beta not in cls_cache:
+            cls_cache[beta] = classify_levi(*q_form(ctx, pd, beta))[0]
+        if cls_cache[beta] is DefinitenessClass.INDEFINITE:
             out.add(a)
     return frozenset(out)
 
@@ -384,23 +384,72 @@ def root_closure(ctx: FormContext, start, moves) -> tuple[dict, list[int]]:
     return parent, sizes
 
 
-def _chain_closure(ctx: FormContext, pd: ParabolicData, kphi) -> tuple:
-    """The closure data of one cross set, shared by the chain search and
-    the span, from a one-entry memo on the context: (key, parent map and
-    sizes of the `root_closure` of conj(Q) under K u conj(K),
-    [(j, minimum of coordinate j over conj(Q))] for every coordinate j on
-    which no move is negative)."""
+def _cross_set_memo(ctx: FormContext, pd: ParabolicData, kphi) -> dict:
+    """The one-entry memo on the context for the cross set (pd, kphi): its
+    key and moves K u conj(K), and, once `_chain_bounds` or `_chain_closure`
+    has asked for them, its bounds and closure."""
     memo = ctx._chain_memo
-    if memo is None or memo[0] != (pd, kphi):
-        roots = ctx.rs.roots
-        moves = set(kphi) | {ctx.c(a) for a in kphi}
-        parent, sizes = root_closure(ctx, pd.Qbar, moves)
-        bounds = [(j, min(roots[a][j] for a in pd.Qbar))
-                  for j in range(ctx.rs.rank)
-                  if all(roots[mv][j] >= 0 for mv in moves)]
-        memo = ctx._chain_memo = ((pd, frozenset(kphi)), parent, sizes,
-                                  bounds)
+    if memo is None or memo["key"] != (pd, kphi):
+        kphi, cidx = frozenset(kphi), ctx.conj.c_index
+        memo = ctx._chain_memo = {
+            "key": (pd, kphi), "moves": kphi | {cidx[a] for a in kphi}}
     return memo
+
+
+def _chain_closure(ctx: FormContext, pd: ParabolicData, kphi) -> tuple:
+    """Parent map and sizes of the `root_closure` of conj(Q) under
+    K u conj(K), shared by the chain decisions and the span, built at most
+    once per cross set and only when one of them reads it: a chain decision
+    reads it only for a target that no coefficient bound excludes (see
+    `chain_decision`)."""
+    memo = _cross_set_memo(ctx, pd, kphi)
+    if "closure" not in memo:
+        memo["closure"] = root_closure(ctx, pd.Qbar, memo["moves"])
+    return memo["closure"]
+
+
+def _chain_bounds(ctx: FormContext, pd: ParabolicData, kphi) -> list:
+    """[(j, minimum of coordinate j over conj(Q))] for every coordinate j on
+    which no move is negative, in ascending j, built once per cross set.  A
+    root has all coefficients >= 0 or all <= 0, so a move is negative on j
+    iff it is a negative root (index below half) with j in its support."""
+    memo = _cross_set_memo(ctx, pd, kphi)
+    if "bounds" not in memo:
+        masks, roots = ctx.rs.support_masks, ctx.rs.roots
+        half = len(masks) // 2  # negatives come first
+        negative = 0
+        for mv in memo["moves"]:
+            if mv < half:
+                negative |= masks[mv]
+        lows = map(min, zip(*[roots[a] for a in pd.Qbar]))
+        memo["bounds"] = [(j, lo) for j, lo in enumerate(lows)
+                          if not negative >> j & 1]
+    return memo["bounds"]
+
+
+def chain_decision(ctx: FormContext, pd: ParabolicData, kphi,
+                   target: int) -> tuple:
+    """Whether a chain from conj(Q), adding elements of K u conj(K) and
+    staying inside the root set, reaches the root `target`, decided bound
+    first.  Returns (bound, parent):
+    - bound = (j, lo), the first coordinate j on which no move is negative
+      and the target's coefficient lies below lo, the minimum of coordinate
+      j over conj(Q); then parent is None and no closure is built;
+    - else bound is None, parent is the memoised parent map of the cross
+      set's one closure (`_chain_closure`), and the target is reached iff
+      it is a key.
+
+    Proof that a bound excludes the target.  A chain starts at a root of
+    conj(Q), whose coordinate j is at least lo, and each step adds a move,
+    whose coordinate j is >= 0; so coordinate j never falls below lo along
+    any chain, and a root whose coordinate j is below lo is never reached.
+    Hence testing the bound first and the closure only when no bound
+    applies gives the same answer as closure membership."""
+    tgt = ctx.rs.roots[target]
+    for j, lo in _chain_bounds(ctx, pd, kphi):
+        if tgt[j] < lo:
+            return (j, lo), None
+    return None, _chain_closure(ctx, pd, kphi)[0]
 
 
 def hlc_reachability(ctx: FormContext, pd: ParabolicData, kphi: frozenset,
@@ -414,41 +463,44 @@ def hlc_reachability(ctx: FormContext, pd: ParabolicData, kphi: frozenset,
     set, and such a search stops at round 0 with the chain [gamma], which
     `concavity_verdict` writes directly (the tests keep the search).
 
-    Every search of one cross set has the same start and moves, so the
-    first call for (pd, kphi) runs one full `root_closure` and later calls
-    only look up their target.  The answers equal those of a per-target
-    search that stops once a round has reached its target:
+    The decision is `chain_decision`'s, bound first: a target that a
+    coefficient bound excludes gets the first such bound as its
+    certificate, and no closure is built for it.  Otherwise the cross set's
+    one memoised `root_closure` answers, and the witness chain is read from
+    its parent map.  The answers equal those of a per-target search that
+    stops once a round has reached its target and, on a miss, names the
+    first coordinate bound or else the closure it exhausted:
     - that search checks its stop only between rounds and walks frontiers
       and moves in the same order as the full search, so every root it
       discovers gets the same parent, and every witness chain is the same;
-    - an unreached target means that search ran to exhaustion, so its
-      `reachable_count` is the size of the full closure;
-    - a coefficient bound depends only on moves, start and target."""
+    - a target that a bound excludes is never reached (see
+      `chain_decision`), and a bound depends only on moves, start and
+      target, so testing it first gives the same certificate;
+    - an unreached target with no bound means that search ran to
+      exhaustion, so its `reachable_count` is the size of the full
+      closure."""
     rs = ctx.rs
     target = ctx.negi(gamma)
-    _, parent, _, bounds = _chain_closure(ctx, pd, kphi)
-    if target in parent:
-        chain = []
-        cur = target
-        while cur is not None:
-            prev, mv = parent[cur]
-            chain.append(mv if mv is not None else cur)
-            cur = prev
-        chain.reverse()
-        return {"reached": True,
-                "chain": [list(rs.roots[a]) for a in chain]}
-    # certificate: a simple-root coordinate bounded below along every chain
-    tgt = rs.roots[target]
-    for j, lo in bounds:
-        if tgt[j] < lo:
-            return {"reached": False,
-                    "certificate": {"kind": "coefficient-bound",
-                                    "coordinate": j + 1,
-                                    "start_minimum": lo,
-                                    "target_coefficient": tgt[j]}}
-    return {"reached": False,
-            "certificate": {"kind": "closure-exhausted",
-                            "reachable_count": len(parent)}}
+    bound, parent = chain_decision(ctx, pd, kphi, target)
+    if bound is not None:
+        j, lo = bound
+        return {"reached": False,
+                "certificate": {"kind": "coefficient-bound",
+                                "coordinate": j + 1,
+                                "start_minimum": lo,
+                                "target_coefficient": rs.roots[target][j]}}
+    if target not in parent:
+        return {"reached": False,
+                "certificate": {"kind": "closure-exhausted",
+                                "reachable_count": len(parent)}}
+    chain = []
+    cur = target
+    while cur is not None:
+        prev, mv = parent[cur]
+        chain.append(mv if mv is not None else cur)
+        cur = prev
+    chain.reverse()
+    return {"reached": True, "chain": [list(rs.roots[a]) for a in chain]}
 
 
 # -- the span decision in the real form --------------------------------------
@@ -492,7 +544,7 @@ def t_module_span(ctx: FormContext, pd: ParabolicData,
     P_h u c(P_h).  The parent map lists P in discovery order and its sizes
     mark the rounds, so the span reuses the chain search's closure."""
     full = len(ctx.rs.roots)
-    _, parent, sizes, _ = _chain_closure(ctx, pd, kphi)
+    parent, sizes = _chain_closure(ctx, pd, kphi)
     order, cidx = list(parent), ctx.conj.c_index
     reached, dims, done = set(), [], 0
     for n in sizes:
@@ -506,7 +558,94 @@ def t_module_span(ctx: FormContext, pd: ParabolicData,
     return len(reached) == full, dims
 
 
+def span_holds(ctx: FormContext, pd: ParabolicData, kphi) -> bool:
+    """The span verdict of `t_module_span` without its rounds: whether
+    P u c(P) is every root, P the cross set's chain closure.  The round
+    sets S_h = P_h u c(P_h) grow to P u c(P), and the rounds stop early
+    only when S_h is every root or when a round adds nothing.  S_{h+1} is
+    S_h with the root sums of its roots and the moves, so it depends on
+    S_h alone, and a round that adds nothing leaves S_h at its final value
+    P u c(P).  Either way the verdict is whether P u c(P) is every root."""
+    parent = _chain_closure(ctx, pd, kphi)[0]
+    cidx = ctx.conj.c_index
+    return len(parent.keys() | {cidx[a] for a in parent}) == len(ctx.rs.roots)
+
+
 # -- full pipeline ------------------------------------------------------------
+
+
+def _mot_targets(ctx: FormContext, pd: ParabolicData, levi):
+    """The targets of the chain condition in report order, each a tuple of
+    roots of which a chain must reach one negative: every real
+    characteristic root gamma whose class in `levi` (`_levi_classes`) is
+    semidefinite as (gamma,), then every complex
+    characteristic pair {b, c(b)} in Qn whose Levi form vanishes
+    identically, as (b, c(b)) with b < c(b).  Such a pair still spans
+    semidefinite (zero) covector directions, so a chain must reach -b or
+    -c(b).  The pairs are listed lazily, so a caller that stops at the
+    first failed target tests no later pair's Levi form."""
+    for g, cls, _ in levi:
+        if cls.is_semidefinite():
+            yield (g,)
+    for b in sorted(pd.Qn):
+        cb = ctx.c(b)
+        if cb <= b or cb not in pd.Qn:
+            continue
+        if q_form(ctx, pd, ctx.negi(b))[1]:
+            continue
+        yield (b, cb)
+
+
+def _levi_classes(ctx: FormContext, pd: ParabolicData) -> list:
+    """(gamma, class, category) of every real characteristic root."""
+    return [(g, *classify_levi(*levi_matrix(ctx, pd, g)))
+            for g in characteristic_real_roots(ctx, pd)]
+
+
+def _check_sufficiency(form: str, phi, check: str, mot: bool, span: bool):
+    if check == "all" and mot and not span:
+        raise SufficiencyViolation(f"{form} phi={sorted(set(phi))}: chain "
+                                   f"condition held but span failed")
+
+
+def _reached(ctx: FormContext, pd: ParabolicData, kphi, target: int) -> bool:
+    parent = chain_decision(ctx, pd, kphi, target)[1]
+    return parent is not None and target in parent
+
+
+def verdict_fields(form: str, phi, gauge_seed: int | None = None,
+                   check: str = "all", max_rank: int = 8) -> dict:
+    """The report fields (finite_type, levi, mot, span, verdict) of the
+    cross set `phi` of a real form, equal to those `cli` reads from
+    `concavity_verdict`'s document, with no document, witness chain,
+    certificate, k_phi list or span_dims built.
+
+    Every check of `concavity_verdict` stays: `k_phi` runs, so the
+    invariants of `classify_levi` still raise, every real characteristic
+    root is classified, and `SufficiencyViolation` fires under --check
+    all.  The chain condition is decided target by target with
+    `chain_decision`, bound first, and stops at the first target that
+    fails, so a row whose first target a bound excludes builds no closure;
+    the span reads the closure only under --check span|all."""
+    ctx = get_context(form, gauge_seed, max_rank)
+    pd = parabolic(ctx, phi)
+    ft = finite_type(ctx, pd)
+    kphi = k_phi(ctx, pd)
+    levi = _levi_classes(ctx, pd)
+    mot = check in ("mot", "all")
+    if mot:
+        for choices in _mot_targets(ctx, pd, levi):
+            if not any(_reached(ctx, pd, kphi, ctx.negi(r)) for r in choices):
+                mot = False
+                break
+    span = check in ("span", "all") and span_holds(ctx, pd, kphi)
+    _check_sufficiency(form, phi, check, mot, span)
+    roots = ctx.rs.roots
+    return {"finite_type": ft,
+            "levi": ";".join("%s:%s" % ("".join(map(str, roots[g])),
+                                        cls.value) for g, cls, _ in levi),
+            "mot": mot, "span": span,
+            "verdict": ft and (mot if check == "mot" else span)}
 
 
 @dataclass
@@ -549,57 +688,37 @@ def concavity_verdict(form: str, phi, gauge_seed: int | None = None,
     pd = parabolic(ctx, phi)
     ft = finite_type(ctx, pd)
     kphi = k_phi(ctx, pd)
-
-    gammas = []
-    semidef = []
-    for g in characteristic_real_roots(ctx, pd):
-        cls, cat = classify_levi(*levi_matrix(ctx, pd, g))
-        gammas.append((list(rs.roots[g]), cls.value, cat))
-        if cls.is_semidefinite():
-            semidef.append(g)
+    levi = _levi_classes(ctx, pd)
 
     mot_details = []
     mot = check in ("mot", "all")
     if mot:
-        for g in semidef:
-            res_minus = hlc_reachability(ctx, pd, kphi, g)
-            mot_details.append({"kind": "real", "gamma": list(rs.roots[g]),
-                                "toward_minus": res_minus,
-                                "toward_plus": {"reached": True,
-                                                "chain": [list(rs.roots[g])]}})
-            if not res_minus["reached"]:
-                mot = False
-        # complex characteristic pairs whose Levi form vanishes identically
-        # still span semidefinite (zero) covector directions; a chain must
-        # reach one of the two conjugate targets for each such pair, taken
-        # once, at its smaller root
-        for b in sorted(pd.Qn):
-            cb = ctx.c(b)
-            if cb <= b or cb not in pd.Qn:
-                continue
-            if q_form(ctx, pd, ctx.negi(b))[1]:
-                continue
-            res_b = hlc_reachability(ctx, pd, kphi, b)
-            res_cb = hlc_reachability(ctx, pd, kphi, cb)
-            mot_details.append({"kind": "complex-zero-pair",
-                                "beta": list(rs.roots[b]),
-                                "toward_minus_beta": res_b,
-                                "toward_minus_conj_beta": res_cb})
-            if not (res_b["reached"] or res_cb["reached"]):
+        for choices in _mot_targets(ctx, pd, levi):
+            res = [hlc_reachability(ctx, pd, kphi, r) for r in choices]
+            if len(choices) == 1:
+                g = list(rs.roots[choices[0]])
+                mot_details.append({"kind": "real", "gamma": g,
+                                    "toward_minus": res[0],
+                                    "toward_plus": {"reached": True,
+                                                    "chain": [g]}})
+            else:
+                mot_details.append({"kind": "complex-zero-pair",
+                                    "beta": list(rs.roots[choices[0]]),
+                                    "toward_minus_beta": res[0],
+                                    "toward_minus_conj_beta": res[1]})
+            if not any(r["reached"] for r in res):
                 mot = False
 
     span, dims = (t_module_span(ctx, pd, kphi) if check in ("span", "all")
                   else (False, []))
-    if check == "all" and mot and not span:
-        raise SufficiencyViolation(f"{form} phi={sorted(set(phi))}: chain "
-                                   f"condition held but span failed")
+    _check_sufficiency(form, phi, check, mot, span)
 
     annotation = "orbit is a point (elliptic, empty cross set)" if not phi else ""
     return ConcavityVerdict(
         form=form,
         phi=tuple(sorted(set(phi))),
         finite_type=ft,
-        gammas=gammas,
+        gammas=[(list(rs.roots[g]), cls.value, cat) for g, cls, cat in levi],
         k_phi=[list(rs.roots[a]) for a in sorted(kphi)],
         mot_satisfied=mot,
         mot_details=mot_details,

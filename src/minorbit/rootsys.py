@@ -20,6 +20,9 @@ from typing import Callable, Iterable, Sequence
 Root = tuple  # integer coefficient vector over the simple basis
 
 _FAMILIES = "ABCDEFG"
+# root keys in base 32 (see RootSystem.sum_row): exact while every
+# coefficient of a sum of two roots has |c| < 16
+_KEY_BASE = 32
 
 ROOT_COUNT = {  # |R| for each irreducible type, keyed by family
     "A": lambda l: l * (l + 1),
@@ -160,15 +163,32 @@ class RootSystem:
 
     @cached_property
     def sum_row(self) -> list[dict[int, int]]:
-        # a + b = b + a: each unordered pair is added once and fills both
-        # rows; row k gets its keys below k from the earlier passes, then
-        # its keys above k, so every row iterates in ascending order
-        roots, index = self.roots, self.index
-        rows: list[dict[int, int]] = [{} for _ in roots]
-        for ia, ra in enumerate(roots):
+        """sum_row[a] maps b to the index of roots[a] + roots[b], for every
+        b with that sum a root, in ascending b.
+
+        Each root is encoded as the integer sum of c_j 32^j over its
+        coefficients c_j, so a sum of roots is encoded by the sum of their
+        keys.  The encoding is exact: a root's coefficients have |c| <= 6
+        (E8's highest root), so a sum of two roots has |c| <= 12, and two
+        vectors whose coefficients all have |c| < 16 and whose keys are
+        equal are equal (their difference has digits |d| < 32 and encodes 0,
+        so d_0 = 0 mod 32 forces d_0 = 0, and so on upward).  Raises
+        ArithmeticError if a root breaks that digit bound.
+
+        a + b = b + a: each unordered pair is added once and fills both
+        rows; row k gets its keys below k from the earlier passes, then its
+        keys above k, so every row iterates in ascending order."""
+        if 2 * max(abs(c) for r in self.roots for c in r) >= _KEY_BASE // 2:
+            raise ArithmeticError("a root coefficient breaks the digit bound "
+                                  "of the integer root keys")
+        powers = [_KEY_BASE ** j for j in range(self.rank)]
+        keys = [sum(map(operator.mul, r, powers)) for r in self.roots]
+        find = {k: i for i, k in enumerate(keys)}.get
+        rows: list[dict[int, int]] = [{} for _ in keys]
+        for ia, ka in enumerate(keys):
             row = rows[ia]
-            for ib in range(ia + 1, len(roots)):
-                si = index.get(tuple(map(operator.add, ra, roots[ib])))
+            for ib in range(ia + 1, len(keys)):
+                si = find(ka + keys[ib])
                 if si is not None:
                     row[ib] = si
                     rows[ib][ia] = si

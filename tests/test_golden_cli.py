@@ -77,6 +77,19 @@ def test_cli_usage_errors():
     assert r.returncode == 2
 
 
+def test_cli_rejects_golden_file_with_no_golden(capsys):
+    """--golden FILE and --no-golden contradict each other: the run exits 2
+    before the file is read, where it used to ignore the file and pass."""
+    from minorbit import cli
+    with pytest.raises(SystemExit) as e:
+        cli.main(["--form", "su(2,3)", "--phi", "1", "--golden",
+                  "/nonexistent.json", "--no-golden"])
+    assert e.value.code == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert "not allowed with argument --golden" in err
+
+
 def test_cli_params_must_agree_with_an_exact_name(capsys):
     from minorbit import cli
     for extra in (["--p", "1", "--q", "9"], ["--p", "3"], ["--l", "5"]):

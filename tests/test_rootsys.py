@@ -258,3 +258,33 @@ def test_sum_tables_match_tuple_addition(rs):
     assert keys == set(build_chevalley(rs).ntable)
     assert rs.support_masks == [sum(1 << (j - 1) for j in support(r))
                                 for r in rs.roots]
+
+
+def _tuple_sum_rows(rs):
+    """The tuple-sum build of `sum_row`: every pair added coordinatewise and
+    looked up in the root index, in ascending index order."""
+    rows = [{} for _ in rs.roots]
+    for ia, ra in enumerate(rs.roots):
+        for ib in range(ia + 1, len(rs.roots)):
+            si = rs.index.get(tuple(x + y for x, y in zip(ra, rs.roots[ib])))
+            if si is not None:
+                rows[ia][ib] = si
+                rows[ib][ia] = si
+    return rows
+
+
+@pytest.mark.parametrize("types", [(t,) for t in SIMPLE_TYPES]
+                         + [(t, t) for t in DOUBLED_TYPES],
+                         ids=lambda ts: "+".join(map(str, ts)))
+def test_integer_key_sum_row_matches_tuple_sums(types):
+    rs = RootSystem(types)
+    want = _tuple_sum_rows(rs)
+    assert [list(row.items()) for row in rs.sum_row] == \
+        [list(row.items()) for row in want]
+
+
+def test_sum_row_rejects_coefficients_past_the_digit_bound():
+    rs = build_root_system("A", 2)
+    rs.roots = [*rs.roots, (8, 0)]
+    with pytest.raises(ArithmeticError):
+        rs.sum_row

@@ -1,4 +1,4 @@
-"""Digest of `classify` output over six fixed invocation sets, and of the
+"""Digest of `classify` output over seven fixed invocation sets, and of the
 form contexts of the whole catalog, for showing that a change leaves every
 output byte, exit code and context table as it was.
 
@@ -19,6 +19,10 @@ from the `src` directory beside this script:
 - complex-all: every complex-type form of `catalog(8)` (32 forms, up to
   e8(C) with 2^16 cross sets) as a whole form with `--check all` and
   golden comparison on, ungauged: 32 invocations;
+- real: every non-compact, non-complex form of `catalog(6)` (80 forms) as
+  a whole form, three times: `--check all` with golden comparison on,
+  `--check span --no-golden`, and `--check all --gauge-seed 1` with golden
+  comparison on: 240 invocations;
 - resolve: `--dump-form` for every `catalog(8)` entry given by its name,
   by its label, by its label with its `--p`/`--q`/`--l` parameters, and by
   its label with `--l <rank>` when it has no `l` parameter; the same four
@@ -79,9 +83,16 @@ def invocation_sets() -> dict[str, list[list[str]]]:
     complex_all = [["--form", name, "--check", "all"]
                    for name in sorted(n for n, e in forms.items()
                                       if e.label == "complex")]
+    real_names = sorted(e.name for e in catalog(6)
+                        if e.label not in ("compact", "complex"))
+    real = [["--form", name, *mode]
+            for mode in (["--check", "all"],
+                         ["--check", "span", "--no-golden"],
+                         ["--check", "all", "--gauge-seed", "1"])
+            for name in real_names]
     return {"instances": instances, "sweep": sweep, "span": span,
             "complex": complex_, "resolve": resolve_set(),
-            "complex-all": complex_all}
+            "complex-all": complex_all, "real": real}
 
 
 def resolve_set() -> list[list[str]]:
