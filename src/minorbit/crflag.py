@@ -43,7 +43,7 @@ class SufficiencyViolation(RuntimeError):
 
 class FormContext:
     """The algebraic data of one catalog real form, fixed once built, and a
-    one-entry memo of the chain search of its latest cross set."""
+    one-entry memo of the chain data of its latest cross set."""
 
     def __init__(self, diag: SatakeDiagram, gauge_seed: int | None = None):
         self.diag = diag
@@ -578,12 +578,12 @@ def _mot_targets(ctx: FormContext, pd: ParabolicData, levi):
     """The targets of the chain condition in report order, each a tuple of
     roots of which a chain must reach one negative: every real
     characteristic root gamma whose class in `levi` (`_levi_classes`) is
-    semidefinite as (gamma,), then every complex
-    characteristic pair {b, c(b)} in Qn whose Levi form vanishes
-    identically, as (b, c(b)) with b < c(b).  Such a pair still spans
-    semidefinite (zero) covector directions, so a chain must reach -b or
-    -c(b).  The pairs are listed lazily, so a caller that stops at the
-    first failed target tests no later pair's Levi form."""
+    semidefinite, as (gamma,), then every complex characteristic pair
+    {b, c(b)} in Qn whose Levi form vanishes identically, as (b, c(b))
+    with b < c(b).  Such a pair still spans semidefinite (zero) covector
+    directions, so a chain must reach -b or -c(b).  The pairs are listed
+    lazily, so a caller that stops at the first failed target tests no
+    later pair's Levi form."""
     for g, cls, _ in levi:
         if cls.is_semidefinite():
             yield (g,)
