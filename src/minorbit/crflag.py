@@ -54,8 +54,8 @@ class FormContext:
         self.sc: StructureConstants = sc
         self.conj: Conjugation = build_conjugation(diag, self.rs, sc)
         self.gauge_seed = gauge_seed
-        # one-entry memo of the chain data of a cross set, see _cross_set_memo
-        self._chain_memo: dict | None = None
+        # one-entry memo of the chain data of a cross set, see _chain_memo
+        self._chain_memo: _ChainMemo | None = None
 
     def c(self, ia: int) -> int:
         return self.conj.c_index[ia]
@@ -255,17 +255,25 @@ def k_phi(ctx: FormContext, pd: ParabolicData) -> frozenset:
     characteristic Levi forms: a + conj(a) not a root (imaginary counts as
     not a root), or -(a + conj(a)) outside Q, or the form at a + conj(a)
     indefinite."""
-    cidx, rows, negi = ctx.conj.c_index, ctx.rs.sum_row, ctx.rs.neg_index
+    rs = ctx.rs
     cls_cache: dict[int, DefinitenessClass] = {}
+
+    def form_class(target: int) -> DefinitenessClass:
+        if target not in cls_cache:
+            cls_cache[target] = classify_levi(*q_form(ctx, pd, target))[0]
+        return cls_cache[target]
+
     out = set()
     for a in pd.Q:
-        beta = rows[a].get(cidx[a])
-        if beta is None or negi[beta] not in pd.Q:
+        ca = ctx.c(a)
+        beta = ctx.summed(a, ca)
+        if beta is None:
             out.add(a)
             continue
-        if beta not in cls_cache:
-            cls_cache[beta] = classify_levi(*q_form(ctx, pd, beta))[0]
-        if cls_cache[beta] is DefinitenessClass.INDEFINITE:
+        if ctx.negi(beta) not in pd.Q:
+            out.add(a)
+            continue
+        if form_class(beta) is DefinitenessClass.INDEFINITE:
             out.add(a)
     return frozenset(out)
 
@@ -384,15 +392,39 @@ def root_closure(ctx: FormContext, start, moves) -> tuple[dict, list[int]]:
     return parent, sizes
 
 
-def _cross_set_memo(ctx: FormContext, pd: ParabolicData, kphi) -> dict:
-    """The one-entry memo on the context for the cross set (pd, kphi): its
-    key and moves K u conj(K), and, once `_chain_bounds` or `_chain_closure`
-    has asked for them, its bounds and closure."""
-    memo = ctx._chain_memo
-    if memo is None or memo["key"] != (pd, kphi):
+class _ChainMemo:
+    """The chain data of one cross set (pd, kphi): its moves K u conj(K)
+    and coefficient bounds, built together, and the parent map and sizes
+    of its `root_closure`, built on first read (`_chain_closure`).
+
+    The bounds are [(j, minimum of coordinate j over conj(Q))] for every
+    coordinate j on which no move is negative, in ascending j.  A root has
+    all coefficients >= 0 or all <= 0, so a move is negative on j iff it
+    is a negative root (index below half) with j in its support."""
+
+    __slots__ = ("key", "moves", "bounds", "closure")
+
+    def __init__(self, ctx: FormContext, pd: ParabolicData, kphi):
         kphi, cidx = frozenset(kphi), ctx.conj.c_index
-        memo = ctx._chain_memo = {
-            "key": (pd, kphi), "moves": kphi | {cidx[a] for a in kphi}}
+        self.key = (pd, kphi)
+        self.moves = kphi | {cidx[a] for a in kphi}
+        masks, roots = ctx.rs.support_masks, ctx.rs.roots
+        half = len(masks) // 2  # negatives come first
+        negative = 0
+        for mv in self.moves:
+            if mv < half:
+                negative |= masks[mv]
+        lows = map(min, zip(*[roots[a] for a in pd.Qbar]))
+        self.bounds = [(j, lo) for j, lo in enumerate(lows)
+                       if not negative >> j & 1]
+        self.closure = None
+
+
+def _chain_memo(ctx: FormContext, pd: ParabolicData, kphi) -> _ChainMemo:
+    """The context's one-entry memo, rebuilt when the cross set changes."""
+    memo = ctx._chain_memo
+    if memo is None or memo.key != (pd, kphi):
+        memo = ctx._chain_memo = _ChainMemo(ctx, pd, kphi)
     return memo
 
 
@@ -402,29 +434,10 @@ def _chain_closure(ctx: FormContext, pd: ParabolicData, kphi) -> tuple:
     once per cross set and only when one of them reads it: a chain decision
     reads it only for a target that no coefficient bound excludes (see
     `chain_decision`)."""
-    memo = _cross_set_memo(ctx, pd, kphi)
-    if "closure" not in memo:
-        memo["closure"] = root_closure(ctx, pd.Qbar, memo["moves"])
-    return memo["closure"]
-
-
-def _chain_bounds(ctx: FormContext, pd: ParabolicData, kphi) -> list:
-    """[(j, minimum of coordinate j over conj(Q))] for every coordinate j on
-    which no move is negative, in ascending j, built once per cross set.  A
-    root has all coefficients >= 0 or all <= 0, so a move is negative on j
-    iff it is a negative root (index below half) with j in its support."""
-    memo = _cross_set_memo(ctx, pd, kphi)
-    if "bounds" not in memo:
-        masks, roots = ctx.rs.support_masks, ctx.rs.roots
-        half = len(masks) // 2  # negatives come first
-        negative = 0
-        for mv in memo["moves"]:
-            if mv < half:
-                negative |= masks[mv]
-        lows = map(min, zip(*[roots[a] for a in pd.Qbar]))
-        memo["bounds"] = [(j, lo) for j, lo in enumerate(lows)
-                          if not negative >> j & 1]
-    return memo["bounds"]
+    memo = _chain_memo(ctx, pd, kphi)
+    if memo.closure is None:
+        memo.closure = root_closure(ctx, pd.Qbar, memo.moves)
+    return memo.closure
 
 
 def chain_decision(ctx: FormContext, pd: ParabolicData, kphi,
@@ -446,7 +459,7 @@ def chain_decision(ctx: FormContext, pd: ParabolicData, kphi,
     Hence testing the bound first and the closure only when no bound
     applies gives the same answer as closure membership."""
     tgt = ctx.rs.roots[target]
-    for j, lo in _chain_bounds(ctx, pd, kphi):
+    for j, lo in _chain_memo(ctx, pd, kphi).bounds:
         if tgt[j] < lo:
             return (j, lo), None
     return None, _chain_closure(ctx, pd, kphi)[0]

@@ -14,7 +14,7 @@ import pytest
 
 from minorbit import cli, crflag
 from minorbit.cli import _report_rows, enumerate_form
-from minorbit.crflag import (_chain_bounds, _chain_closure, _mot_targets,
+from minorbit.crflag import (_chain_closure, _chain_memo, _mot_targets,
                              chain_decision, get_context, k_phi, parabolic)
 from minorbit.realform import catalog
 from test_chain_oracle import RANDOM_FORMS, _random_draws
@@ -111,7 +111,7 @@ def test_whole_form_row_builds_at_most_one_closure(monkeypatch, check):
                 pd = parabolic(ctx, phi)
                 kphi = k_phi(ctx, pd)
                 levi = crflag._levi_classes(ctx, pd)
-                bounds = _chain_bounds(ctx, pd, kphi)
+                bounds = _chain_memo(ctx, pd, kphi).bounds
                 all_bounded = all(
                     any(ctx.rs.roots[ctx.negi(r)][j] < lo for j, lo in bounds)
                     for choices in _mot_targets(ctx, pd, levi)

@@ -1,23 +1,24 @@
 """Alternating parent/change benchmark pairs, written as a BENCH_<n>.json.
 
     python3 tools/bench.py --parent REV --change REV --out BENCH_<n>.json
-                           [--workload W ...] [--pairs N] [--seed S]
-                           [--seconds T] [--workdir DIR]
+                           [--seed S]
 
-Exports the two git revisions of this repository with `git archive` into
-`--workdir`, then, for each workload, runs `perfbench/run.py` of each
-checkout in turn, `--pairs` times: pair k uses seed S + k for both sides and
-runs the parent first when k is even and the change first when k is odd, so
-a slow drift of the machine falls on both sides alike.  Every run is one
-fresh `run.py` process with `--trace 0`.
+Exports the two git revisions of this repository with `git archive` into a
+temporary directory, then, for every workload of BENCHMARK.json, runs
+`perfbench/run.py` of each checkout in turn, 10 times: pair k uses seed
+S + k for both sides and runs the parent first when k is even and the
+change first when k is odd, so a slow drift of the machine falls on both
+sides alike.  Every run is one fresh `run.py` process with its default run
+length and `--trace 0`, so every claim runs the same pairs.  Give a seed
+that was not used while the change was written.
 
 The output records, per workload and pair, the seed, the order and both
 sides' end-to-end metrics (each already a median over the run's passes)
 and fail_frac; and per metric each side's median, quartiles and
 interquartile range over the pairs, and the number of pairs the change won
 (a lower or higher value, as BENCHMARK.json says is better; a tie counts
-for neither side).  It also records both git SHAs, the seeds, the run
-length, `nproc` and the Python version.  Standard library only.
+for neither side).  It also records both git SHAs, the seeds, `nproc` and
+the Python version.  Standard library only.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -51,13 +53,11 @@ def export(rev: str, dest: Path) -> str:
     return sha
 
 
-def run_once(checkout: Path, workload: str, seed: int,
-             seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One `perfbench/run.py` run: its metric values and fail_frac."""
     proc = subprocess.run(
         [sys.executable, str(checkout / "perfbench" / "run.py"),
-         "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
+         "--workload", workload, "--seed", str(seed)],
         capture_output=True, text=True, cwd=str(checkout))
     if proc.returncode != 0:
         raise RuntimeError(f"run.py failed in {checkout}:\n"
@@ -89,23 +89,15 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="git revision")
     ap.add_argument("--change", required=True, help="git revision")
     ap.add_argument("--out", required=True, help="BENCH_<n>.json to write")
-    ap.add_argument("--workload", action="append",
-                    help="workload to run (repeatable; default: every "
-                         "workload of BENCHMARK.json)")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=60)
-    ap.add_argument("--workdir", help="where the checkouts go (default: a "
-                                      "new temporary directory, removed "
-                                      "afterwards)")
+    ap.add_argument("--seed", type=int, default=1,
+                    help="seed of the first pair")
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     better["fail_frac"] = "lower"
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
 
-    work = Path(args.workdir or tempfile.mkdtemp(prefix="minorbit-bench-"))
+    work = Path(tempfile.mkdtemp(prefix="minorbit-bench-"))
     try:
         sides = {}
         for side in ("parent", "change"):
@@ -117,22 +109,20 @@ def main(argv=None) -> int:
             "machine": {"nproc": os.cpu_count(),
                         "python": platform.python_version(),
                         "implementation": platform.python_implementation()},
-            "seconds": args.seconds, "seeds": [args.seed + k for k in
-                                               range(args.pairs)],
+            "seeds": [args.seed + k for k in range(PAIRS)],
             "workloads": {},
         }
-        for workload in workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             pairs = []
-            for k in range(args.pairs):
+            for k in range(PAIRS):
                 seed = args.seed + k
                 order = ("parent", "change") if k % 2 == 0 else \
                     ("change", "parent")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run_once(sides[side][0], workload, seed,
-                                          args.seconds)
+                    pair[side] = run_once(sides[side][0], workload, seed)
                 pairs.append(pair)
-                print(f"{workload} pair {k + 1}/{args.pairs} seed {seed}: "
+                print(f"{workload} pair {k + 1}/{PAIRS} seed {seed}: "
                       + "  ".join(f"{n} {pair['parent'][n]:.4g} -> "
                                   f"{pair['change'][n]:.4g}"
                                   for n in ("wall_s", "request_ms_p90")),
@@ -140,8 +130,7 @@ def main(argv=None) -> int:
             result["workloads"][workload] = {
                 "pairs": pairs, "summary": summary(pairs, better)}
     finally:
-        if args.workdir is None:
-            shutil.rmtree(work, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
     Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True)
                               + "\n")
     return 0
