@@ -89,18 +89,18 @@ class StructureConstants:
         return StructureConstants(rs, nt, self.coroots)
 
 
-def build_chevalley(rs: RootSystem) -> StructureConstants:
-    """Structure constants via the extraspecial-pair recursion, then
-    transported to the normalization [Z_a, Z_-a] = -H_a whose footprint is
-    that H -> -H, Z_a -> Z_-a is an automorphism.  Roots are handled by
-    index throughout, and every sum is read from `rs.sum_row`.
+def standard_constants(rs: RootSystem):
+    """The extraspecial-pair recursion in the standard basis: returns
+    (n_std, nn), where n_std(a, b, s) is the structure constant n(a, b) of
+    roots a, b with a + b the root s, and nn[a] = 2(a|a).  Roots are
+    handled by index throughout, and every sum is read from `rs.sum_row`.
 
     Integers only (Carter, Simple Groups of Lie Type, ch. 4): squared
-    lengths enter as the integers nn[a] = 2(a|a), and every quotient of
-    them (the coroots, the mixed-sign rotation, the four-root relation) is
-    an exact integer division that raises ArithmeticError when it leaves a
-    remainder.  Each quotient is homogeneous of degree 0 in the lengths, so
-    the factor 2 cancels."""
+    lengths enter as the integers nn[a], and every quotient of them (the
+    mixed-sign rotation, the four-root relation) is an exact integer
+    division that raises ArithmeticError when it leaves a remainder.  Each
+    quotient is homogeneous of degree 0 in the lengths, so the factor 2
+    cancels."""
     roots, row = rs.roots, rs.sum_row
     half = len(roots) // 2  # negatives come first, positives from here on
     negi = rs.neg_index
@@ -171,14 +171,40 @@ def build_chevalley(rs: RootSystem) -> StructureConstants:
             v = exact_div(num, m2 * m3 * n1, what)
             npos[(a, b)] = v
             npos[(b, a)] = -v
+    return n_std, nn
 
-    # full table in the target normalization: N(a,b) = e_a e_b e_{a+b} n(a,b)
-    # with e_a = -1 on negative roots
+
+def build_chevalley(rs: RootSystem) -> StructureConstants:
+    """Structure constants via the extraspecial-pair recursion
+    (`standard_constants`), then transported to the normalization
+    [Z_a, Z_-a] = -H_a whose footprint is that H -> -H, Z_a -> Z_-a is an
+    automorphism: N(a, b) = e_a e_b e_{a+b} n(a, b) with e_a = -1 on
+    negative roots.  The coroots are exact integer divisions too.
+
+    The table is filled row by row in `rs.sum_row` order, and a pair
+    (a, b) with b < a takes N(a, b) = -N(b, a) from the row of b, filled
+    before it, instead of running the recursion.  Proof: n is the table of
+    structure constants of a Lie algebra in a basis, so n(b, a) = -n(a, b)
+    by antisymmetry of the bracket, and the sign factor e_a e_b e_{a+b} is
+    symmetric in a and b, so N(b, a) = -N(a, b).  So the fill no longer
+    runs `n_std` on the pairs (a, b) with b < a: the exact divisions of the
+    mixed-sign rotation for those pairs (one order of every mixed-sign
+    pair) no longer run, while the rotation for the other order, the
+    four-root relation and the coroot divisions all still do.  The tests
+    keep the per-pair fill as a differential oracle on every catalog root
+    system, item order included."""
+    n_std, nn = standard_constants(rs)
+    roots, row, g2 = rs.roots, rs.sum_row, rs.twice_gram
+    half = len(roots) // 2  # negatives come first
     ntable: dict[tuple[int, int], int] = {}
     for a, sums in enumerate(row):
         for b, s in sums.items():
-            v = n_std(a, b, s)
-            ntable[(a, b)] = -v if (a < half) ^ (b < half) ^ (s < half) else v
+            if b < a:
+                ntable[(a, b)] = -ntable[(b, a)]
+            else:
+                v = n_std(a, b, s)
+                flip = (a < half) ^ (b < half) ^ (s < half)
+                ntable[(a, b)] = -v if flip else v
 
     # coroot(a) = sum_i k_i * (a_i|a_i)/(a|a) * coroot(a_i)
     coroots = [tuple(exact_div(k * g2[i][i], m, lambda: f"coroot of {r}")

@@ -17,6 +17,16 @@ conjugation and the Chevalley constants, and `classify_levi` decides its
 class and category from their positions and signs, with no Killing value,
 no dense matrix and no elimination.
 
+The data that no cross set changes are tables of the context
+(`FormTables`, built once per context on first use): per simple index,
+the negative roots whose support holds it, their conjugates and the
+positive roots whose support holds it; the roots a with a + c(a) a root,
+grouped by that sum; the positive real roots; the complex positive pairs;
+the coordinate columns; and the root labels.  The per-cross-set phases
+(`parabolic`, `finite_type`, `k_phi`, the Levi side, the complex zero pairs
+and the chain bounds) are frozenset algebra over them, with no loop over
+the roots; the tests keep the per-root loops as differential oracles.
+
 Two paths share these pieces.  `concavity_verdict` builds the full verdict
 document of one cross set, with witness chains, certificates, the kernel
 set and the span dimensions.  `verdict_fields` computes only the report
@@ -27,6 +37,7 @@ and reads the span as one set, with the same checks on the way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .chevalley import StructureConstants, build_chevalley
 # hermitian_classify is not called here, but perfbench/tracing.py wraps
@@ -42,8 +53,9 @@ class SufficiencyViolation(RuntimeError):
 
 
 class FormContext:
-    """The algebraic data of one catalog real form, fixed once built, and a
-    one-entry memo of the chain data of its latest cross set."""
+    """The algebraic data of one catalog real form, fixed once built, its
+    cross-set-free tables (`tables`, built on first use), and a one-entry
+    memo of the chain data of its latest cross set."""
 
     def __init__(self, diag: SatakeDiagram, gauge_seed: int | None = None):
         self.diag = diag
@@ -63,18 +75,73 @@ class FormContext:
     def negi(self, ia: int) -> int:
         return self.rs.neg_index[ia]
 
-    def summed(self, ia: int, ib: int):
-        return self.rs.sum_row[ia].get(ib)
+    @cached_property
+    def tables(self) -> FormTables:
+        return FormTables(self.rs, self.conj.c_index)
 
 
-_CTX_CACHE: dict = {}
+class FormTables:
+    """The data of a form that no cross set changes, so that each
+    per-cross-set phase is frozenset algebra over them instead of a loop
+    over the roots.  Simple indices j are 0-based here.
+    - every_root: every root index.
+    - neg[j]: the negative roots whose support holds j; conj_neg[j]: their
+      conjugates; pos[j]: the positive roots whose support holds j.
+    - conj_sums: (beta, -beta, A) for each root beta = a + c(a), with A the
+      roots a of that sum, in order of the smallest a of each A.  A holds
+      c(a) with a, as c(a) + c(c(a)) = a + c(a).
+    - positive_real: the positive roots a with c(a) = a.
+    - complex_pairs: (b, c(b)) for each positive root b with c(b) > b (so
+      c(b) is positive too), in ascending b.
+    - columns[j]: coordinate j of every root, by index.
+    - labels: each root's coefficient string, as the `levi` field spells
+      it."""
+
+    __slots__ = ("every_root", "neg", "conj_neg", "pos", "conj_sums",
+                 "positive_real", "complex_pairs", "columns", "labels")
+
+    def __init__(self, rs: RootSystem, cidx):
+        n, masks = len(rs.roots), rs.support_masks
+        half = n // 2  # negatives come first
+        self.every_root = frozenset(range(n))
+        bits = [1 << j for j in range(rs.rank)]
+        self.neg = tuple(frozenset(a for a in range(half) if masks[a] & bit)
+                         for bit in bits)
+        self.conj_neg = tuple(frozenset(cidx[a] for a in neg)
+                              for neg in self.neg)
+        self.pos = tuple(frozenset(a for a in range(half, n)
+                                   if masks[a] & bit) for bit in bits)
+        sources: dict[int, list[int]] = {}
+        for a, row in enumerate(rs.sum_row):
+            beta = row.get(cidx[a])
+            if beta is not None:
+                sources.setdefault(beta, []).append(a)
+        self.conj_sums = tuple((beta, rs.neg_index[beta], frozenset(group))
+                               for beta, group in sources.items())
+        self.positive_real = frozenset(a for a in range(half, n)
+                                       if cidx[a] == a)
+        self.complex_pairs = tuple((b, cidx[b]) for b in range(half, n)
+                                   if cidx[b] > b)
+        self.columns = tuple(zip(*rs.roots))
+        self.labels = tuple("".join(map(str, r)) for r in rs.roots)
+
+
+_CTX_CACHE: dict = {}   # (entry name, gauge seed) -> FormContext
+_RESOLVED: dict = {}    # (name, max_rank) -> SatakeDiagram
 
 
 def get_context(name: str, gauge_seed: int | None = None,
                 max_rank: int = 8) -> FormContext:
-    key = (name, gauge_seed, max_rank)
+    """The context of the entry of catalog(max_rank) that `name` resolves
+    to (`find_form`, which raises for a name outside that catalog), shared
+    by every name and max_rank that resolve to the same entry: an entry's
+    name is unique and names the same diagram in every catalog."""
+    diag = _RESOLVED.get((name, max_rank))
+    if diag is None:
+        diag = _RESOLVED[(name, max_rank)] = find_form(name, max_rank)
+    key = (diag.name, gauge_seed)
     if key not in _CTX_CACHE:
-        _CTX_CACHE[key] = FormContext(find_form(name, max_rank), gauge_seed)
+        _CTX_CACHE[key] = FormContext(diag, gauge_seed)
     return _CTX_CACHE[key]
 
 
@@ -91,27 +158,25 @@ class ParabolicData:
 
 def parabolic(ctx: FormContext, phi) -> ParabolicData:
     """Q holds every positive root and the negative roots whose support
-    misses phi; Qn is the positive roots whose support meets phi.  The
-    sign is read from the root index (negatives come first) and the
-    support from `support_masks`."""
+    misses phi; Qn is the positive roots whose support meets phi.  From
+    the tables: Q is every root but the union of neg[j] over j in phi, Qn
+    the union of pos[j], and conj(Q) every root but the union of
+    conj_neg[j], because c is a bijection of the roots, so it carries the
+    complement of a union of sets to the complement of the union of their
+    images."""
     phi = frozenset(phi)
-    rs = ctx.rs
-    if not phi <= set(range(1, rs.rank + 1)):
+    if not phi <= set(range(1, ctx.rs.rank + 1)):
         raise ValueError(f"phi {sorted(phi)} outside the simple basis")
-    pm = sum(1 << (j - 1) for j in phi)
-    masks = rs.support_masks
-    half = len(masks) // 2
-    pos = range(half, len(masks))
-    neg_q = [ia for ia in range(half) if not masks[ia] & pm]
-    Qn = frozenset(ia for ia in pos if masks[ia] & pm)
-    Q = frozenset(neg_q + list(pos))
-    cidx = ctx.conj.c_index
-    return ParabolicData(phi, Q, Qn, frozenset(cidx[ia] for ia in Q))
+    t, cols = ctx.tables, [j - 1 for j in phi]
+    every = t.every_root
+    return ParabolicData(phi, every.difference(*[t.neg[j] for j in cols]),
+                         frozenset().union(*[t.pos[j] for j in cols]),
+                         every.difference(*[t.conj_neg[j] for j in cols]))
 
 
 def characteristic_real_roots(ctx: FormContext, pd: ParabolicData) -> list[int]:
     """Positive real roots in Qn (automatically in conj(Qn))."""
-    return [ia for ia in sorted(pd.Qn) if ctx.c(ia) == ia]
+    return sorted(pd.Qn & ctx.tables.positive_real)
 
 
 # -- Levi forms ---------------------------------------------------------------
@@ -167,7 +232,8 @@ def q_form(ctx: FormContext, pd: ParabolicData, target: int):
 
 def classify_levi(index, entries) -> tuple[DefinitenessClass, str]:
     """Definiteness class and structural category of a Levi form given as
-    (index, entries), with integer arithmetic only.
+    (index, entries), with integer arithmetic only.  The index may be any
+    collection of roots; a set is read as it is, with no copy.
 
     The category is the proof partition of Hermitian shapes by entry
     pattern: "zero-diagonal", "diagonal-semidefinite",
@@ -224,7 +290,7 @@ def classify_levi(index, entries) -> tuple[DefinitenessClass, str]:
             if x < y:
                 n_plus += 1
                 n_minus += 1
-    if not rows <= set(index):
+    if not rows.issubset(index):
         raise ValueError("an entry lies outside the index")
     n = len(index)
     if not rows:
@@ -254,35 +320,28 @@ def k_phi(ctx: FormContext, pd: ParabolicData) -> frozenset:
     """Roots a in Q with Z_a in the common kernel of all semidefinite
     characteristic Levi forms: a + conj(a) not a root (imaginary counts as
     not a root), or -(a + conj(a)) outside Q, or the form at a + conj(a)
-    indefinite."""
-    rs = ctx.rs
-    cls_cache: dict[int, DefinitenessClass] = {}
+    indefinite.
 
-    def form_class(target: int) -> DefinitenessClass:
-        if target not in cls_cache:
-            cls_cache[target] = classify_levi(*q_form(ctx, pd, target))[0]
-        return cls_cache[target]
-
-    out = set()
-    for a in pd.Q:
-        ca = ctx.c(a)
-        beta = ctx.summed(a, ca)
-        if beta is None:
-            out.add(a)
-            continue
-        if ctx.negi(beta) not in pd.Q:
-            out.add(a)
-            continue
-        if form_class(beta) is DefinitenessClass.INDEFINITE:
-            out.add(a)
-    return frozenset(out)
+    So K_Phi is Q less the roots a of Q with beta = a + c(a) a root, -beta
+    in Q and the form at beta not indefinite.  The table `conj_sums` lists
+    each such beta once with all its roots a, so the form at beta is
+    classified once, and only when -beta is in Q and some a is: the
+    targets that a loop over the roots of Q classifies."""
+    Q, drop = pd.Q, []
+    for beta, neg_beta, sources in ctx.tables.conj_sums:
+        if neg_beta in Q and not sources.isdisjoint(Q):
+            cls = classify_levi(*q_form(ctx, pd, beta))[0]
+            if cls is not DefinitenessClass.INDEFINITE:
+                drop.append(sources)
+    return Q.difference(*drop)
 
 
 def finite_type(ctx: FormContext, pd: ParabolicData) -> bool:
     """Whether the root-addition closure C of Q u conj(Q) is every root;
     it stands in for the iterated-bracket finite type condition.  Decided
     without a closure: C is every root iff the supports of the negative
-    roots of Q u conj(Q) cover every simple index.
+    roots of Q u conj(Q) cover every simple index, that is, iff Q u
+    conj(Q) meets the table set neg[j] of each simple index j.
 
     Brackets.  For a + b a root, [Z_a, Z_b] = N(a, b) Z_{a+b} with
     N(a, b) = +-(p + 1) never zero (Humphreys, section 25), [Z_a, Z_-a]
@@ -301,15 +360,12 @@ def finite_type(ctx: FormContext, pd: ParabolicData) -> bool:
       lies in R+, a sum within R_J' stays in its span, and a negative sum
       a - b of a in R+ and -b in R_J' has coefficients between those of
       -b and 0, so its support lies in J'), so it holds C.
-    So C is every root iff J, that is J', is every simple index.  The tests
-    keep the closure itself as a differential oracle."""
-    masks = ctx.rs.support_masks
-    half = len(masks) // 2  # negatives come first
-    covered = 0
-    for a in pd.Q | pd.Qbar:
-        if a < half:
-            covered |= masks[a]
-    return covered == (1 << ctx.rs.rank) - 1
+    So C is every root iff J, that is J', is every simple index.  And J'
+    holds j iff some negative root of Q u conj(Q) has j in its support,
+    that is, iff Q u conj(Q) meets neg[j].  The tests keep the closure
+    itself as a differential oracle."""
+    both = pd.Q | pd.Qbar
+    return not any(both.isdisjoint(neg) for neg in ctx.tables.neg)
 
 
 def complex_type_verdict(diag: SatakeDiagram, phi, check: str = "all") -> dict:
@@ -400,23 +456,19 @@ class _ChainMemo:
     The bounds are [(j, minimum of coordinate j over conj(Q))] for every
     coordinate j on which no move is negative, in ascending j.  A root has
     all coefficients >= 0 or all <= 0, so a move is negative on j iff it
-    is a negative root (index below half) with j in its support."""
+    is a negative root with j in its support: j is bound iff the moves miss
+    the table set neg[j].  The minimum is taken on bound coordinates only,
+    from the table column of j."""
 
     __slots__ = ("key", "moves", "bounds", "closure")
 
     def __init__(self, ctx: FormContext, pd: ParabolicData, kphi):
-        kphi, cidx = frozenset(kphi), ctx.conj.c_index
+        kphi, t = frozenset(kphi), ctx.tables
         self.key = (pd, kphi)
-        self.moves = kphi | {cidx[a] for a in kphi}
-        masks, roots = ctx.rs.support_masks, ctx.rs.roots
-        half = len(masks) // 2  # negatives come first
-        negative = 0
-        for mv in self.moves:
-            if mv < half:
-                negative |= masks[mv]
-        lows = map(min, zip(*[roots[a] for a in pd.Qbar]))
-        self.bounds = [(j, lo) for j, lo in enumerate(lows)
-                       if not negative >> j & 1]
+        self.moves = kphi.union(map(ctx.conj.c_index.__getitem__, kphi))
+        self.bounds = [(j, min(map(t.columns[j].__getitem__, pd.Qbar)))
+                       for j, neg in enumerate(t.neg)
+                       if self.moves.isdisjoint(neg)]
         self.closure = None
 
 
@@ -596,22 +648,22 @@ def _mot_targets(ctx: FormContext, pd: ParabolicData, levi):
     with b < c(b).  Such a pair still spans semidefinite (zero) covector
     directions, so a chain must reach -b or -c(b).  The pairs are listed
     lazily, so a caller that stops at the first failed target tests no
-    later pair's Levi form."""
+    later pair's Levi form; they are the table's `complex_pairs` in Qn."""
     for g, cls, _ in levi:
         if cls.is_semidefinite():
             yield (g,)
-    for b in sorted(pd.Qn):
-        cb = ctx.c(b)
-        if cb <= b or cb not in pd.Qn:
-            continue
-        if q_form(ctx, pd, ctx.negi(b))[1]:
-            continue
-        yield (b, cb)
+    Qn = pd.Qn
+    for b, cb in ctx.tables.complex_pairs:
+        if b in Qn and cb in Qn and not q_form(ctx, pd, ctx.negi(b))[1]:
+            yield (b, cb)
 
 
 def _levi_classes(ctx: FormContext, pd: ParabolicData) -> list:
-    """(gamma, class, category) of every real characteristic root."""
-    return [(g, *classify_levi(*levi_matrix(ctx, pd, g)))
+    """(gamma, class, category) of every real characteristic root, each
+    the class of `levi_matrix`'s default convention, over the side
+    conj(Q) \\ Q, which is computed once for all of them."""
+    side = pd.Qbar - pd.Q
+    return [(g, *classify_levi(side, _entries(ctx, ctx.negi(g), side, side)))
             for g in characteristic_real_roots(ctx, pd)]
 
 
@@ -653,10 +705,10 @@ def verdict_fields(form: str, phi, gauge_seed: int | None = None,
                 break
     span = check in ("span", "all") and span_holds(ctx, pd, kphi)
     _check_sufficiency(form, phi, check, mot, span)
-    roots = ctx.rs.roots
+    labels = ctx.tables.labels
     return {"finite_type": ft,
-            "levi": ";".join("%s:%s" % ("".join(map(str, roots[g])),
-                                        cls.value) for g, cls, _ in levi),
+            "levi": ";".join("%s:%s" % (labels[g], cls.value)
+                             for g, cls, _ in levi),
             "mot": mot, "span": span,
             "verdict": ft and (mot if check == "mot" else span)}
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from gaussq import I_POW, QQi, ZERO
-from minorbit.chevalley import StructureConstants
+from minorbit.chevalley import StructureConstants, standard_constants
 from minorbit.realform import Conjugation
 from minorbit.rootsys import Root, RootSystem, SimpleType, neg
 
@@ -229,6 +229,21 @@ def build_chevalley_fraction(rs: RootSystem) -> StructureConstants:
     coroots = [tuple(integral(Fraction(r[i]) * g[i][i] / m, "coroot")
                    for i in range(rs.rank)) for r, m in zip(roots, nn)]
     return StructureConstants(rs, ntable, coroots)
+
+
+def ntable_per_pair(rs: RootSystem) -> dict:
+    """The `ntable` of `chevalley.build_chevalley` with every pair (a, b)
+    run through the integer recursion `standard_constants`, b < a included,
+    instead of read off (b, a) by antisymmetry: a differential oracle for
+    that fill, items in the same order."""
+    n_std, _ = standard_constants(rs)
+    half = len(rs.roots) // 2
+    ntable = {}
+    for a, sums in enumerate(rs.sum_row):
+        for b, s in sums.items():
+            v = n_std(a, b, s)
+            ntable[(a, b)] = -v if (a < half) ^ (b < half) ^ (s < half) else v
+    return ntable
 
 
 Matrix = list  # list of rows over a field

@@ -1,7 +1,10 @@
 """The per-target chain search, the move-by-move root closure, the
 sign-and-support `parabolic`, the finite-type closures (over all of s and
-over sum rows), the two-closure span, the subtraction-based `q_form` and
-the no-triples scan, kept as differential oracles for `minorbit.crflag`.
+over sum rows), the two-closure span, the subtraction-based `q_form`, the
+no-triples scan, and the per-root loops that the form tables replaced
+(`parabolic`, `finite_type`, `k_phi`, the Levi classes, the complex zero
+pairs and the chain bounds), kept as differential oracles for
+`minorbit.crflag`.
 
 The production code runs at most one breadth-first closure per cross set,
 reads the span from it and decides finite type from simple-root supports;
@@ -14,7 +17,14 @@ from __future__ import annotations
 from algebra_oracle import idx, killing_z_pair, support
 from gaussq import QQi
 from levi_oracle import _entry
+from minorbit import crflag
 from minorbit.crflag import FormContext, ParabolicData, root_closure
+from minorbit.exactla import DefinitenessClass
+
+
+def summed(ctx: FormContext, ia: int, ib: int):
+    """Index of roots[ia] + roots[ib], or None when the sum is no root."""
+    return ctx.rs.sum_row[ia].get(ib)
 
 
 def root_closure_by_moves(ctx: FormContext, start, moves):
@@ -28,7 +38,7 @@ def root_closure_by_moves(ctx: FormContext, start, moves):
         nxt = []
         for cur in frontier:
             for mv in moves:
-                t = ctx.summed(cur, mv)
+                t = summed(ctx, cur, mv)
                 if t is not None and t not in parent:
                     parent[t] = (cur, mv)
                     nxt.append(t)
@@ -88,7 +98,7 @@ def finite_type(ctx: FormContext, pd: ParabolicData) -> bool:
         nxt = []
         for a in frontier:
             for b in list(s):
-                t = ctx.summed(a, b)
+                t = summed(ctx, a, b)
                 if t is not None and t not in s:
                     s.add(t)
                     nxt.append(t)
@@ -138,17 +148,18 @@ def verify_no_triples(ctx: FormContext) -> int:
     g+conj(g) all roots, a+conj(a) != b+conj(b), a+conj(b) = g+conj(g).
     Must return 0."""
     rs = ctx.rs
-    B = [a for a in range(len(rs.roots)) if ctx.summed(a, ctx.c(a)) is not None]
+    B = [a for a in range(len(rs.roots))
+         if summed(ctx, a, ctx.c(a)) is not None]
     bar_sums = {}
     for g in B:
-        bar_sums.setdefault(ctx.summed(g, ctx.c(g)), []).append(g)
+        bar_sums.setdefault(summed(ctx, g, ctx.c(g)), []).append(g)
     count = 0
     for a in B:
-        sa = ctx.summed(a, ctx.c(a))
+        sa = summed(ctx, a, ctx.c(a))
         for b in B:
-            if ctx.summed(b, ctx.c(b)) == sa:
+            if summed(ctx, b, ctx.c(b)) == sa:
                 continue
-            t = ctx.summed(a, ctx.c(b))
+            t = summed(ctx, a, ctx.c(b))
             if t is not None and t in bar_sums:
                 count += len(bar_sums[t])
     return count
@@ -170,7 +181,7 @@ def hlc_reachability(ctx: FormContext, pd: ParabolicData, kphi: frozenset,
         nxt = []
         for cur in frontier:
             for mv in moves:
-                t = ctx.summed(cur, mv)
+                t = summed(ctx, cur, mv)
                 if t is not None and t not in parent:
                     parent[t] = (cur, mv)
                     nxt.append(t)
@@ -199,3 +210,86 @@ def hlc_reachability(ctx: FormContext, pd: ParabolicData, kphi: frozenset,
     return {"reached": False,
             "certificate": {"kind": "closure-exhausted",
                             "reachable_count": len(parent)}}
+
+
+# -- the per-root loops that the form tables replaced ------------------------
+
+
+def parabolic_by_masks(ctx: FormContext, phi) -> ParabolicData:
+    """`crflag.parabolic` testing each root's support mask against phi."""
+    phi = frozenset(phi)
+    pm = sum(1 << (j - 1) for j in phi)
+    masks = ctx.rs.support_masks
+    half = len(masks) // 2
+    pos = range(half, len(masks))
+    neg_q = [ia for ia in range(half) if not masks[ia] & pm]
+    Qn = frozenset(ia for ia in pos if masks[ia] & pm)
+    Q = frozenset(neg_q + list(pos))
+    return ParabolicData(phi, Q, Qn, frozenset(ctx.c(ia) for ia in Q))
+
+
+def finite_type_by_masks(ctx: FormContext, pd: ParabolicData) -> bool:
+    """`crflag.finite_type` or-ing the support masks of the negative roots
+    of Q u conj(Q)."""
+    masks = ctx.rs.support_masks
+    half = len(masks) // 2
+    covered = 0
+    for a in pd.Q | pd.Qbar:
+        if a < half:
+            covered |= masks[a]
+    return covered == (1 << ctx.rs.rank) - 1
+
+
+def k_phi_by_roots(ctx: FormContext, pd: ParabolicData) -> frozenset:
+    """`crflag.k_phi` testing each root a of Q: a + c(a) not a root, or
+    -(a + c(a)) outside Q, or the form at a + c(a) indefinite.  Each form
+    is classified once, through `crflag.q_form` and `crflag.classify_levi`
+    as module attributes, so that a test can count the calls."""
+    cls_cache: dict[int, DefinitenessClass] = {}
+    out = set()
+    for a in pd.Q:
+        beta = summed(ctx, a, ctx.c(a))
+        if beta is None or ctx.negi(beta) not in pd.Q:
+            out.add(a)
+            continue
+        if beta not in cls_cache:
+            cls_cache[beta] = crflag.classify_levi(
+                *crflag.q_form(ctx, pd, beta))[0]
+        if cls_cache[beta] is DefinitenessClass.INDEFINITE:
+            out.add(a)
+    return frozenset(out)
+
+
+def levi_classes_by_matrix(ctx: FormContext, pd: ParabolicData) -> list:
+    """`crflag._levi_classes` building `levi_matrix` for each real
+    characteristic root, taken as the real roots of Qn."""
+    return [(g, *crflag.classify_levi(*crflag.levi_matrix(ctx, pd, g)))
+            for g in sorted(pd.Qn) if ctx.c(g) == g]
+
+
+def complex_zero_pairs_by_roots(ctx: FormContext, pd: ParabolicData) -> list:
+    """The complex targets of `crflag._mot_targets`, walking sorted(Qn)."""
+    out = []
+    for b in sorted(pd.Qn):
+        cb = ctx.c(b)
+        if cb <= b or cb not in pd.Qn:
+            continue
+        if crflag.q_form(ctx, pd, ctx.negi(b))[1]:
+            continue
+        out.append((b, cb))
+    return out
+
+
+def chain_bounds_by_roots(ctx: FormContext, pd: ParabolicData, kphi) -> list:
+    """The coefficient bounds of `crflag._ChainMemo`: [(j, minimum of
+    coordinate j over conj(Q))] for each j on which no move of
+    K u conj(K) is negative, read from the support masks of the moves."""
+    moves = set(kphi) | {ctx.c(a) for a in kphi}
+    masks, roots = ctx.rs.support_masks, ctx.rs.roots
+    half = len(masks) // 2
+    negative = 0
+    for mv in moves:
+        if mv < half:
+            negative |= masks[mv]
+    lows = map(min, zip(*[roots[a] for a in pd.Qbar]))
+    return [(j, lo) for j, lo in enumerate(lows) if not negative >> j & 1]

@@ -8,7 +8,7 @@ from fractions import Fraction
 from algebra_oracle import (RootClass, classify_root, conj_image, idx,
                             is_root, killing, killing_hh, killing_z_pair,
                             rank, root_string)
-from chain_oracle import verify_no_triples
+from chain_oracle import summed, verify_no_triples
 from float_oracle import float_classify
 from gaussq import QQi
 import levi_oracle as dense
@@ -249,7 +249,7 @@ def test_criterion_5_conjugation_invariants():
         # cocycle consistency over every composable pair
         for ia in range(len(rs.roots)):
             for ib in range(len(rs.roots)):
-                s = ctx.summed(ia, ib)
+                s = summed(ctx, ia, ib)
                 if s is None or rs.roots[ia] == neg(rs.roots[ib]):
                     continue
                 ta = conj.t_exp[ia]

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from algebra_oracle import (adjoint_matrix, build_chevalley_fraction, h,
-                            idx, killing, killing_z_pair, pairing,
-                            root_string, z)
+                            idx, killing, killing_z_pair, ntable_per_pair,
+                            pairing, root_string, z)
 from gaussq import QQi
 from minorbit.chevalley import build_chevalley
 from minorbit.realform import catalog
@@ -250,6 +250,18 @@ def test_integer_build_matches_fraction_oracle(entry):
     got, want = build_chevalley(rs), build_chevalley_fraction(rs)
     assert list(got.ntable.items()) == list(want.ntable.items())
     assert got.coroots == want.coroots
+
+
+@pytest.mark.parametrize("entry", _distinct_forms(8),
+                         ids=lambda e: f"{e.family}{e.rank}"
+                                       f"{'-doubled' if e.doubled else ''}")
+def test_antisymmetric_fill_matches_per_pair_fill(entry):
+    """The fill that reads N(a, b), b < a, as -N(b, a) against the one that
+    runs the recursion on every pair, on every distinct root system of
+    catalog(8): the same ntable items in the same order."""
+    rs = entry.root_system()
+    got = build_chevalley(rs).ntable
+    assert list(got.items()) == list(ntable_per_pair(rs).items())
 
 
 def test_exact_division_raises_on_a_remainder():

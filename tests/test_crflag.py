@@ -3,7 +3,7 @@ import pytest
 from algebra_oracle import add, idx, is_root
 from algebra_oracle import rank as xrank
 import levi_oracle as dense
-from chain_oracle import verify_no_triples
+from chain_oracle import summed, verify_no_triples
 from minorbit.crflag import (characteristic_real_roots, classify_levi,
                              concavity_verdict, finite_type, get_context,
                              hlc_reachability, k_phi, levi_matrix, parabolic,
@@ -54,11 +54,11 @@ def test_parabolicity_closure_and_ideal():
         pd = parabolic(ctx, phi)
         for a in pd.Q:
             for b in pd.Q:
-                s = ctx.summed(a, b)
+                s = summed(ctx, a, b)
                 if s is not None:
                     assert s in pd.Q
             for b in pd.Qn:
-                s = ctx.summed(b, a)
+                s = summed(ctx, b, a)
                 if s is not None:
                     assert s in pd.Qn
         # monotonicity of Q under growing phi
