@@ -22,10 +22,10 @@ The data that no cross set changes are tables of the context
 the negative roots whose support holds it, their conjugates and the
 positive roots whose support holds it; the roots a with a + c(a) a root,
 grouped by that sum; the positive real roots; the complex positive pairs;
-the coordinate columns; and the root labels.  The per-cross-set phases
-(`parabolic`, `finite_type`, `k_phi`, the Levi side, the complex zero pairs
-and the chain bounds) are frozenset algebra over them, with no loop over
-the roots; the tests keep the per-root loops as differential oracles.
+and the coordinate columns.  The per-cross-set phases (`parabolic`,
+`finite_type`, `k_phi`, the Levi side, the complex zero pairs and the
+chain bounds) are frozenset algebra over them, with no loop over the
+roots; the tests keep the per-root loops as differential oracles.
 
 Two paths share these pieces.  `concavity_verdict` builds the full verdict
 document of one cross set, with witness chains, certificates, the kernel
@@ -93,12 +93,10 @@ class FormTables:
     - positive_real: the positive roots a with c(a) = a.
     - complex_pairs: (b, c(b)) for each positive root b with c(b) > b (so
       c(b) is positive too), in ascending b.
-    - columns[j]: coordinate j of every root, by index.
-    - labels: each root's coefficient string, as the `levi` field spells
-      it."""
+    - columns[j]: coordinate j of every root, by index."""
 
     __slots__ = ("every_root", "neg", "conj_neg", "pos", "conj_sums",
-                 "positive_real", "complex_pairs", "columns", "labels")
+                 "positive_real", "complex_pairs", "columns")
 
     def __init__(self, rs: RootSystem, cidx):
         n, masks = len(rs.roots), rs.support_masks
@@ -123,25 +121,16 @@ class FormTables:
         self.complex_pairs = tuple((b, cidx[b]) for b in range(half, n)
                                    if cidx[b] > b)
         self.columns = tuple(zip(*rs.roots))
-        self.labels = tuple("".join(map(str, r)) for r in rs.roots)
 
 
-_CTX_CACHE: dict = {}   # (entry name, gauge seed) -> FormContext
-_RESOLVED: dict = {}    # (name, max_rank) -> SatakeDiagram
+_CTX_CACHE: dict = {}
 
 
 def get_context(name: str, gauge_seed: int | None = None,
                 max_rank: int = 8) -> FormContext:
-    """The context of the entry of catalog(max_rank) that `name` resolves
-    to (`find_form`, which raises for a name outside that catalog), shared
-    by every name and max_rank that resolve to the same entry: an entry's
-    name is unique and names the same diagram in every catalog."""
-    diag = _RESOLVED.get((name, max_rank))
-    if diag is None:
-        diag = _RESOLVED[(name, max_rank)] = find_form(name, max_rank)
-    key = (diag.name, gauge_seed)
+    key = (name, gauge_seed, max_rank)
     if key not in _CTX_CACHE:
-        _CTX_CACHE[key] = FormContext(diag, gauge_seed)
+        _CTX_CACHE[key] = FormContext(find_form(name, max_rank), gauge_seed)
     return _CTX_CACHE[key]
 
 
@@ -705,10 +694,10 @@ def verdict_fields(form: str, phi, gauge_seed: int | None = None,
                 break
     span = check in ("span", "all") and span_holds(ctx, pd, kphi)
     _check_sufficiency(form, phi, check, mot, span)
-    labels = ctx.tables.labels
+    roots = ctx.rs.roots
     return {"finite_type": ft,
-            "levi": ";".join("%s:%s" % (labels[g], cls.value)
-                             for g, cls, _ in levi),
+            "levi": ";".join("%s:%s" % ("".join(map(str, roots[g])),
+                                        cls.value) for g, cls, _ in levi),
             "mot": mot, "span": span,
             "verdict": ft and (mot if check == "mot" else span)}
 

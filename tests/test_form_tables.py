@@ -3,8 +3,7 @@ set-algebra `parabolic`, `finite_type`, `k_phi`, Levi classes, complex zero
 pairs and chain bounds against the per-root loops they replaced (kept in
 `chain_oracle`), on every cross set of every non-compact form of rank <= 5,
 ungauged and under gauge seed 1, and on seeded random kernel sets; the
-Levi forms that `k_phi` classifies; and the one context per form that
-every `max_rank` shares."""
+Levi forms that `k_phi` classifies."""
 
 from collections import Counter
 import itertools
@@ -88,13 +87,3 @@ def test_k_phi_classifies_the_targets_of_the_root_loop(monkeypatch):
             classified += len(runs[0])
     assert classified
 
-
-def test_context_is_shared_across_max_rank():
-    ctx = get_context("su(2,3)", None, 8)
-    assert get_context("su(2,3)", None, 9) is ctx
-    assert get_context("su(2,3)", None, 4) is ctx
-    assert get_context("su(2,3)", 1, 8) is get_context("su(2,3)", 1, 5)
-    assert get_context("su(2,3)", 1, 8) is not ctx
-    # resolution still runs per max_rank, and raises for a larger form
-    with pytest.raises(KeyError):
-        get_context("su(2,3)", None, 3)
