@@ -234,7 +234,7 @@ def main(argv=None) -> int:
     except (KeyError, ValueError) as e:  # data errors, ConjugationError too
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except Exception:  # a bug, SufficiencyViolation included
+    except Exception:  # a bug, SufficiencyViolation and LeviInvariantError too
         print("internal error", file=sys.stderr)
         traceback.print_exc()
         return 3

@@ -22,10 +22,21 @@ The data that no cross set changes are tables of the context
 the negative roots whose support holds it, their conjugates and the
 positive roots whose support holds it; the roots a with a + c(a) a root,
 grouped by that sum; the positive real roots; the complex positive pairs;
-and the coordinate columns.  The per-cross-set phases (`parabolic`,
-`finite_type`, `k_phi`, the Levi side, the complex zero pairs and the
-chain bounds) are frozenset algebra over them, with no loop over the
-roots; the tests keep the per-root loops as differential oracles.
+and the roots grouped by the value of each coordinate.  The
+per-cross-set phases (`parabolic`, `finite_type`, `k_phi`, the Levi side,
+the complex zero pairs and the chain moves and bounds) are frozenset
+algebra over them, with no loop over the roots; the tests keep the
+per-root loops as differential oracles.
+
+Two tables fill lazily.  The Levi pattern of a real root t (`LeviPattern`)
+is the entry pattern of its Levi form over every root, built once per
+context and t, with the invariants of `classify_levi` checked once on it;
+a cross set then reads the class and category of the form on any side S
+from counts of the pattern's sets in S (`levi_class`), with no entry
+rebuilt.  A pattern that passes its invariants passes them on every
+restriction to S x S, so no check is lost (see `LeviPattern`).  The row
+labels "<coefficients>:<class>" are memoised per (root, class), for the
+roots that a row prints.
 
 Two paths share these pieces.  `concavity_verdict` builds the full verdict
 document of one cross set, with witness chains, certificates, the kernel
@@ -50,6 +61,13 @@ from .rootsys import RootSystem
 class SufficiencyViolation(RuntimeError):
     """The chain condition held but the span condition failed: impossible by
     the sufficiency theorem, so it signals an implementation bug."""
+
+
+class LeviInvariantError(RuntimeError):
+    """A Levi pattern of a built context broke an invariant of
+    `classify_levi`.  The conjugation battery and the sign solve have
+    validated the context by then, so this signals an implementation bug,
+    not a data error."""
 
 
 class FormContext:
@@ -84,6 +102,7 @@ class FormTables:
     """The data of a form that no cross set changes, so that each
     per-cross-set phase is frozenset algebra over them instead of a loop
     over the roots.  Simple indices j are 0-based here.
+    - simple: the 1-based simple indices, the range of a cross set.
     - every_root: every root index.
     - neg[j]: the negative roots whose support holds j; conj_neg[j]: their
       conjugates; pos[j]: the positive roots whose support holds j.
@@ -93,14 +112,25 @@ class FormTables:
     - positive_real: the positive roots a with c(a) = a.
     - complex_pairs: (b, c(b)) for each positive root b with c(b) > b (so
       c(b) is positive too), in ascending b.
-    - columns[j]: coordinate j of every root, by index."""
+    - levels[j]: (v, the roots whose coordinate j is v) for each value v
+      of coordinate j, in ascending v; `_ChainMemo` reads the minimum of
+      coordinate j over a set as the first level that meets it.
+    Filled on first use:
+    - levi: the `LeviPattern` of each real root read so far (`levi_class`),
+      whose counts give the class of its Levi form on any side, with the
+      invariants checked once on the whole pattern (proofs at
+      `LeviPattern`).
+    - labels: the report label "<coefficients>:<class>" of each (root,
+      class) printed so far (`verdict_fields`)."""
 
-    __slots__ = ("every_root", "neg", "conj_neg", "pos", "conj_sums",
-                 "positive_real", "complex_pairs", "columns")
+    __slots__ = ("simple", "every_root", "neg", "conj_neg", "pos",
+                 "conj_sums", "positive_real", "complex_pairs", "levels",
+                 "levi", "labels")
 
     def __init__(self, rs: RootSystem, cidx):
         n, masks = len(rs.roots), rs.support_masks
         half = n // 2  # negatives come first
+        self.simple = frozenset(range(1, rs.rank + 1))
         self.every_root = frozenset(range(n))
         bits = [1 << j for j in range(rs.rank)]
         self.neg = tuple(frozenset(a for a in range(half) if masks[a] & bit)
@@ -120,7 +150,12 @@ class FormTables:
                                        if cidx[a] == a)
         self.complex_pairs = tuple((b, cidx[b]) for b in range(half, n)
                                    if cidx[b] > b)
-        self.columns = tuple(zip(*rs.roots))
+        self.levels = tuple(
+            tuple((v, frozenset(a for a in range(n) if col[a] == v))
+                  for v in sorted(set(col)))
+            for col in zip(*rs.roots))
+        self.levi: dict[int, LeviPattern] = {}
+        self.labels: dict[tuple, str] = {}
 
 
 _CTX_CACHE: dict = {}
@@ -153,10 +188,10 @@ def parabolic(ctx: FormContext, phi) -> ParabolicData:
     conj_neg[j], because c is a bijection of the roots, so it carries the
     complement of a union of sets to the complement of the union of their
     images."""
-    phi = frozenset(phi)
-    if not phi <= set(range(1, ctx.rs.rank + 1)):
+    phi, t = frozenset(phi), ctx.tables
+    if not phi <= t.simple:
         raise ValueError(f"phi {sorted(phi)} outside the simple basis")
-    t, cols = ctx.tables, [j - 1 for j in phi]
+    cols = [j - 1 for j in phi]
     every = t.every_root
     return ParabolicData(phi, every.difference(*[t.neg[j] for j in cols]),
                          frozenset().union(*[t.pos[j] for j in cols]),
@@ -281,8 +316,17 @@ def classify_levi(index, entries) -> tuple[DefinitenessClass, str]:
                 n_minus += 1
     if not rows.issubset(index):
         raise ValueError("an entry lies outside the index")
-    n = len(index)
-    if not rows:
+    return _class_and_category(n_plus, n_minus, len(index), diag, off)
+
+
+def _class_and_category(n_plus: int, n_minus: int, n: int, diag: bool,
+                        off: bool) -> tuple[DefinitenessClass, str]:
+    """The rules of `classify_levi`: n_plus and n_minus count the signs that
+    the blocks add, n is the size of the index, and diag and off tell
+    whether a diagonal or an off-diagonal entry is present.  Every entry
+    adds a sign (a diagonal entry its own, a pair one of each), so n_plus
+    = n_minus = 0 exactly when the form has no entry, the zero form."""
+    if not (n_plus or n_minus):
         cls = DefinitenessClass.ZERO
     elif n_plus and n_minus:
         cls = DefinitenessClass.INDEFINITE
@@ -302,6 +346,83 @@ def classify_levi(index, entries) -> tuple[DefinitenessClass, str]:
     return cls, cat
 
 
+_ZERO_FORM = (DefinitenessClass.ZERO, "zero-diagonal")
+
+
+class LeviPattern:
+    """The entry pattern of the Levi form at the real root `target` over
+    every root, as `_entries` gives it, checked once by `classify_levi`'s
+    invariants when built (a failure raises `LeviInvariantError`):
+    - rows: the roots x whose row holds an entry;
+    - plus, minus: the x whose diagonal entry is positive, negative;
+    - pairs: the off-diagonal positions (x, y) with x < y.
+
+    `classify` reads the form restricted to S x S, for a side S of roots,
+    from counts: its class and category are those of
+    `classify_levi(S, _entries(ctx, target, S, S))`.
+
+    Proof that the restriction passes the invariants.  Restricting keeps
+    the entries (x, y) with x and y in S.  Each kept row still holds at
+    most one entry and each kept entry is nonzero, and a kept diagonal
+    entry is real, as in the full pattern.  A kept (x, y) has its mirror
+    (y, x) in the full pattern, with the conjugate value, and as y and x
+    are in S that mirror is kept too.  Every kept row lies in S, the
+    index.  So running the invariants once on the full pattern is
+    stronger than running them on every restriction.
+
+    Proof of the counts.  The kept diagonal entries are those at x in plus
+    or minus with x in S, and each adds its sign; the kept off-diagonal
+    blocks are the pairs with both x and y in S, and each adds one + and
+    one -.  So n_plus = |plus n S| + k and n_minus = |minus n S| + k, k the
+    number of kept pairs, and `classify_levi`'s rules give the class and
+    category from these, |S| and whether a diagonal or a pair is kept.
+    When rows misses S nothing is kept, and the form is the zero form with
+    category "zero-diagonal"."""
+
+    __slots__ = ("rows", "plus", "minus", "pairs")
+
+    def __init__(self, ctx: FormContext, target: int):
+        every = ctx.tables.every_root
+        entries = _entries(ctx, target, every, every)
+        try:
+            classify_levi(every, entries)
+        except (ValueError, ArithmeticError) as e:
+            raise LeviInvariantError(
+                f"{ctx.diag.name}, gauge seed {ctx.gauge_seed}: the Levi "
+                f"pattern at root {target} breaks an invariant: {e}") from e
+        plus, minus, pairs = [], [], []
+        for (x, y), (re, _) in entries.items():
+            if x == y:
+                (plus if re > 0 else minus).append(x)
+            elif x < y:
+                pairs.append((x, y))
+        self.rows = frozenset(x for x, _ in entries)
+        self.plus, self.minus = frozenset(plus), frozenset(minus)
+        self.pairs = tuple(pairs)
+
+    def classify(self, side) -> tuple[DefinitenessClass, str]:
+        if self.rows.isdisjoint(side):
+            return _ZERO_FORM
+        kept = sum(x in side and y in side for x, y in self.pairs)
+        n_plus = len(self.plus.intersection(side))
+        n_minus = len(self.minus.intersection(side))
+        return _class_and_category(n_plus + kept, n_minus + kept, len(side),
+                                   bool(n_plus or n_minus), bool(kept))
+
+
+def levi_class(ctx: FormContext, target: int,
+               side) -> tuple[DefinitenessClass, str]:
+    """Class and category of the Levi form at the real root `target` on
+    the roots `side`, equal to `classify_levi(side, _entries(ctx, target,
+    side, side))`, read from the target's `LeviPattern`, which is built on
+    first use and kept in the context's tables."""
+    table = ctx.tables.levi
+    pattern = table.get(target)
+    if pattern is None:
+        pattern = table[target] = LeviPattern(ctx, target)
+    return pattern.classify(side)
+
+
 # -- kernel set, finite type, reachability -----------------------------------
 
 
@@ -315,11 +436,15 @@ def k_phi(ctx: FormContext, pd: ParabolicData) -> frozenset:
     in Q and the form at beta not indefinite.  The table `conj_sums` lists
     each such beta once with all its roots a, so the form at beta is
     classified once, and only when -beta is in Q and some a is: the
-    targets that a loop over the roots of Q classifies."""
+    targets that a loop over the roots of Q classifies.  The form is
+    `q_form`'s, on Q; `levi_class` reads it from the pattern of beta with
+    side Q.  Its index is Q rather than the roots that carry an entry, a
+    choice that moves a form only between definite and semidefinite,
+    never into or out of indefinite."""
     Q, drop = pd.Q, []
     for beta, neg_beta, sources in ctx.tables.conj_sums:
         if neg_beta in Q and not sources.isdisjoint(Q):
-            cls = classify_levi(*q_form(ctx, pd, beta))[0]
+            cls = levi_class(ctx, beta, Q)[0]
             if cls is not DefinitenessClass.INDEFINITE:
                 drop.append(sources)
     return Q.difference(*drop)
@@ -438,24 +563,35 @@ def root_closure(ctx: FormContext, start, moves) -> tuple[dict, list[int]]:
 
 
 class _ChainMemo:
-    """The chain data of one cross set (pd, kphi): its moves K u conj(K)
-    and coefficient bounds, built together, and the parent map and sizes
-    of its `root_closure`, built on first read (`_chain_closure`).
+    """The chain data of one cross set (pd, kphi), for a kernel set kphi
+    inside Q: its moves K u conj(K) and coefficient bounds, built together,
+    and the parent map and sizes of its `root_closure`, built on first read
+    (`_chain_closure`).
+
+    The moves are K u (conj(Q) \\ c(Q \\ K)): c is a bijection of the roots,
+    so c(K) = c(Q) \\ c(Q \\ K) for K inside Q, and c runs only over the
+    roots that K leaves out of Q (0.6 per cross set on average over the
+    `--check mot` rows of the rank 6-8 real forms of dimension <= 80,
+    against 38 in K_Phi).
 
     The bounds are [(j, minimum of coordinate j over conj(Q))] for every
     coordinate j on which no move is negative, in ascending j.  A root has
     all coefficients >= 0 or all <= 0, so a move is negative on j iff it
     is a negative root with j in its support: j is bound iff the moves miss
-    the table set neg[j].  The minimum is taken on bound coordinates only,
-    from the table column of j."""
+    the table set neg[j].  The minimum is taken on bound coordinates only:
+    the table `levels[j]` parts the roots by their coordinate j in
+    ascending value, so the minimum over the nonempty set conj(Q) is the
+    value of the first part that meets it."""
 
     __slots__ = ("key", "moves", "bounds", "closure")
 
     def __init__(self, ctx: FormContext, pd: ParabolicData, kphi):
-        kphi, t = frozenset(kphi), ctx.tables
+        kphi, t, Qbar = frozenset(kphi), ctx.tables, pd.Qbar
         self.key = (pd, kphi)
-        self.moves = kphi.union(map(ctx.conj.c_index.__getitem__, kphi))
-        self.bounds = [(j, min(map(t.columns[j].__getitem__, pd.Qbar)))
+        left_out = map(ctx.conj.c_index.__getitem__, pd.Q - kphi)
+        self.moves = kphi.union(Qbar.difference(left_out))
+        self.bounds = [(j, next(v for v, part in t.levels[j]
+                                if not part.isdisjoint(Qbar)))
                        for j, neg in enumerate(t.neg)
                        if self.moves.isdisjoint(neg)]
         self.closure = None
@@ -650,9 +786,10 @@ def _mot_targets(ctx: FormContext, pd: ParabolicData, levi):
 def _levi_classes(ctx: FormContext, pd: ParabolicData) -> list:
     """(gamma, class, category) of every real characteristic root, each
     the class of `levi_matrix`'s default convention, over the side
-    conj(Q) \\ Q, which is computed once for all of them."""
-    side = pd.Qbar - pd.Q
-    return [(g, *classify_levi(side, _entries(ctx, ctx.negi(g), side, side)))
+    conj(Q) \\ Q, which is computed once for all of them, read from the
+    pattern of -gamma (`levi_class`)."""
+    side, negi = pd.Qbar - pd.Q, ctx.rs.neg_index
+    return [(g, *levi_class(ctx, negi[g], side))
             for g in characteristic_real_roots(ctx, pd)]
 
 
@@ -660,6 +797,20 @@ def _check_sufficiency(form: str, phi, check: str, mot: bool, span: bool):
     if check == "all" and mot and not span:
         raise SufficiencyViolation(f"{form} phi={sorted(set(phi))}: chain "
                                    f"condition held but span failed")
+
+
+def _row_label(ctx: FormContext, g: int, cls: DefinitenessClass) -> str:
+    """The report label "<coefficients>:<class>" of the root g, memoised
+    per (root, class) in the context's tables.  The key holds the class's
+    value as the member attribute `_value_`: an Enum member's hash and
+    `.value` are Python-level calls, which would cost as much as the
+    memo saves."""
+    labels, key = ctx.tables.labels, (g, cls._value_)
+    text = labels.get(key)
+    if text is None:
+        text = labels[key] = "%s:%s" % ("".join(map(str, ctx.rs.roots[g])),
+                                         key[1])
+    return text
 
 
 def _reached(ctx: FormContext, pd: ParabolicData, kphi, target: int) -> bool:
@@ -694,10 +845,8 @@ def verdict_fields(form: str, phi, gauge_seed: int | None = None,
                 break
     span = check in ("span", "all") and span_holds(ctx, pd, kphi)
     _check_sufficiency(form, phi, check, mot, span)
-    roots = ctx.rs.roots
     return {"finite_type": ft,
-            "levi": ";".join("%s:%s" % ("".join(map(str, roots[g])),
-                                        cls.value) for g, cls, _ in levi),
+            "levi": ";".join([_row_label(ctx, g, cls) for g, cls, _ in levi]),
             "mot": mot, "span": span,
             "verdict": ft and (mot if check == "mot" else span)}
 

@@ -1,18 +1,23 @@
 """Differential tests for the per-form tables of `minorbit.crflag`: the
 set-algebra `parabolic`, `finite_type`, `k_phi`, Levi classes, complex zero
-pairs and chain bounds against the per-root loops they replaced (kept in
-`chain_oracle`), on every cross set of every non-compact form of rank <= 5,
-ungauged and under gauge seed 1, and on seeded random kernel sets; the
-Levi forms that `k_phi` classifies."""
+pairs and chain moves and bounds against the per-root loops they replaced
+(kept in `chain_oracle`), on every cross set of every non-compact form of
+rank <= 5, ungauged and under gauge seed 1, and on seeded random kernel
+sets; the Levi forms that `k_phi` classifies; the Levi patterns of every
+real root of the real `catalog(8)` forms, and the `--phi` categories read
+from them."""
 
 from collections import Counter
 import itertools
+import json
 
 import pytest
 
 import chain_oracle as oracle
-from minorbit import crflag
-from minorbit.crflag import _chain_memo, _mot_targets, get_context, parabolic
+from minorbit import cli, crflag
+from minorbit.crflag import (LeviPattern, _chain_memo, _entries,
+                             _mot_targets, characteristic_real_roots,
+                             classify_levi, get_context, parabolic)
 from minorbit.realform import catalog
 from test_chain_oracle import RANDOM_FORMS, _random_draws
 
@@ -23,6 +28,11 @@ CASES = [(e, seed) for seed in (None, 1) for e in NONCOMPACT]
 def _cross_sets(rank):
     for k in range(rank + 1):
         yield from itertools.combinations(range(1, rank + 1), k)
+
+
+def _moves_by_map(ctx, kphi):
+    """K u c(K), mapping c over K."""
+    return frozenset(kphi) | {ctx.c(a) for a in kphi}
 
 
 @pytest.mark.parametrize("entry,seed", CASES,
@@ -56,9 +66,12 @@ def test_chain_bounds_match_per_root_loop_on_random_kernels(name, rank):
 def test_k_phi_classifies_the_targets_of_the_root_loop(monkeypatch):
     """`k_phi` classifies the Levi form at the same targets as the loop over
     the roots of Q, each once, on every cross set of the forms of rank
-    <= 5, ungauged."""
+    <= 5, ungauged.  `k_phi` reads each class with one `levi_class` call;
+    the loop builds each form with `q_form` and classifies it with
+    `classify_levi`, and the test checks that it pairs the two."""
     targets, calls = [], Counter()
     real_q_form, real_classify = crflag.q_form, crflag.classify_levi
+    real_levi_class = crflag.levi_class
 
     def recording_q_form(ctx, pd, target):
         targets.append(target)
@@ -68,8 +81,13 @@ def test_k_phi_classifies_the_targets_of_the_root_loop(monkeypatch):
         calls["classify"] += 1
         return real_classify(index, entries)
 
+    def recording_levi_class(ctx, target, side):
+        targets.append(target)
+        return real_levi_class(ctx, target, side)
+
     monkeypatch.setattr(crflag, "q_form", recording_q_form)
     monkeypatch.setattr(crflag, "classify_levi", counting_classify)
+    monkeypatch.setattr(crflag, "levi_class", recording_levi_class)
     classified = 0
     for e in NONCOMPACT:
         ctx = get_context(e.name, max_rank=5)
@@ -80,10 +98,77 @@ def test_k_phi_classifies_the_targets_of_the_root_loop(monkeypatch):
                 targets.clear()
                 calls.clear()
                 k_phi(ctx, pd)
-                assert calls["classify"] == len(targets)
                 runs.append(Counter(targets))
+            # a first read of a target builds its pattern, which runs
+            # classify_levi once, so only the loop's calls are counted
+            assert calls["classify"] == sum(runs[1].values())
             assert runs[0] == runs[1], (e.name, phi)
             assert set(runs[0].values()) <= {1}, (e.name, phi)
             classified += len(runs[0])
     assert classified
 
+
+@pytest.mark.parametrize("entry,seed", CASES,
+                         ids=[f"{e.name}-seed{s}" for e, s in CASES])
+def test_chain_moves_are_kernel_and_its_conjugate(entry, seed):
+    ctx = get_context(entry.name, seed, max_rank=5)
+    for phi in _cross_sets(entry.rank):
+        pd = parabolic(ctx, phi)
+        kphi = crflag.k_phi(ctx, pd)
+        assert _chain_memo(ctx, pd, kphi).moves == \
+            _moves_by_map(ctx, kphi), phi
+
+
+@pytest.mark.parametrize("name,rank", RANDOM_FORMS,
+                         ids=[n for n, _ in RANDOM_FORMS])
+def test_chain_moves_are_kernel_and_its_conjugate_on_random_kernels(name,
+                                                                    rank):
+    ctx = get_context(name)
+    for pd, kphi, _ in _random_draws(ctx, name, rank):
+        assert _chain_memo(ctx, pd, kphi).moves == _moves_by_map(ctx, kphi)
+
+
+REAL_CATALOG = [e for e in catalog(8) if e.label != "compact"
+                and not e.doubled]
+
+
+@pytest.mark.parametrize("seed", (None, 1))
+def test_levi_patterns_pass_their_invariants(seed):
+    """The pattern of every positive real root and of its negative builds,
+    so passes `classify_levi`'s invariants, on every non-compact real form
+    of `catalog(8)`, and on the whole root set it reads the class of the
+    full entry map."""
+    patterns = 0
+    for e in REAL_CATALOG:
+        ctx = get_context(e.name, seed)
+        every = ctx.tables.every_root
+        for g in ctx.tables.positive_real:
+            for t in (g, ctx.negi(g)):
+                full = classify_levi(every, _entries(ctx, t, every, every))
+                assert LeviPattern(ctx, t).classify(every) == full, \
+                    (e.name, t)
+                patterns += 1
+    assert patterns
+
+
+@pytest.mark.parametrize("entry", NONCOMPACT, ids=[e.name for e in NONCOMPACT])
+def test_phi_categories_match_classify_levi_of_entries(entry, capsysbinary):
+    """The classes and categories of a `--phi` run's details equal
+    `classify_levi` of the entries `_entries` builds on the side
+    conj(Q) \\ Q, on every cross set, ungauged."""
+    ctx = get_context(entry.name, max_rank=5)
+    for phi in _cross_sets(entry.rank):
+        assert cli.main(["--form", entry.name, "--phi",
+                         ",".join(map(str, phi)), "--check", "mot",
+                         "--no-golden", "--max-rank", "5"]) == 0
+        doc = json.loads(capsysbinary.readouterr().out)
+        gammas = doc["details"][0]["gammas"]
+        pd = parabolic(ctx, phi)
+        side = pd.Qbar - pd.Q
+        want = []
+        for g in characteristic_real_roots(ctx, pd):
+            cls, cat = classify_levi(side, _entries(ctx, ctx.negi(g), side,
+                                                    side))
+            want.append({"root": list(ctx.rs.roots[g]), "class": cls.value,
+                         "category": cat})
+        assert gammas == want, phi

@@ -129,6 +129,25 @@ def test_cli_internal_error_exit_code(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: bad catalog entry\n"
 
 
+def test_cli_levi_invariant_failure_is_internal_error(monkeypatch, capsys):
+    """A Levi pattern that breaks `classify_levi`'s invariants in a built,
+    validated context is a bug: exit 3 with a traceback, not a data
+    error.  One Chevalley constant of a fresh context is set to zero."""
+    from minorbit import cli, crflag
+    from minorbit.realform import find_form
+    ctx = crflag.FormContext(find_form("sl(3,R)"))
+    monkeypatch.setitem(crflag._CTX_CACHE, ("sl(3,R)", None, 8), ctx)
+    pd = crflag.parabolic(ctx, (1, 2))
+    target = ctx.negi(crflag.characteristic_real_roots(ctx, pd)[0])
+    monkeypatch.setitem(ctx.sc.ntable, ctx.rs.sum_pairs[target][0], 0)
+    assert cli.main(["--form", "sl(3,R)", "--phi", "1,2", "--no-golden"]) == 3
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("internal error\n")
+    assert "Traceback" in err and "LeviInvariantError" in err
+    assert "zero entry" in err
+
+
 def test_cli_single_phi_of_e8(capsys):
     from minorbit import cli
     assert cli.main(["--form", "EIX", "--phi", "1"]) == 0

@@ -21,17 +21,26 @@ D = DefinitenessClass
 
 
 def _q_form_targets(name, phi, seed, monkeypatch):
-    """The targets of every `q_form` that a `--check mot` verdict reads:
-    those of `k_phi` and of the complex-zero-pair test."""
+    """The targets of every form on Q (`q_form`'s) that a `--check mot`
+    verdict reads: those of `k_phi`, which reads them through `levi_class`
+    with side Q, and those of the complex-zero-pair test, which builds
+    them with `q_form`."""
     targets = []
-    real_q_form = crflag.q_form
+    real_q_form, real_levi_class = crflag.q_form, crflag.levi_class
+    Q = parabolic(get_context(name, seed), phi).Q
 
     def recording(ctx, pd, target):
         targets.append(target)
         return real_q_form(ctx, pd, target)
 
+    def recording_levi_class(ctx, target, side):
+        if side == Q:
+            targets.append(target)
+        return real_levi_class(ctx, target, side)
+
     with monkeypatch.context() as mp:
         mp.setattr(crflag, "q_form", recording)
+        mp.setattr(crflag, "levi_class", recording_levi_class)
         concavity_verdict(name, phi, gauge_seed=seed, check="mot")
     return sorted(set(targets))
 
