@@ -135,12 +135,14 @@ def test_cli_levi_invariant_failure_is_internal_error(monkeypatch, capsys):
     error.  One Chevalley constant of a fresh context is set to zero."""
     from minorbit import cli, crflag
     from minorbit.realform import find_form
-    ctx = crflag.FormContext(find_form("sl(3,R)"))
-    monkeypatch.setitem(crflag._CTX_CACHE, ("sl(3,R)", None, 8), ctx)
-    pd = crflag.parabolic(ctx, (1, 2))
+    ctx = crflag.FormContext(find_form("sp(1,2)"))
+    monkeypatch.setitem(crflag._CTX_CACHE, ("sp(1,2)", None, 8), ctx)
+    pd = crflag.parabolic(ctx, (1, 2, 3))
+    assert pd.Qbar - pd.Q  # a nonempty Levi side, so the patterns are read
     target = ctx.negi(crflag.characteristic_real_roots(ctx, pd)[0])
     monkeypatch.setitem(ctx.sc.ntable, ctx.rs.sum_pairs[target][0], 0)
-    assert cli.main(["--form", "sl(3,R)", "--phi", "1,2", "--no-golden"]) == 3
+    assert cli.main(["--form", "sp(1,2)", "--phi", "1,2,3",
+                     "--no-golden"]) == 3
     out, err = capsys.readouterr()
     assert not out
     assert err.startswith("internal error\n")
