@@ -794,9 +794,10 @@ def _levi_classes(ctx: FormContext, pd: ParabolicData) -> list:
     pattern of -gamma (`levi_class`).  When the side is empty (c(Q) lies
     inside Q, as in every split form) each form has an empty index, so it
     is the zero form with category "zero-diagonal", as `classify_levi`
-    finds for an empty index, and no pattern is read: 41,216 of the
-    62,324 Levi reads of the `--check mot` rows of the rank 6-8 real forms
-    of dimension <= 80 (ungauged and gauge 7) have an empty side."""
+    finds for an empty index, and no pattern is read.  Of the 62,324 Levi
+    forms that `k_phi` and this function classify on the `--check mot`
+    rows of the rank 6-8 real forms of dimension <= 80 (ungauged and gauge
+    7), 41,216 are such forms."""
     side, negi = pd.Qbar - pd.Q, ctx.rs.neg_index
     if not side:  # conj(Q) inside Q: each form has an empty index
         return [(g, *_ZERO_FORM) for g in characteristic_real_roots(ctx, pd)]
@@ -813,9 +814,9 @@ def _check_sufficiency(form: str, phi, check: str, mot: bool, span: bool):
 def _row_label(ctx: FormContext, g: int, cls: DefinitenessClass) -> str:
     """The report label "<coefficients>:<class>" of the root g, memoised
     per (root, class) in the context's tables.  The key holds the class's
-    value as the member attribute `_value_`: an Enum member's hash and
-    `.value` are Python-level calls, which would cost as much as the
-    memo saves."""
+    value as the member attribute `_value_`, read with no call: an Enum
+    member's hash and `.value` are Python-level calls, which more than
+    double the cost of a lookup."""
     labels, key = ctx.tables.labels, (g, cls._value_)
     text = labels.get(key)
     if text is None:
