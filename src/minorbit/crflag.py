@@ -17,16 +17,21 @@ conjugation and the Chevalley constants, and `classify_levi` decides its
 class and category from their positions and signs, with no Killing value,
 no dense matrix and no elimination.
 
-The data that no cross set changes are tables of the context
-(`FormTables`, built once per context on first use): per simple index,
-the negative roots whose support holds it, their conjugates and the
-positive roots whose support holds it; the roots a with a + c(a) a root,
-grouped by that sum; the positive real roots; the complex positive pairs;
-and the roots grouped by the value of each coordinate.  The
+Every root set of a cross set is an integer mask, bit a standing for the
+root with index a: Q, Qn and conj(Q), the kernel set, the chain moves and
+every table set.  The data that no cross set changes are tables of the
+context (`FormTables`, built once per context on first use): per simple
+index, the negative roots whose support holds it, their conjugates and
+the positive roots whose support holds it; the roots a with a + c(a) a
+root, grouped by that sum; the positive real roots; the complex positive
+pairs; and the roots grouped by the value of each coordinate.  The
 per-cross-set phases (`parabolic`, `finite_type`, `k_phi`, the Levi side,
-the complex zero pairs and the chain moves and bounds) are frozenset
-algebra over them, with no loop over the roots; the tests keep the
-per-root loops as differential oracles.
+the complex zero pairs and the chain moves and bounds) are OR, AND and
+AND-NOT of masks and bit counts, with no loop over the roots; the tests
+keep the per-root loops as differential oracles.  The document path and
+the tests read the roots of a mask through `indices`, in ascending order.
+The closure alone keeps Python sets: `root_closure` turns its start and
+moves into a list and a set once per call.
 
 Two tables fill lazily.  The Levi pattern of a real root t (`LeviPattern`)
 is the entry pattern of its Levi form over every root, built once per
@@ -56,6 +61,40 @@ from .chevalley import StructureConstants, build_chevalley
 from .exactla import DefinitenessClass, hermitian_classify  # noqa: F401
 from .realform import Conjugation, SatakeDiagram, build_conjugation, find_form
 from .rootsys import RootSystem
+
+
+# _BYTE_INDICES[k][v]: the indices of the set bits of byte k of a mask when
+# that byte has the value v.  A row depends on k alone, so the list is a
+# memo that `indices` grows to the longest mask it has read (30 rows for the
+# 240 roots of E8), and a row is never changed once written.
+_BYTE_BITS = tuple(tuple(i for i in range(8) if v >> i & 1)
+                   for v in range(256))
+_BYTE_INDICES: list[tuple[tuple[int, ...], ...]] = []
+
+
+def indices(mask: int) -> list[int]:
+    """The root indices of the root set `mask` (bit a for the root with
+    index a), in ascending order, read a byte at a time from the mask's
+    little-endian bytes: byte k with value v holds the indices
+    `_BYTE_INDICES[k][v]`."""
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    while len(_BYTE_INDICES) < len(data):
+        base = 8 * len(_BYTE_INDICES)
+        _BYTE_INDICES.append(tuple(tuple(base + i for i in bits)
+                                   for bits in _BYTE_BITS))
+    out: list[int] = []
+    for row, v in zip(_BYTE_INDICES, data):
+        if v:
+            out += row[v]
+    return out
+
+
+def _mask(roots) -> int:
+    """The mask of the root indices `roots`."""
+    out = 0
+    for a in roots:
+        out |= 1 << a
+    return out
 
 
 class SufficiencyViolation(RuntimeError):
@@ -100,18 +139,20 @@ class FormContext:
 
 class FormTables:
     """The data of a form that no cross set changes, so that each
-    per-cross-set phase is frozenset algebra over them instead of a loop
-    over the roots.  Simple indices j are 0-based here.
-    - simple: the 1-based simple indices, the range of a cross set.
-    - every_root: every root index.
+    per-cross-set phase is a few mask operations over them instead of a
+    loop over the roots.  Every root set is a mask, bit a for the root with
+    index a.  Simple indices j are 0-based here.
+    - simple: the 1-based simple indices, the range of a cross set (a
+      frozenset).
+    - every_root: every root.
     - neg[j]: the negative roots whose support holds j; conj_neg[j]: their
       conjugates; pos[j]: the positive roots whose support holds j.
     - conj_sums: (beta, -beta, A) for each root beta = a + c(a), with A the
       roots a of that sum, in order of the smallest a of each A.  A holds
       c(a) with a, as c(a) + c(c(a)) = a + c(a).
     - positive_real: the positive roots a with c(a) = a.
-    - complex_pairs: (b, c(b)) for each positive root b with c(b) > b (so
-      c(b) is positive too), in ascending b.
+    - complex_pairs: (b, c(b), {b, c(b)}) for each positive root b with
+      c(b) > b (so c(b) is positive too), in ascending b.
     - levels[j]: (v, the roots whose coordinate j is v) for each value v
       of coordinate j, in ascending v; `_ChainMemo` reads the minimum of
       coordinate j over a set as the first level that meets it.
@@ -131,32 +172,31 @@ class FormTables:
         n, masks = len(rs.roots), rs.support_masks
         half = n // 2  # negatives come first
         self.simple = frozenset(range(1, rs.rank + 1))
-        self.every_root = frozenset(range(n))
+        self.every_root = (1 << n) - 1
         bits = [1 << j for j in range(rs.rank)]
-        self.neg = tuple(frozenset(a for a in range(half) if masks[a] & bit)
+        self.neg = tuple(_mask(a for a in range(half) if masks[a] & bit)
                          for bit in bits)
-        self.conj_neg = tuple(frozenset(cidx[a] for a in neg)
+        self.conj_neg = tuple(_mask(cidx[a] for a in indices(neg))
                               for neg in self.neg)
-        self.pos = tuple(frozenset(a for a in range(half, n)
-                                   if masks[a] & bit) for bit in bits)
-        sources: dict[int, list[int]] = {}
+        self.pos = tuple(_mask(a for a in range(half, n) if masks[a] & bit)
+                         for bit in bits)
+        sources: dict[int, int] = {}
         for a, row in enumerate(rs.sum_row):
             beta = row.get(cidx[a])
             if beta is not None:
-                sources.setdefault(beta, []).append(a)
-        self.conj_sums = tuple((beta, rs.neg_index[beta], frozenset(group))
+                sources[beta] = sources.get(beta, 0) | 1 << a
+        self.conj_sums = tuple((beta, rs.neg_index[beta], group)
                                for beta, group in sources.items())
-        self.positive_real = frozenset(a for a in range(half, n)
-                                       if cidx[a] == a)
-        self.complex_pairs = tuple((b, cidx[b]) for b in range(half, n)
-                                   if cidx[b] > b)
+        self.positive_real = _mask(a for a in range(half, n)
+                                   if cidx[a] == a)
+        self.complex_pairs = tuple((b, cidx[b], 1 << b | 1 << cidx[b])
+                                   for b in range(half, n) if cidx[b] > b)
         levels = []
         for col in zip(*rs.roots):
-            parts: dict[int, list[int]] = {}
+            parts: dict[int, int] = {}
             for a, v in enumerate(col):
-                parts.setdefault(v, []).append(a)
-            levels.append(tuple((v, frozenset(parts[v]))
-                                for v in sorted(parts)))
+                parts[v] = parts.get(v, 0) | 1 << a
+            levels.append(tuple((v, parts[v]) for v in sorted(parts)))
         self.levels = tuple(levels)
         self.levi: dict[int, LeviPattern] = {}
         self.labels: dict[tuple, str] = {}
@@ -178,10 +218,13 @@ def get_context(name: str, gauge_seed: int | None = None,
 
 @dataclass(frozen=True)
 class ParabolicData:
-    phi: frozenset          # 1-based simple indices
-    Q: frozenset            # root indices
-    Qn: frozenset
-    Qbar: frozenset
+    """The root sets of a cross set phi (a frozenset of 1-based simple
+    indices) as masks, bit a for the root with index a: Q, Qn and
+    Qbar = conj(Q)."""
+    phi: frozenset
+    Q: int
+    Qn: int
+    Qbar: int
 
 
 def parabolic(ctx: FormContext, phi) -> ParabolicData:
@@ -195,16 +238,18 @@ def parabolic(ctx: FormContext, phi) -> ParabolicData:
     phi, t = frozenset(phi), ctx.tables
     if not phi <= t.simple:
         raise ValueError(f"phi {sorted(phi)} outside the simple basis")
-    cols = [j - 1 for j in phi]
+    negs = pos = conj_negs = 0
+    for j in phi:
+        negs |= t.neg[j - 1]
+        pos |= t.pos[j - 1]
+        conj_negs |= t.conj_neg[j - 1]
     every = t.every_root
-    return ParabolicData(phi, every.difference(*[t.neg[j] for j in cols]),
-                         frozenset().union(*[t.pos[j] for j in cols]),
-                         every.difference(*[t.conj_neg[j] for j in cols]))
+    return ParabolicData(phi, every & ~negs, pos, every & ~conj_negs)
 
 
 def characteristic_real_roots(ctx: FormContext, pd: ParabolicData) -> list[int]:
-    """Positive real roots in Qn (automatically in conj(Qn))."""
-    return sorted(pd.Qn & ctx.tables.positive_real)
+    """Positive real roots in Qn (automatically in conj(Qn)), ascending."""
+    return indices(pd.Qn & ctx.tables.positive_real)
 
 
 # -- Levi forms ---------------------------------------------------------------
@@ -213,17 +258,18 @@ _I_POW = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i**k as (re, im), k mod 4
 
 
 def _entries(ctx: FormContext, target: int, rows, cols) -> dict:
-    """The Levi form at the root `target`, restricted to rows x in `rows`
-    and columns y in `cols`, up to the positive factor of `classify_levi`:
+    """The Levi form at the root `target`, restricted to rows x in the mask
+    `rows` and columns y in the mask `cols`, up to the positive factor of
+    `classify_levi`:
     the map (x, y) -> (re, im) of the Gaussian integers
     A(x, y) = i^(3 + t_y) N(x, c(y)) for x + c(y) = target, where t_y is
     the conjugation's sign exponent; absent positions are zero."""
     nt, cidx, texp = ctx.sc.ntable, ctx.conj.c_index, ctx.conj.t_exp
     out = {}
     for x, rest in ctx.rs.sum_pairs[target]:
-        if x in rows:
+        if rows >> x & 1:
             y = cidx[rest]
-            if y in cols:
+            if cols >> y & 1:
                 n = nt[(x, rest)]
                 re, im = _I_POW[(3 + texp[y]) % 4]
                 out[(x, y)] = (re * n, im * n)
@@ -242,10 +288,10 @@ def levi_matrix(ctx: FormContext, pd: ParabolicData, gamma: int,
     """
     if ctx.c(gamma) != gamma:
         raise ValueError("levi_matrix needs a real root")
-    if gamma not in pd.Qn:
+    if not pd.Qn >> gamma & 1:
         raise ValueError("levi_matrix needs a characteristic root")
-    side = pd.Q - pd.Qbar if mirrored else pd.Qbar - pd.Q
-    return sorted(side), _entries(ctx, ctx.negi(gamma), side, side)
+    side = pd.Q & ~pd.Qbar if mirrored else pd.Qbar & ~pd.Q
+    return indices(side), _entries(ctx, ctx.negi(gamma), side, side)
 
 
 def q_form(ctx: FormContext, pd: ParabolicData, target: int):
@@ -356,14 +402,15 @@ _ZERO_FORM = (DefinitenessClass.ZERO, "zero-diagonal")
 class LeviPattern:
     """The entry pattern of the Levi form at the real root `target` over
     every root, as `_entries` gives it, checked once by `classify_levi`'s
-    invariants when built (a failure raises `LeviInvariantError`):
+    invariants when built (a failure raises `LeviInvariantError`), as
+    masks:
     - rows: the roots x whose row holds an entry;
     - plus, minus: the x whose diagonal entry is positive, negative;
-    - pairs: the off-diagonal positions (x, y) with x < y.
+    - pairs: the mask {x, y} of each off-diagonal position (x, y), x < y.
 
-    `classify` reads the form restricted to S x S, for a side S of roots,
-    from counts: its class and category are those of
-    `classify_levi(S, _entries(ctx, target, S, S))`.
+    `classify` reads the form restricted to S x S, for a side S of roots
+    given as a mask, from bit counts: its class and category are those of
+    `classify_levi(indices(S), _entries(ctx, target, S, S))`.
 
     Proof that the restriction passes the invariants.  Restricting keeps
     the entries (x, y) with x and y in S.  Each kept row still holds at
@@ -381,7 +428,15 @@ class LeviPattern:
     number of kept pairs, and `classify_levi`'s rules give the class and
     category from these, |S| and whether a diagonal or a pair is kept.
     When rows misses S nothing is kept, and the form is the zero form with
-    category "zero-diagonal"."""
+    category "zero-diagonal".
+
+    Proof that only whether a pair is kept matters.  With k >= 1 both
+    n_plus and n_minus are >= 1, so the class is indefinite for every such
+    k, and the category reads only whether a diagonal entry is kept
+    ("mixed" or "zero-diagonal"), as a pair is; with k = 0 the counts are
+    those of the diagonal alone.  So `_class_and_category` gives the same
+    class and category with k replaced by [k >= 1], and `classify` stops
+    at the first kept pair instead of counting them."""
 
     __slots__ = ("rows", "plus", "minus", "pairs")
 
@@ -389,37 +444,43 @@ class LeviPattern:
         every = ctx.tables.every_root
         entries = _entries(ctx, target, every, every)
         try:
-            classify_levi(every, entries)
+            classify_levi(range(len(ctx.rs.roots)), entries)
         except (ValueError, ArithmeticError) as e:
             raise LeviInvariantError(
                 f"{ctx.diag.name}, gauge seed {ctx.gauge_seed}: the Levi "
                 f"pattern at root {target} breaks an invariant: {e}") from e
-        plus, minus, pairs = [], [], []
+        rows = plus = minus = 0
+        pairs = []
         for (x, y), (re, _) in entries.items():
+            rows |= 1 << x
             if x == y:
-                (plus if re > 0 else minus).append(x)
+                if re > 0:
+                    plus |= 1 << x
+                else:
+                    minus |= 1 << x
             elif x < y:
-                pairs.append((x, y))
-        self.rows = frozenset(x for x, _ in entries)
-        self.plus, self.minus = frozenset(plus), frozenset(minus)
+                pairs.append(1 << x | 1 << y)
+        self.rows, self.plus, self.minus = rows, plus, minus
         self.pairs = tuple(pairs)
 
-    def classify(self, side) -> tuple[DefinitenessClass, str]:
-        if self.rows.isdisjoint(side):
+    def classify(self, side: int) -> tuple[DefinitenessClass, str]:
+        if not self.rows & side:
             return _ZERO_FORM
-        kept = sum(x in side and y in side for x, y in self.pairs)
-        n_plus = len(self.plus.intersection(side))
-        n_minus = len(self.minus.intersection(side))
-        return _class_and_category(n_plus + kept, n_minus + kept, len(side),
-                                   bool(n_plus or n_minus), bool(kept))
+        kept = any(side & pair == pair for pair in self.pairs)
+        n_plus = (self.plus & side).bit_count()
+        n_minus = (self.minus & side).bit_count()
+        return _class_and_category(n_plus + kept, n_minus + kept,
+                                   side.bit_count(), bool(n_plus or n_minus),
+                                   kept)
 
 
 def levi_class(ctx: FormContext, target: int,
                side) -> tuple[DefinitenessClass, str]:
     """Class and category of the Levi form at the real root `target` on
-    the roots `side`, equal to `classify_levi(side, _entries(ctx, target,
-    side, side))`, read from the target's `LeviPattern`, which is built on
-    first use and kept in the context's tables."""
+    the roots of the mask `side`, equal to `classify_levi(indices(side),
+    _entries(ctx, target, side, side))`, read from the target's
+    `LeviPattern`, which is built on first use and kept in the context's
+    tables."""
     table = ctx.tables.levi
     pattern = table.get(target)
     if pattern is None:
@@ -430,8 +491,9 @@ def levi_class(ctx: FormContext, target: int,
 # -- kernel set, finite type, reachability -----------------------------------
 
 
-def k_phi(ctx: FormContext, pd: ParabolicData) -> frozenset:
-    """Roots a in Q with Z_a in the common kernel of all semidefinite
+def k_phi(ctx: FormContext, pd: ParabolicData) -> int:
+    """The mask of the roots a in Q with Z_a in the common kernel of all
+    semidefinite
     characteristic Levi forms: a + conj(a) not a root (imaginary counts as
     not a root), or -(a + conj(a)) outside Q, or the form at a + conj(a)
     indefinite.
@@ -445,13 +507,13 @@ def k_phi(ctx: FormContext, pd: ParabolicData) -> frozenset:
     side Q.  Its index is Q rather than the roots that carry an entry, a
     choice that moves a form only between definite and semidefinite,
     never into or out of indefinite."""
-    Q, drop = pd.Q, []
+    Q, drop = pd.Q, 0
     for beta, neg_beta, sources in ctx.tables.conj_sums:
-        if neg_beta in Q and not sources.isdisjoint(Q):
+        if Q >> neg_beta & 1 and sources & Q:
             cls = levi_class(ctx, beta, Q)[0]
             if cls is not DefinitenessClass.INDEFINITE:
-                drop.append(sources)
-    return Q.difference(*drop)
+                drop |= sources
+    return Q & ~drop
 
 
 def finite_type(ctx: FormContext, pd: ParabolicData) -> bool:
@@ -483,7 +545,7 @@ def finite_type(ctx: FormContext, pd: ParabolicData) -> bool:
     that is, iff Q u conj(Q) meets neg[j].  The tests keep the closure
     itself as a differential oracle."""
     both = pd.Q | pd.Qbar
-    return not any(both.isdisjoint(neg) for neg in ctx.tables.neg)
+    return all(both & neg for neg in ctx.tables.neg)
 
 
 def complex_type_verdict(diag: SatakeDiagram, phi, check: str = "all") -> dict:
@@ -531,13 +593,15 @@ def complex_type_verdict(diag: SatakeDiagram, phi, check: str = "all") -> dict:
             "span": ft and check in ("span", "all")}
 
 
-def root_closure(ctx: FormContext, start, moves) -> tuple[dict, list[int]]:
+def root_closure(ctx: FormContext, start: int,
+                 moves: int) -> tuple[dict, list[int]]:
     """Breadth-first closure of the root set `start` under adding `moves`,
-    staying inside the root set.
+    both masks, staying inside the root set.
 
-    The first frontier is sorted(start); each round walks its frontier in
-    discovery order, tries the moves in sorted order at each root, and gives
-    every new root the parent (root, move) that first reaches it.  Rounds
+    The first frontier is the roots of start in ascending order; each
+    round walks its frontier in discovery order, tries the moves in sorted
+    order at each root, and gives every new root the parent (root, move)
+    that first reaches it.  Rounds
     run until one adds nothing.  Returns the parent map (start roots map to
     (None, None)) and sizes, where sizes[h] is the number of roots reached
     after round h (sizes[0] = |start|, the last entry repeats).
@@ -548,9 +612,14 @@ def root_closure(ctx: FormContext, start, moves) -> tuple[dict, list[int]]:
     same sequence as trying every move in sorted order and skipping the
     ones without a sum.  So the order, the parent map and the sizes are
     those of the move-by-move walk, at a cost of one row per root instead
-    of one lookup per move."""
-    moves = frozenset(moves)
-    frontier = sorted(start)
+    of one lookup per move.
+
+    The masks are read once, into a sorted list and a set, and the walk
+    keeps Python sets and its parent dict: it tests one move per row entry
+    and one root per sum, and a set lookup is cheaper there than a shift
+    and AND of a mask of a few hundred bits."""
+    moves = frozenset(indices(moves))
+    frontier = indices(start)
     parent: dict[int, tuple] = {a: (None, None) for a in frontier}
     sizes = [len(parent)]
     rows = ctx.rs.sum_row
@@ -568,7 +637,8 @@ def root_closure(ctx: FormContext, start, moves) -> tuple[dict, list[int]]:
 
 class _ChainMemo:
     """The chain data of one cross set (pd, kphi), for a kernel set kphi
-    inside Q: its moves K u conj(K) and coefficient bounds, built together,
+    inside Q (a mask): its moves K u conj(K) (a mask) and coefficient
+    bounds, built together,
     and the parent map and sizes of its `root_closure`, built on first read
     (`_chain_closure`).
 
@@ -589,15 +659,13 @@ class _ChainMemo:
 
     __slots__ = ("key", "moves", "bounds", "closure")
 
-    def __init__(self, ctx: FormContext, pd: ParabolicData, kphi):
-        kphi, t, Qbar = frozenset(kphi), ctx.tables, pd.Qbar
+    def __init__(self, ctx: FormContext, pd: ParabolicData, kphi: int):
+        t, Qbar, cidx = ctx.tables, pd.Qbar, ctx.conj.c_index
         self.key = (pd, kphi)
-        left_out = map(ctx.conj.c_index.__getitem__, pd.Q - kphi)
-        self.moves = kphi.union(Qbar.difference(left_out))
-        self.bounds = [(j, next(v for v, part in t.levels[j]
-                                if not part.isdisjoint(Qbar)))
-                       for j, neg in enumerate(t.neg)
-                       if self.moves.isdisjoint(neg)]
+        left_out = _mask(cidx[a] for a in indices(pd.Q & ~kphi))
+        self.moves = kphi | (Qbar & ~left_out)
+        self.bounds = [(j, next(v for v, part in t.levels[j] if part & Qbar))
+                       for j, neg in enumerate(t.neg) if not self.moves & neg]
         self.closure = None
 
 
@@ -646,7 +714,7 @@ def chain_decision(ctx: FormContext, pd: ParabolicData, kphi,
     return None, _chain_closure(ctx, pd, kphi)[0]
 
 
-def hlc_reachability(ctx: FormContext, pd: ParabolicData, kphi: frozenset,
+def hlc_reachability(ctx: FormContext, pd: ParabolicData, kphi: int,
                      gamma: int) -> dict:
     """Breadth-first chain search: start at any root of conj(Q), repeatedly
     add elements of K u conj(K) staying inside the root set, reach -gamma.
@@ -701,7 +769,7 @@ def hlc_reachability(ctx: FormContext, pd: ParabolicData, kphi: frozenset,
 
 
 def t_module_span(ctx: FormContext, pd: ParabolicData,
-                  kphi: frozenset) -> tuple[bool, list[int]]:
+                  kphi: int) -> tuple[bool, list[int]]:
     """Decide whether the iterated bracket module of the kernel directions
     acting on the real parts of the parabolic spans the whole real form.
 
@@ -777,13 +845,21 @@ def _mot_targets(ctx: FormContext, pd: ParabolicData, levi):
     with b < c(b).  Such a pair still spans semidefinite (zero) covector
     directions, so a chain must reach -b or -c(b).  The pairs are listed
     lazily, so a caller that stops at the first failed target tests no
-    later pair's Levi form; they are the table's `complex_pairs` in Qn."""
+    later pair's Levi form; they are the table's `complex_pairs` in Qn.
+
+    The form of a pair is `q_form`'s at -b, and it vanishes iff no pair
+    (x, r) of `sum_pairs[-b]` has x in Q and r in conj(Q), so no entry is
+    built: `q_form` has an entry at (x, y) iff x + c(y) = -b with x and y
+    in Q, and y = c(r) is in Q iff r is in conj(Q), as c is an
+    involution."""
     for g, cls, _ in levi:
         if cls.is_semidefinite():
             yield (g,)
-    Qn = pd.Qn
-    for b, cb in ctx.tables.complex_pairs:
-        if b in Qn and cb in Qn and not q_form(ctx, pd, ctx.negi(b))[1]:
+    Q, Qn, Qbar = pd.Q, pd.Qn, pd.Qbar
+    pairs, negi = ctx.rs.sum_pairs, ctx.rs.neg_index
+    for b, cb, both in ctx.tables.complex_pairs:
+        if Qn & both == both and not any(
+                Q >> x & 1 and Qbar >> r & 1 for x, r in pairs[negi[b]]):
             yield (b, cb)
 
 
@@ -798,7 +874,7 @@ def _levi_classes(ctx: FormContext, pd: ParabolicData) -> list:
     forms that `k_phi` and this function classify on the `--check mot`
     rows of the rank 6-8 real forms of dimension <= 80 (ungauged and gauge
     7), 41,216 are such forms."""
-    side, negi = pd.Qbar - pd.Q, ctx.rs.neg_index
+    side, negi = pd.Qbar & ~pd.Q, ctx.rs.neg_index
     if not side:  # conj(Q) inside Q: each form has an empty index
         return [(g, *_ZERO_FORM) for g in characteristic_real_roots(ctx, pd)]
     return [(g, *levi_class(ctx, negi[g], side))
@@ -934,7 +1010,7 @@ def concavity_verdict(form: str, phi, gauge_seed: int | None = None,
         phi=tuple(sorted(set(phi))),
         finite_type=ft,
         gammas=[(list(rs.roots[g]), cls.value, cat) for g, cls, cat in levi],
-        k_phi=[list(rs.roots[a]) for a in sorted(kphi)],
+        k_phi=[list(rs.roots[a]) for a in indices(kphi)],
         mot_satisfied=mot,
         mot_details=mot_details,
         span_satisfied=span,

@@ -122,31 +122,48 @@ class RootSystem:
         self.index = {r: k for k, r in enumerate(self.roots)}
 
     # -- construction ---------------------------------------------------
-    def _reflect(self, i: int, v: Root) -> Root:
-        # s_i(v) = v - pairing(a_i, v) * a_i
-        c = sum(self.cartan[i][j] * v[j] for j in range(self.rank))
-        w = list(v)
-        w[i] -= c
-        return tuple(w)
-
     def _generate_roots(self):
-        simples = []
-        for i in range(self.rank):
-            v = [0] * self.rank
+        """Every root, in (height, lexicographic) order: the positive roots
+        built upward by height, then negated.
+
+        A positive root beta of height h + 1 > 1 is gamma + alpha_i for a
+        positive root gamma of height h (Humphreys, section 10.2), and the
+        alpha_i-string through gamma runs from gamma - p alpha_i to
+        gamma + q alpha_i with p - q = <gamma, alpha_i^vee> (section 9.4).
+        So gamma + alpha_i is a root iff q = p - <gamma, alpha_i^vee> > 0,
+        where p is read from the roots already found: below a positive
+        gamma != alpha_i the string stays positive (another coordinate of
+        gamma is positive) and so of lower height, and for gamma = alpha_i
+        the rule with p = 0 gives q = -2 < 0, right as 2 alpha_i is no root.
+        Each root carries its pairings <gamma, alpha_k^vee> = sum_j
+        cartan[k][j] gamma_j, updated by column i of the Cartan matrix per
+        step.  The negatives are the positives negated, in reverse order:
+        negation reverses the sort key (see `neg_index`)."""
+        n, cartan = self.rank, self.cartan
+        cols = [tuple(row[i] for row in cartan) for i in range(n)]
+        layer = {}
+        for i in range(n):
+            v = [0] * n
             v[i] = 1
-            simples.append(tuple(v))
-        seen = set(simples)
-        frontier = list(simples)
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for i in range(self.rank):
-                    w = self._reflect(i, v)
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return sorted(seen, key=lambda r: (sum(r), r))
+            layer[tuple(v)] = cols[i]
+        positive = dict(layer)
+        while layer:
+            nxt = {}
+            for beta, pairing in layer.items():
+                for i, a in enumerate(pairing):
+                    if a >= 0:  # else q > 0 whatever p is
+                        p, c = 0, beta[i] - 1
+                        while beta[:i] + (c,) + beta[i + 1:] in positive:
+                            p, c = p + 1, c - 1
+                        if p <= a:
+                            continue
+                    up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                    if up not in nxt:
+                        nxt[up] = tuple(map(operator.add, pairing, cols[i]))
+            positive.update(nxt)
+            layer = nxt
+        pos = sorted(positive, key=lambda r: (sum(r), r))
+        return [tuple(-c for c in r) for r in reversed(pos)] + pos
 
     # -- queries ----------------------------------------------------------
     @cached_property

@@ -1,6 +1,7 @@
 """Exact linear-algebra and real-form constructions used only by the tests:
 the Euclidean realisation of the simple roots (Bourbaki) with its inner
-product and pairing, root strings, supports and tuple addition of roots,
+product and pairing, simple reflections and the reflection closure of the
+simple roots, root strings, supports and tuple addition of roots,
 the `Fraction` form of the Chevalley recursion, the one Gauss-Jordan
 elimination `rref` with `rank` and `kernel`, an incremental echelon store
 and a span-closure fixpoint engine, basis elements, adjoint matrices, the
@@ -144,6 +145,34 @@ def add(a: Root, b: Root) -> Root:
 def support(alpha: Root) -> frozenset[int]:
     """Indices (1-based) of the simple roots appearing in alpha."""
     return frozenset(j + 1 for j, c in enumerate(alpha) if c != 0)
+
+
+def reflect(rs: RootSystem, i: int, v: Root) -> Root:
+    """s_i(v) = v - <v, alpha_i^vee> alpha_i, i 0-based."""
+    c = sum(rs.cartan[i][j] * v[j] for j in range(rs.rank))
+    w = list(v)
+    w[i] -= c
+    return tuple(w)
+
+
+def roots_by_reflection(rs: RootSystem) -> list[Root]:
+    """Every root of rs, in (height, lexicographic) order, as the closure of
+    the simple roots under the simple reflections, negatives included: the
+    construction `RootSystem` used before it built the positive roots by
+    height."""
+    seen = {tuple(1 if k == i else 0 for k in range(rs.rank))
+            for i in range(rs.rank)}
+    frontier = sorted(seen)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(rs.rank):
+                w = reflect(rs, i, v)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return sorted(seen, key=lambda r: (sum(r), r))
 
 
 def root_string(rs: RootSystem, alpha: Root, beta: Root) -> tuple[int, int]:

@@ -18,8 +18,14 @@ from algebra_oracle import idx, killing_z_pair, support
 from gaussq import QQi
 from levi_oracle import _entry
 from minorbit import crflag
-from minorbit.crflag import FormContext, ParabolicData, root_closure
+from minorbit.crflag import FormContext, ParabolicData, indices, root_closure
 from minorbit.exactla import DefinitenessClass
+
+
+def mask_of(roots) -> int:
+    """The mask (bit a for the root with index a) of the root indices
+    `roots`, the form in which `minorbit.crflag` holds a root set."""
+    return sum(1 << a for a in set(roots))
 
 
 def summed(ctx: FormContext, ia: int, ib: int):
@@ -29,9 +35,9 @@ def summed(ctx: FormContext, ia: int, ib: int):
 
 def root_closure_by_moves(ctx: FormContext, start, moves):
     """`crflag.root_closure` trying every move, in sorted order, at each
-    frontier root: (parent map, sizes)."""
-    moves = sorted(moves)
-    frontier = sorted(start)
+    frontier root: (parent map, sizes).  `start` and `moves` are masks."""
+    moves = indices(moves)
+    frontier = indices(start)
     parent: dict[int, tuple] = {a: (None, None) for a in frontier}
     sizes = [len(parent)]
     while frontier:
@@ -60,8 +66,8 @@ def parabolic(ctx: FormContext, phi) -> ParabolicData:
                 Qn.add(ia)
         elif not meets:
             Q.add(ia)
-    return ParabolicData(phi, frozenset(Q), frozenset(Qn),
-                         frozenset(ctx.c(ia) for ia in Q))
+    return ParabolicData(phi, mask_of(Q), mask_of(Qn),
+                         mask_of(ctx.c(ia) for ia in Q))
 
 
 def q_form(ctx: FormContext, pd: ParabolicData, target: int):
@@ -72,12 +78,13 @@ def q_form(ctx: FormContext, pd: ParabolicData, target: int):
     rs = ctx.rs
     rows = []
     tgt = rs.roots[target]
-    for x in sorted(pd.Q):
+    Q = indices(pd.Q)
+    for x in Q:
         rest = tuple(t - v for t, v in zip(tgt, rs.roots[x]))
         if rest not in rs.index:
             continue
         y = ctx.c(idx(rs, rest))
-        if y in pd.Q:
+        if y in Q:
             rows.append((x, y))
     index = sorted({x for x, _ in rows} | {y for _, y in rows})
     pos = {ia: k for k, ia in enumerate(index)}
@@ -92,7 +99,7 @@ def q_form(ctx: FormContext, pd: ParabolicData, target: int):
 def finite_type(ctx: FormContext, pd: ParabolicData) -> bool:
     """Root-addition closure of Q u conj(Q) covers all roots; stands in for
     the iterated-bracket finite type condition."""
-    s = set(pd.Q) | set(pd.Qbar)
+    s = set(indices(pd.Q | pd.Qbar))
     frontier = list(s)
     while frontier:
         nxt = []
@@ -115,7 +122,7 @@ def finite_type_rows(ctx: FormContext, pd: ParabolicData) -> bool:
     so every pair of s is tried and s is closed; it only ever gains sums of
     its own roots, so it is the closure.  Walking the sum row of a root
     instead of all of s therefore gives the same set."""
-    s = set(pd.Q) | set(pd.Qbar)
+    s = set(indices(pd.Q | pd.Qbar))
     frontier = list(s)
     rows = ctx.rs.sum_row
     while frontier:
@@ -130,12 +137,13 @@ def finite_type_rows(ctx: FormContext, pd: ParabolicData) -> bool:
 
 
 def t_module_span(ctx: FormContext, pd: ParabolicData,
-                  kphi: frozenset) -> tuple[bool, list[int]]:
+                  kphi: int) -> tuple[bool, list[int]]:
     """The span decision by its own closure of S_0 = Q u c(Q) under the
     moves M = K_Phi u c(K_Phi): (S reaches every root, rank + |S_h| per
     round), the rounds cut just after the first full entry."""
     full = len(ctx.rs.roots)
-    moves = set(kphi) | {ctx.c(a) for a in kphi}
+    ks = indices(kphi)
+    moves = mask_of(ks + [ctx.c(a) for a in ks])
     _, sizes = root_closure(ctx, pd.Q | pd.Qbar, moves)
     if full in sizes:
         sizes = sizes[:sizes.index(full) + 1]
@@ -165,7 +173,7 @@ def verify_no_triples(ctx: FormContext) -> int:
     return count
 
 
-def hlc_reachability(ctx: FormContext, pd: ParabolicData, kphi: frozenset,
+def hlc_reachability(ctx: FormContext, pd: ParabolicData, kphi: int,
                      gamma: int, toward_minus: bool = True) -> dict:
     """Breadth-first chain search: start at any root of conj(Q), repeatedly
     add elements of K u conj(K) staying inside the root set, reach -gamma
@@ -173,8 +181,9 @@ def hlc_reachability(ctx: FormContext, pd: ParabolicData, kphi: frozenset,
     certificate."""
     rs = ctx.rs
     target = ctx.negi(gamma) if toward_minus else gamma
-    moves = sorted(set(kphi) | {ctx.c(a) for a in kphi})
-    start = sorted(pd.Qbar)
+    ks = indices(kphi)
+    moves = sorted(set(ks) | {ctx.c(a) for a in ks})
+    start = indices(pd.Qbar)
     parent: dict[int, tuple] = {a: (None, None) for a in start}
     frontier = list(start)
     while frontier and target not in parent:
@@ -223,9 +232,10 @@ def parabolic_by_masks(ctx: FormContext, phi) -> ParabolicData:
     half = len(masks) // 2
     pos = range(half, len(masks))
     neg_q = [ia for ia in range(half) if not masks[ia] & pm]
-    Qn = frozenset(ia for ia in pos if masks[ia] & pm)
-    Q = frozenset(neg_q + list(pos))
-    return ParabolicData(phi, Q, Qn, frozenset(ctx.c(ia) for ia in Q))
+    Qn = [ia for ia in pos if masks[ia] & pm]
+    Q = neg_q + list(pos)
+    return ParabolicData(phi, mask_of(Q), mask_of(Qn),
+                         mask_of(ctx.c(ia) for ia in Q))
 
 
 def finite_type_by_masks(ctx: FormContext, pd: ParabolicData) -> bool:
@@ -234,22 +244,23 @@ def finite_type_by_masks(ctx: FormContext, pd: ParabolicData) -> bool:
     masks = ctx.rs.support_masks
     half = len(masks) // 2
     covered = 0
-    for a in pd.Q | pd.Qbar:
+    for a in indices(pd.Q | pd.Qbar):
         if a < half:
             covered |= masks[a]
     return covered == (1 << ctx.rs.rank) - 1
 
 
-def k_phi_by_roots(ctx: FormContext, pd: ParabolicData) -> frozenset:
+def k_phi_by_roots(ctx: FormContext, pd: ParabolicData) -> int:
     """`crflag.k_phi` testing each root a of Q: a + c(a) not a root, or
     -(a + c(a)) outside Q, or the form at a + c(a) indefinite.  Each form
     is classified once, through `crflag.q_form` and `crflag.classify_levi`
     as module attributes, so that a test can count the calls."""
     cls_cache: dict[int, DefinitenessClass] = {}
     out = set()
-    for a in pd.Q:
+    Q = indices(pd.Q)
+    for a in Q:
         beta = summed(ctx, a, ctx.c(a))
-        if beta is None or ctx.negi(beta) not in pd.Q:
+        if beta is None or ctx.negi(beta) not in Q:
             out.add(a)
             continue
         if beta not in cls_cache:
@@ -257,22 +268,23 @@ def k_phi_by_roots(ctx: FormContext, pd: ParabolicData) -> frozenset:
                 *crflag.q_form(ctx, pd, beta))[0]
         if cls_cache[beta] is DefinitenessClass.INDEFINITE:
             out.add(a)
-    return frozenset(out)
+    return mask_of(out)
 
 
 def levi_classes_by_matrix(ctx: FormContext, pd: ParabolicData) -> list:
     """`crflag._levi_classes` building `levi_matrix` for each real
     characteristic root, taken as the real roots of Qn."""
     return [(g, *crflag.classify_levi(*crflag.levi_matrix(ctx, pd, g)))
-            for g in sorted(pd.Qn) if ctx.c(g) == g]
+            for g in indices(pd.Qn) if ctx.c(g) == g]
 
 
 def complex_zero_pairs_by_roots(ctx: FormContext, pd: ParabolicData) -> list:
     """The complex targets of `crflag._mot_targets`, walking sorted(Qn)."""
     out = []
-    for b in sorted(pd.Qn):
+    Qn = indices(pd.Qn)
+    for b in Qn:
         cb = ctx.c(b)
-        if cb <= b or cb not in pd.Qn:
+        if cb <= b or cb not in Qn:
             continue
         if crflag.q_form(ctx, pd, ctx.negi(b))[1]:
             continue
@@ -284,12 +296,13 @@ def chain_bounds_by_roots(ctx: FormContext, pd: ParabolicData, kphi) -> list:
     """The coefficient bounds of `crflag._ChainMemo`: [(j, minimum of
     coordinate j over conj(Q))] for each j on which no move of
     K u conj(K) is negative, read from the support masks of the moves."""
-    moves = set(kphi) | {ctx.c(a) for a in kphi}
+    ks = indices(kphi)
+    moves = set(ks) | {ctx.c(a) for a in ks}
     masks, roots = ctx.rs.support_masks, ctx.rs.roots
     half = len(masks) // 2
     negative = 0
     for mv in moves:
         if mv < half:
             negative |= masks[mv]
-    lows = map(min, zip(*[roots[a] for a in pd.Qbar]))
+    lows = map(min, zip(*[roots[a] for a in indices(pd.Qbar)]))
     return [(j, lo) for j, lo in enumerate(lows) if not negative >> j & 1]

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from algebra_oracle import killing_z_pair
 from gaussq import I_POW, QQi
-from minorbit.crflag import FormContext, ParabolicData
+from minorbit.crflag import FormContext, ParabolicData, indices
 from minorbit.exactla import DefinitenessClass, hermitian_classify
 
 
@@ -34,12 +34,12 @@ def levi_matrix(ctx: FormContext, pd: ParabolicData, gamma: int,
     """
     if ctx.c(gamma) != gamma:
         raise ValueError("levi_matrix needs a real root")
-    if gamma not in pd.Qn:
+    if gamma not in indices(pd.Qn):
         raise ValueError("levi_matrix needs a characteristic root")
     if mirrored:
-        index = sorted(pd.Q - pd.Qbar)
+        index = indices(pd.Q & ~pd.Qbar)
     else:
-        index = sorted(pd.Qbar - pd.Q)
+        index = indices(pd.Qbar & ~pd.Q)
     target = ctx.negi(gamma)
     kpair = killing_z_pair(ctx.sc, gamma)
     pos = {ia: k for k, ia in enumerate(index)}
@@ -59,10 +59,11 @@ def q_form(ctx: FormContext, pd: ParabolicData, target: int):
     Support-restricted; used for the kernel-set test.  The pairs of
     `target` come sorted by x, so rows keep the order of sorted(Q)."""
     rows = []
+    Q = set(indices(pd.Q))
     for x, rest in ctx.rs.sum_pairs[target]:
-        if x in pd.Q:
+        if x in Q:
             y = ctx.c(rest)
-            if y in pd.Q:
+            if y in Q:
                 rows.append((x, y))
     index = sorted({x for x, _ in rows} | {y for _, y in rows})
     pos = {ia: k for k, ia in enumerate(index)}

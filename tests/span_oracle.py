@@ -16,7 +16,7 @@ import math
 
 from algebra_oracle import real_pair
 from gaussq import QQi
-from minorbit.crflag import FormContext, ParabolicData
+from minorbit.crflag import FormContext, ParabolicData, indices
 
 
 def _scale_integral(elt: dict) -> dict[int, tuple[int, int]]:
@@ -105,7 +105,7 @@ def exact_span(ctx: FormContext, pd: ParabolicData,
     gens: list[dict] = []
     for i in range(rk):
         gens.extend(real_pair(conj, {i: QQi(1)}))
-    for a in sorted(kphi):
+    for a in indices(kphi):
         gens.extend(real_pair(conj, {rk + a: QQi(1)}))
 
     ech = _BlockEchelon(ctx)
@@ -113,7 +113,7 @@ def exact_span(ctx: FormContext, pd: ParabolicData,
     for i in range(rk):
         for e in real_pair(conj, {i: QQi(1)}):
             worklist.extend(ech.insert(e))
-    for a in sorted(pd.Q):
+    for a in indices(pd.Q):
         for e in real_pair(conj, {rk + a: QQi(1)}):
             worklist.extend(ech.insert(e))
     full = sc.dim

@@ -13,7 +13,7 @@ import pytest
 import chain_oracle as oracle
 from levi_oracle import densify, killing_scale
 from minorbit import crflag
-from minorbit.crflag import get_context, k_phi, parabolic
+from minorbit.crflag import get_context, indices, k_phi, parabolic
 from minorbit.realform import catalog
 from test_acceptance import INSTANCES
 
@@ -27,7 +27,7 @@ def _searches(ctx, pd):
     """Every search a verdict reports: each real characteristic root toward
     both signs, each complex characteristic root toward minus."""
     out = []
-    for g in sorted(pd.Qn):
+    for g in indices(pd.Qn):
         cg = ctx.c(g)
         if cg == g:
             out += [(g, True), (g, False)]
@@ -90,9 +90,11 @@ def test_parabolic_and_closure_match_oracles_on_rank6_catalog():
                 pd = parabolic(ctx, phi)
                 assert pd == oracle.parabolic(ctx, phi), (entry.name, phi)
                 kphi = k_phi(ctx, pd)
-                q = sorted(pd.Q)
-                for moves in (kphi | {ctx.c(a) for a in kphi},
+                q = indices(pd.Q)
+                ks = indices(kphi)
+                for moves in (ks + [ctx.c(a) for a in ks],
                               rng.sample(q, rng.randint(0, len(q)))):
+                    moves = oracle.mask_of(moves)
                     got = crflag.root_closure(ctx, pd.Qbar, moves)
                     want = oracle.root_closure_by_moves(ctx, pd.Qbar, moves)
                     assert list(got[0].items()) == list(want[0].items())
@@ -121,7 +123,7 @@ def test_verdict_runs_one_root_closure(monkeypatch, check):
     starts = []
 
     def counting(ctx, start, moves):
-        starts.append(frozenset(start))
+        starts.append(start)
         return closure(ctx, start, moves)
 
     monkeypatch.setattr(crflag, "root_closure", counting)
@@ -155,8 +157,8 @@ def _random_draws(ctx, name, rank, count=24):
     for _ in range(count):
         phi = rng.sample(range(1, rank + 1), rng.randint(1, rank))
         pd = parabolic(ctx, phi)
-        q = sorted(pd.Q)
-        kphi = frozenset(rng.sample(q, rng.randint(0, len(q) // 2)))
+        q = indices(pd.Q)
+        kphi = oracle.mask_of(rng.sample(q, rng.randint(0, len(q) // 2)))
         draws.append((pd, kphi, _searches(ctx, pd)))
     return draws
 

@@ -6,8 +6,8 @@ import levi_oracle as dense
 from chain_oracle import summed, verify_no_triples
 from minorbit.crflag import (characteristic_real_roots, classify_levi,
                              concavity_verdict, finite_type, get_context,
-                             hlc_reachability, k_phi, levi_matrix, parabolic,
-                             q_form, t_module_span)
+                             hlc_reachability, indices, k_phi, levi_matrix,
+                             parabolic, q_form, t_module_span)
 from minorbit.exactla import DefinitenessClass, hermitian_classify, is_hermitian
 from minorbit.rootsys import neg
 
@@ -24,14 +24,14 @@ def roots_of(ctx, idxs):
 def test_parabolic_empty_phi():
     ctx = get_context("sl(3,R)")
     pd = parabolic(ctx, set())
-    assert len(pd.Q) == len(ctx.rs.roots)
+    assert len(indices(pd.Q)) == len(ctx.rs.roots)
     assert not pd.Qn
 
 
 def test_parabolic_a2():
     ctx = get_context("sl(3,R)")
     pd = parabolic(ctx, {1})
-    got = roots_of(ctx, pd.Q)
+    got = roots_of(ctx, indices(pd.Q))
     want = sorted([[1, 0], [0, 1], [1, 1], [0, -1]])
     assert got == want
 
@@ -39,7 +39,7 @@ def test_parabolic_a2():
 def test_parabolic_f4_contains_gamma():
     ctx = get_context("FII")
     pd = parabolic(ctx, {3})
-    assert idx(ctx.rs, (1, 2, 3, 2)) in pd.Qn
+    assert idx(ctx.rs, (1, 2, 3, 2)) in indices(pd.Qn)
 
 
 def test_parabolic_invalid_phi():
@@ -52,18 +52,19 @@ def test_parabolicity_closure_and_ideal():
     ctx = get_context("su(2,3)")
     for phi in [{1}, {2}, {1, 3}]:
         pd = parabolic(ctx, phi)
-        for a in pd.Q:
-            for b in pd.Q:
+        Q, Qn = set(indices(pd.Q)), set(indices(pd.Qn))
+        for a in Q:
+            for b in Q:
                 s = summed(ctx, a, b)
                 if s is not None:
-                    assert s in pd.Q
-            for b in pd.Qn:
+                    assert s in Q
+            for b in Qn:
                 s = summed(ctx, b, a)
                 if s is not None:
-                    assert s in pd.Qn
+                    assert s in Qn
         # monotonicity of Q under growing phi
         pd2 = parabolic(ctx, set(phi) | {4})
-        assert pd2.Q <= pd.Q
+        assert set(indices(pd2.Q)) <= Q
 
 
 # -- characteristic roots and Levi matrices ----------------------------------
@@ -159,7 +160,7 @@ def test_levi_matrix_preconditions():
     ctx2 = get_context("su(2,3)")
     pd2 = parabolic(ctx2, {1})
     gamma2 = idx(ctx2.rs, (0, 1, 1, 0))
-    assert ctx2.c(gamma2) == gamma2 and gamma2 not in pd2.Qn
+    assert ctx2.c(gamma2) == gamma2 and gamma2 not in indices(pd2.Qn)
     with pytest.raises(ValueError):
         levi_matrix(ctx2, pd2, gamma2)
 
@@ -187,7 +188,7 @@ def test_k_phi_fii_complement():
     for phi in [{3}, {1, 3}, {2, 3}, {1, 2, 3}]:
         pd = parabolic(ctx, phi)
         kp = k_phi(ctx, pd)
-        excluded = pd.Q - kp
+        excluded = indices(pd.Q & ~kp)
         assert roots_of(ctx, excluded) == [[0, 0, 0, -1]]
 
 
@@ -201,7 +202,7 @@ def test_k_phi_vacuous_when_no_semidefinite():
 def test_eiii_simple_roots_in_kernel_closure():
     ctx = get_context("EIII")
     pd = parabolic(ctx, {3})
-    kp = k_phi(ctx, pd)
+    kp = indices(k_phi(ctx, pd))
     kk = set(kp) | {ctx.c(a) for a in kp}
     for j in range(6):
         ej = tuple(1 if k == j else 0 for k in range(6))
@@ -221,7 +222,7 @@ def test_k_phi_isotropy_invariant():
             if not hermitian_classify(m).is_semidefinite():
                 continue
             pos = {a: k for k, a in enumerate(index)}
-            for a in kp:
+            for a in indices(kp):
                 assert (a, a) not in entries
                 if a in pos:
                     assert not m[pos[a]][pos[a]]
@@ -273,7 +274,7 @@ def test_eiii_chain_succeeds_with_witness():
         chain = [tuple(r) for r in res["chain"]]
         total = chain[0]
         assert is_root(ctx.rs, total)
-        kk = set(kp) | {ctx.c(a) for a in kp}
+        kk = set(indices(kp)) | {ctx.c(a) for a in indices(kp)}
         for step in chain[1:]:
             assert idx(ctx.rs, step) in kk
             total = add(total, step)
@@ -287,7 +288,8 @@ def test_ciia_small_threshold_reaches_all_characteristics():
     ctx = get_context("sp(2,3)", max_rank=6)
     pd = parabolic(ctx, {1, 5})
     kp = k_phi(ctx, pd)
-    chars = sorted(pd.Qn & frozenset(ctx.c(a) for a in pd.Qn))
+    Qn = indices(pd.Qn)
+    chars = sorted(set(Qn) & {ctx.c(a) for a in Qn})
     assert chars
     for d in chars:
         assert hlc_reachability(ctx, pd, kp, d)["reached"]
@@ -371,7 +373,7 @@ def test_span_matches_dense_reference():
         gens = []
         for i in range(rk):
             gens.extend(real_pair(conj, {i: QQi(1)}))
-        for a in sorted(kp):
+        for a in indices(kp):
             gens.extend(real_pair(conj, {rk + a: QQi(1)}))
         ech = Echelon(2 * N)
         work = []
@@ -379,7 +381,7 @@ def test_span_matches_dense_reference():
             for e in real_pair(conj, {i: QQi(1)}):
                 if ech.insert(to_vec(e)):
                     work.append(e)
-        for a in sorted(pd.Q):
+        for a in indices(pd.Q):
             for e in real_pair(conj, {rk + a: QQi(1)}):
                 if ech.insert(to_vec(e)):
                     work.append(e)

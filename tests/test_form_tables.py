@@ -1,23 +1,27 @@
-"""Differential tests for the per-form tables of `minorbit.crflag`: the
-set-algebra `parabolic`, `finite_type`, `k_phi`, Levi classes, complex zero
-pairs and chain moves and bounds against the per-root loops they replaced
-(kept in `chain_oracle`), on every cross set of every non-compact form of
-rank <= 5, ungauged and under gauge seed 1, and on seeded random kernel
-sets; the Levi forms that `k_phi` classifies; the Levi patterns of every
-real root of the real `catalog(8)` forms, and the `--phi` categories read
-from them."""
+"""Differential tests for the per-form tables of `minorbit.crflag`: each
+mask table against its per-root definition on every real `catalog(8)`
+form; the mask-algebra `parabolic`, `finite_type`, `k_phi`, Levi classes,
+complex zero pairs and chain moves and bounds against the per-root loops
+they replaced (kept in `chain_oracle`), on every cross set of every
+non-compact form of rank <= 5, ungauged and under gauge seed 1, and on
+seeded random kernel sets; the Levi forms that `k_phi` classifies; the
+Levi patterns of every real root of the real `catalog(8)` forms, read on
+the whole root set and on seeded random sides, and the `--phi` categories
+read from them."""
 
 from collections import Counter
 import itertools
 import json
+import random
 
 import pytest
 
 import chain_oracle as oracle
+from algebra_oracle import add
 from minorbit import cli, crflag
 from minorbit.crflag import (LeviPattern, _chain_memo, _entries,
                              _mot_targets, characteristic_real_roots,
-                             classify_levi, get_context, parabolic)
+                             classify_levi, get_context, indices, parabolic)
 from minorbit.realform import catalog
 from test_chain_oracle import RANDOM_FORMS, _random_draws
 
@@ -31,8 +35,9 @@ def _cross_sets(rank):
 
 
 def _moves_by_map(ctx, kphi):
-    """K u c(K), mapping c over K."""
-    return frozenset(kphi) | {ctx.c(a) for a in kphi}
+    """K u c(K), mapping c over K, in ascending order."""
+    ks = indices(kphi)
+    return sorted(set(ks) | {ctx.c(a) for a in ks})
 
 
 @pytest.mark.parametrize("entry,seed", CASES,
@@ -115,7 +120,7 @@ def test_chain_moves_are_kernel_and_its_conjugate(entry, seed):
     for phi in _cross_sets(entry.rank):
         pd = parabolic(ctx, phi)
         kphi = crflag.k_phi(ctx, pd)
-        assert _chain_memo(ctx, pd, kphi).moves == \
+        assert indices(_chain_memo(ctx, pd, kphi).moves) == \
             _moves_by_map(ctx, kphi), phi
 
 
@@ -125,11 +130,82 @@ def test_chain_moves_are_kernel_and_its_conjugate_on_random_kernels(name,
                                                                     rank):
     ctx = get_context(name)
     for pd, kphi, _ in _random_draws(ctx, name, rank):
-        assert _chain_memo(ctx, pd, kphi).moves == _moves_by_map(ctx, kphi)
+        assert indices(_chain_memo(ctx, pd, kphi).moves) == \
+            _moves_by_map(ctx, kphi)
 
 
 REAL_CATALOG = [e for e in catalog(8) if e.label != "compact"
                 and not e.doubled]
+
+
+@pytest.mark.parametrize("seed", (None, 1))
+def test_mask_tables_match_per_root_definitions(seed):
+    """Each mask table of `FormTables` read through `indices` equals its
+    definition root by root, with signs and supports read from the
+    coefficient vectors, on every real form of `catalog(8)`, compact
+    ones included."""
+    forms = 0
+    for e in catalog(8):
+        if e.doubled:
+            continue
+        ctx = get_context(e.name, seed)
+        roots, t, c = ctx.rs.roots, ctx.tables, ctx.c
+        every = range(len(roots))
+        assert indices(t.every_root) == list(every)
+        for j in range(ctx.rs.rank):
+            neg = [a for a in every if sum(roots[a]) < 0 and roots[a][j]]
+            assert indices(t.neg[j]) == neg, (e.name, j)
+            assert indices(t.conj_neg[j]) == sorted(map(c, neg)), (e.name, j)
+            assert indices(t.pos[j]) == [a for a in every if sum(roots[a]) > 0
+                                         and roots[a][j]], (e.name, j)
+            col = [r[j] for r in roots]
+            assert [(v, indices(part)) for v, part in t.levels[j]] == \
+                [(v, [a for a in every if col[a] == v])
+                 for v in sorted(set(col))], (e.name, j)
+        sums: dict[int, list[int]] = {}
+        for a in every:
+            beta = ctx.rs.index.get(add(roots[a], roots[c(a)]))
+            if beta is not None:
+                sums.setdefault(beta, []).append(a)
+        assert [(beta, nb, indices(group)) for beta, nb, group in
+                t.conj_sums] == [(beta, ctx.negi(beta), group)
+                                 for beta, group in sums.items()], e.name
+        assert indices(t.positive_real) == [a for a in every if c(a) == a
+                                            and sum(roots[a]) > 0], e.name
+        assert [(b, cb, indices(both)) for b, cb, both in t.complex_pairs] \
+            == [(b, c(b), [b, c(b)]) for b in every
+                if sum(roots[b]) > 0 and c(b) > b], e.name
+        forms += 1
+    assert forms == len([e for e in catalog(8) if not e.doubled])
+
+
+def test_levi_pattern_classes_on_random_sides_keeping_a_pair():
+    """`LeviPattern.classify` on a seeded random side that keeps at least
+    one off-diagonal pair, where it stops at the first kept pair instead
+    of counting them, equals `classify_levi` of the entries `_entries`
+    builds on that side, for every real root whose pattern has a pair, on
+    every non-compact real form of `catalog(8)`, ungauged."""
+    rng = random.Random("levi-pattern-sides")
+    categories, patterns = Counter(), 0
+    for e in REAL_CATALOG:
+        ctx = get_context(e.name)
+        n = len(ctx.rs.roots)
+        for g in indices(ctx.tables.positive_real):
+            for t in (g, ctx.negi(g)):
+                pattern = LeviPattern(ctx, t)
+                if not pattern.pairs:
+                    continue
+                patterns += 1
+                for fraction in (0.1, 0.5, 0.9):
+                    side = rng.choice(pattern.pairs)
+                    side |= sum(1 << a for a in range(n)
+                                if rng.random() < fraction)
+                    want = classify_levi(indices(side),
+                                         _entries(ctx, t, side, side))
+                    assert pattern.classify(side) == want, (e.name, t)
+                    categories[want] += 1
+    assert patterns
+    assert set(c[1] for c in categories) == {"mixed", "zero-diagonal"}
 
 
 @pytest.mark.parametrize("seed", (None, 1))
@@ -142,9 +218,10 @@ def test_levi_patterns_pass_their_invariants(seed):
     for e in REAL_CATALOG:
         ctx = get_context(e.name, seed)
         every = ctx.tables.every_root
-        for g in ctx.tables.positive_real:
+        for g in indices(ctx.tables.positive_real):
             for t in (g, ctx.negi(g)):
-                full = classify_levi(every, _entries(ctx, t, every, every))
+                full = classify_levi(indices(every),
+                                     _entries(ctx, t, every, every))
                 assert LeviPattern(ctx, t).classify(every) == full, \
                     (e.name, t)
                 patterns += 1
@@ -164,11 +241,11 @@ def test_phi_categories_match_classify_levi_of_entries(entry, capsysbinary):
         doc = json.loads(capsysbinary.readouterr().out)
         gammas = doc["details"][0]["gammas"]
         pd = parabolic(ctx, phi)
-        side = pd.Qbar - pd.Q
+        side = pd.Qbar & ~pd.Q
         want = []
         for g in characteristic_real_roots(ctx, pd):
-            cls, cat = classify_levi(side, _entries(ctx, ctx.negi(g), side,
-                                                    side))
+            cls, cat = classify_levi(indices(side),
+                                     _entries(ctx, ctx.negi(g), side, side))
             want.append({"root": list(ctx.rs.roots[g]), "class": cls.value,
                          "category": cat})
         assert gammas == want, phi

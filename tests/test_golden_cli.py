@@ -138,7 +138,7 @@ def test_cli_levi_invariant_failure_is_internal_error(monkeypatch, capsys):
     ctx = crflag.FormContext(find_form("sp(1,2)"))
     monkeypatch.setitem(crflag._CTX_CACHE, ("sp(1,2)", None, 8), ctx)
     pd = crflag.parabolic(ctx, (1, 2, 3))
-    assert pd.Qbar - pd.Q  # a nonempty Levi side, so the patterns are read
+    assert pd.Qbar & ~pd.Q  # a nonempty Levi side, so the patterns are read
     target = ctx.negi(crflag.characteristic_real_roots(ctx, pd)[0])
     monkeypatch.setitem(ctx.sc.ntable, ctx.rs.sum_pairs[target][0], 0)
     assert cli.main(["--form", "sp(1,2)", "--phi", "1,2,3",
@@ -251,13 +251,15 @@ def test_cli_builds_parser_once(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("shape", ["top-level list", "unknown kind",
-                                   "no predicates"])
+                                   "no predicates", "empty predicates"])
 def test_cli_malformed_golden_exits_2(tmp_path, shape):
     row = dict(load_golden(default_golden_path())["su(2,3)"])
     if shape == "top-level list":
         doc = [row]
     elif shape == "unknown kind":
         doc = {"rows": [dict(row, predicates=[{"kind": "bogus"}])]}
+    elif shape == "empty predicates":
+        doc = {"rows": [dict(row, predicates=[])]}
     else:
         del row["predicates"]
         doc = {"rows": [row]}

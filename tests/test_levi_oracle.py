@@ -11,7 +11,8 @@ import levi_oracle as dense
 from levi_oracle import densify, killing_scale
 from minorbit import crflag
 from minorbit.crflag import (characteristic_real_roots, classify_levi,
-                             concavity_verdict, get_context, parabolic)
+                             concavity_verdict, get_context, indices,
+                             parabolic)
 from minorbit.exactla import DefinitenessClass, hermitian_classify
 # every instance row ungauged and under gauge seed 1, and every cross set
 # of sl(7,R), so(2,11) and EI
@@ -23,25 +24,24 @@ D = DefinitenessClass
 def _q_form_targets(name, phi, seed, monkeypatch):
     """The targets of every form on Q (`q_form`'s) that a `--check mot`
     verdict reads: those of `k_phi`, which reads them through `levi_class`
-    with side Q, and those of the complex-zero-pair test, which builds
-    them with `q_form`."""
+    with side Q, and those of the complex-zero-pair test, -b for each
+    complex pair {b, c(b)} in Qn, which it reads from the pair lists
+    without building the form."""
     targets = []
-    real_q_form, real_levi_class = crflag.q_form, crflag.levi_class
-    Q = parabolic(get_context(name, seed), phi).Q
-
-    def recording(ctx, pd, target):
-        targets.append(target)
-        return real_q_form(ctx, pd, target)
+    real_levi_class = crflag.levi_class
+    ctx = get_context(name, seed)
+    pd = parabolic(ctx, phi)
 
     def recording_levi_class(ctx, target, side):
-        if side == Q:
+        if side == pd.Q:
             targets.append(target)
         return real_levi_class(ctx, target, side)
 
     with monkeypatch.context() as mp:
-        mp.setattr(crflag, "q_form", recording)
         mp.setattr(crflag, "levi_class", recording_levi_class)
         concavity_verdict(name, phi, gauge_seed=seed, check="mot")
+    Qn = indices(pd.Qn)
+    targets += [ctx.negi(b) for b in Qn if b < ctx.c(b) and ctx.c(b) in Qn]
     return sorted(set(targets))
 
 

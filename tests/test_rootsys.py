@@ -3,7 +3,8 @@ import json
 import pytest
 
 from algebra_oracle import (add, gram, idx, inner, is_root, pairing,
-                            root_string, root_system_json, support)
+                            reflect, root_string, root_system_json,
+                            roots_by_reflection, support)
 from minorbit.chevalley import build_chevalley
 from minorbit.realform import catalog
 from minorbit.rootsys import (ROOT_COUNT, RootSystem, SimpleType,
@@ -42,7 +43,33 @@ def test_reflection_closure_is_fixpoint():
     rs = build_root_system("D", 4)
     for r in rs.roots:
         for i in range(rs.rank):
-            assert is_root(rs, rs._reflect(i, r))
+            assert is_root(rs, reflect(rs, i, r))
+
+
+SIMPLE_TYPES = [(f, l) for f, lo, hi in (("A", 1, 8), ("B", 2, 8),
+                                           ("C", 3, 8), ("D", 3, 8),
+                                           ("E", 6, 8), ("F", 4, 4),
+                                           ("G", 2, 2))
+                for l in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize("family,rank", SIMPLE_TYPES,
+                         ids=[f"{f}{l}" for f, l in SIMPLE_TYPES])
+def test_roots_by_height_match_reflection_closure(family, rank):
+    """The positive roots built by height, negated and sorted, equal the
+    reflection closure of the simple roots, order included, on every
+    simple type of rank <= 8."""
+    rs = build_root_system(family, rank)
+    assert rs.roots == roots_by_reflection(rs)
+
+
+def test_doubled_roots_match_reflection_closure():
+    """The same on the doubled system of each complex-type catalog form."""
+    doubled = {(e.family, e.rank) for e in catalog(8) if e.doubled}
+    assert doubled
+    for family, rank in sorted(doubled):
+        rs = build_doubled_system(family, rank // 2)
+        assert rs.roots == roots_by_reflection(rs), (family, rank)
 
 
 def test_illegal_types():
@@ -151,7 +178,7 @@ def test_longest_element_against_brute_force():
         cols = []
         for j in range(3):
             ej = tuple(1 if k == j else 0 for k in range(3))
-            cols.append(rs._reflect(i, ej))
+            cols.append(reflect(rs, i, ej))
         return tuple(tuple(cols[j][i2] for j in range(3)) for i2 in range(3))
 
     def mul(m1, m2):
