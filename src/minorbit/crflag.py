@@ -63,30 +63,19 @@ from .realform import Conjugation, SatakeDiagram, build_conjugation, find_form
 from .rootsys import RootSystem
 
 
-# _BYTE_INDICES[k][v]: the indices of the set bits of byte k of a mask when
-# that byte has the value v.  A row depends on k alone, so the list is a
-# memo that `indices` grows to the longest mask it has read (30 rows for the
-# 240 roots of E8), and a row is never changed once written.
-_BYTE_BITS = tuple(tuple(i for i in range(8) if v >> i & 1)
-                   for v in range(256))
-_BYTE_INDICES: list[tuple[tuple[int, ...], ...]] = []
-
-
 def indices(mask: int) -> list[int]:
     """The root indices of the root set `mask` (bit a for the root with
-    index a), in ascending order, read a byte at a time from the mask's
-    little-endian bytes: byte k with value v holds the indices
-    `_BYTE_INDICES[k][v]`."""
-    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    while len(_BYTE_INDICES) < len(data):
-        base = 8 * len(_BYTE_INDICES)
-        _BYTE_INDICES.append(tuple(tuple(base + i for i in bits)
-                                   for bits in _BYTE_BITS))
-    out: list[int] = []
-    for row, v in zip(_BYTE_INDICES, data):
-        if v:
-            out += row[v]
-    return out
+    index a), in ascending order.  A sparse mask is read one set bit per
+    step (the lowest, mask & -mask), a dense one from its binary digits,
+    lowest first, which is cheaper once a third of the bits are set."""
+    if mask.bit_count() * 3 <= mask.bit_length():
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+    return [a for a, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 def _mask(roots) -> int:
@@ -176,8 +165,8 @@ class FormTables:
         bits = [1 << j for j in range(rs.rank)]
         self.neg = tuple(_mask(a for a in range(half) if masks[a] & bit)
                          for bit in bits)
-        self.conj_neg = tuple(_mask(cidx[a] for a in indices(neg))
-                              for neg in self.neg)
+        self.conj_neg = tuple(_mask(cidx[a] for a in range(half)
+                                    if masks[a] & bit) for bit in bits)
         self.pos = tuple(_mask(a for a in range(half, n) if masks[a] & bit)
                          for bit in bits)
         sources: dict[int, int] = {}
