@@ -464,7 +464,7 @@ class LeviPattern:
 
 
 def levi_class(ctx: FormContext, target: int,
-               side) -> tuple[DefinitenessClass, str]:
+               side: int) -> tuple[DefinitenessClass, str]:
     """Class and category of the Levi form at the real root `target` on
     the roots of the mask `side`, equal to `classify_levi(indices(side),
     _entries(ctx, target, side, side))`, read from the target's

@@ -179,14 +179,16 @@ def test_mask_tables_match_per_root_definitions(seed):
     assert forms == len([e for e in catalog(8) if not e.doubled])
 
 
-def test_levi_pattern_classes_on_random_sides_keeping_a_pair():
-    """`LeviPattern.classify` on a seeded random side that keeps at least
-    one off-diagonal pair, where it stops at the first kept pair instead
-    of counting them, equals `classify_levi` of the entries `_entries`
-    builds on that side, for every real root whose pattern has a pair, on
-    every non-compact real form of `catalog(8)`, ungauged."""
+def test_levi_pattern_classes_on_random_sides():
+    """`LeviPattern.classify` on seeded random sides equals
+    `classify_levi` of the entries `_entries` builds on that side, for
+    every real root whose pattern has an off-diagonal pair, on every
+    non-compact real form of `catalog(8)`, ungauged.  Each draw takes a
+    side that keeps at least one pair, where `classify` stops at the first
+    kept pair instead of counting them, and a side that holds one end of a
+    pair without the other, which keeps no entry of that pair."""
     rng = random.Random("levi-pattern-sides")
-    categories, patterns = Counter(), 0
+    kept, patterns = Counter(), 0
     for e in REAL_CATALOG:
         ctx = get_context(e.name)
         n = len(ctx.rs.roots)
@@ -197,15 +199,20 @@ def test_levi_pattern_classes_on_random_sides_keeping_a_pair():
                     continue
                 patterns += 1
                 for fraction in (0.1, 0.5, 0.9):
-                    side = rng.choice(pattern.pairs)
-                    side |= sum(1 << a for a in range(n)
-                                if rng.random() < fraction)
-                    want = classify_levi(indices(side),
-                                         _entries(ctx, t, side, side))
-                    assert pattern.classify(side) == want, (e.name, t)
-                    categories[want] += 1
+                    pair = rng.choice(pattern.pairs)
+                    rest = sum(1 << a for a in range(n)
+                               if rng.random() < fraction)
+                    one_end = rng.choice(indices(pair))
+                    for side, keeps in ((rest | pair, True),
+                                        (rest & ~pair | 1 << one_end,
+                                         False)):
+                        want = classify_levi(indices(side),
+                                             _entries(ctx, t, side, side))
+                        assert pattern.classify(side) == want, (e.name, t)
+                        if keeps:
+                            kept[want[1]] += 1
     assert patterns
-    assert set(c[1] for c in categories) == {"mixed", "zero-diagonal"}
+    assert set(kept) == {"mixed", "zero-diagonal"}
 
 
 @pytest.mark.parametrize("seed", (None, 1))
