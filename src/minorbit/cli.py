@@ -64,17 +64,6 @@ def _phi_str(phi) -> str:
     return "+".join(str(j) for j in sorted(phi)) if phi else "-"
 
 
-def enumerate_form(name: str, phis=None, gauge_seed=None, check="all",
-                   max_rank: int = 8) -> list[dict]:
-    """Verdict documents for the given cross sets (all subsets by default),
-    in deterministic row order, each computed directly."""
-    diag = find_form(name, max_rank)
-    if phis is None:
-        phis = list(_all_phi(diag.rank))
-    return [concavity_verdict(diag.name, tuple(sorted(p)), gauge_seed, check,
-                              max_rank).to_doc() for p in phis]
-
-
 def _run_rows(diag, phis, args) -> tuple[list[dict], list[dict]]:
     """(verdict documents, report rows) for `phis`.  A whole-form run builds
     no documents: it reads each row's fields from `complex_type_verdict`

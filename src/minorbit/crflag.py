@@ -1,21 +1,23 @@
 """Core decision machinery for minimal orbits: parabolic root data Q_Phi,
 characteristic real roots, exact Levi forms, the common kernel set K_Phi,
 finite type, the root-chain sufficient condition, and the authoritative
-span decision in the real form.  One root-set closure, `root_closure`, runs
-at most once per cross set, and only when something reads it: the span,
-which equals the iterated bracket module, is read from the closure and its
-conjugate (see `t_module_span`), and a chain decision reads it only for a
-target that no coefficient bound excludes (see `chain_decision`, which
-tests the bound first).  Finite type needs no closure: by the theorem on
-closed root sets that contain every positive root it is read from
-simple-root supports (see `finite_type`).  A theorem gives the rows of a
-complex-type form with no context or closure at all (see
-`complex_type_verdict`).  Every root sum comes from the root system's
-`sum_row` and `sum_pairs` tables.  A Levi form is read from the root
-involution: its Gaussian-integer entries come from the pair lists, the
-conjugation and the Chevalley constants, and `classify_levi` decides its
-class and category from their positions and signs, with no Killing value,
-no dense matrix and no elimination.
+span decision in the real form.  The chain data of a cross set is a value,
+`Chains`, that the row builds once and passes to its chain decisions and
+its span.  One root-set closure, `root_closure`, runs at most once per
+`Chains`, and only when something reads it: the span, which equals the
+iterated bracket module, is read from the closure and its conjugate (see
+`t_module_span`), and a chain decision reads it only for a target that no
+coefficient bound excludes (see `Chains.bound`, tested first).  Finite
+type needs no closure: by the theorem on closed root sets that contain
+every positive root it is read from simple-root supports (see
+`finite_type`).  A theorem gives the rows of a complex-type form with no
+context or closure at all (see `complex_type_verdict`).  Every root sum
+comes from the root system's `sum_row` and `sum_pairs` tables.  A Levi
+form is read from the root involution: its Gaussian-integer entries come
+from the pair lists, the conjugation and the Chevalley constants, and one
+pass over them (`LeviPattern`) checks the invariants of `classify_levi`
+and keeps the positions and signs from which the class and category
+follow, with no Killing value, no dense matrix and no elimination.
 
 Every root set of a cross set is an integer mask, bit a standing for the
 root with index a: Q, Qn and conj(Q), the kernel set, the chain moves and
@@ -34,14 +36,13 @@ The closure alone keeps Python sets: `root_closure` turns its start and
 moves into a list and a set once per call.
 
 Two tables fill lazily.  The Levi pattern of a real root t (`LeviPattern`)
-is the entry pattern of its Levi form over every root, built once per
-context and t, with the invariants of `classify_levi` checked once on it;
-a cross set then reads the class and category of the form on any side S
-from counts of the pattern's sets in S (`levi_class`), with no entry
-rebuilt.  A pattern that passes its invariants passes them on every
-restriction to S x S, so no check is lost (see `LeviPattern`).  The row
-labels "<coefficients>:<class>" are memoised per (root, class), for the
-roots that a row prints.
+is the entry pattern of its Levi form over every root, built and checked
+once per context and t; a cross set then reads the class and category of
+the form on any side S from counts of the pattern's sets in S
+(`levi_class`), with no entry rebuilt.  A pattern that passes its
+invariants passes them on every restriction to S x S, so no check is lost
+(see `LeviPattern`).  The row labels "<coefficients>:<class>" are memoised
+per (root, class), for the roots that a row prints.
 
 Two paths share these pieces.  `concavity_verdict` builds the full verdict
 document of one cross set, with witness chains, certificates, the kernel
@@ -99,9 +100,8 @@ class LeviInvariantError(RuntimeError):
 
 
 class FormContext:
-    """The algebraic data of one catalog real form, fixed once built, its
-    cross-set-free tables (`tables`, built on first use), and a one-entry
-    memo of the chain data of its latest cross set."""
+    """The algebraic data of one catalog real form, fixed once built, and
+    its cross-set-free tables (`tables`, built on first use)."""
 
     def __init__(self, diag: SatakeDiagram, gauge_seed: int | None = None):
         self.diag = diag
@@ -112,8 +112,6 @@ class FormContext:
         self.sc: StructureConstants = sc
         self.conj: Conjugation = build_conjugation(diag, self.rs, sc)
         self.gauge_seed = gauge_seed
-        # one-entry memo of the chain data of a cross set, see _chain_memo
-        self._chain_memo: _ChainMemo | None = None
 
     def c(self, ia: int) -> int:
         return self.conj.c_index[ia]
@@ -143,7 +141,7 @@ class FormTables:
     - complex_pairs: (b, c(b), {b, c(b)}) for each positive root b with
       c(b) > b (so c(b) is positive too), in ascending b.
     - levels[j]: (v, the roots whose coordinate j is v) for each value v
-      of coordinate j, in ascending v; `_ChainMemo` reads the minimum of
+      of coordinate j, in ascending v; `Chains` reads the minimum of
       coordinate j over a set as the first level that meets it.
     Filled on first use:
     - levi: the `LeviPattern` of each real root read so far (`levi_class`),
@@ -296,14 +294,16 @@ def q_form(ctx: FormContext, pd: ParabolicData, target: int):
 def classify_levi(index, entries) -> tuple[DefinitenessClass, str]:
     """Definiteness class and structural category of a Levi form given as
     (index, entries), with integer arithmetic only.  The index may be any
-    collection of roots; a set is read as it is, with no copy.
+    collection of distinct roots.
 
     The category is the proof partition of Hermitian shapes by entry
     pattern: "zero-diagonal", "diagonal-semidefinite",
     "diagonal-indefinite" or "mixed".  Raises ValueError if a row holds
     two entries, an entry is zero or lies outside `index`, or an entry's
     mirror is not its conjugate, and ArithmeticError on a non-real
-    diagonal entry.
+    diagonal entry.  The entries are read in one pass, by `LeviPattern`,
+    which raises every error but the index check; the class and category
+    are the pattern's on the whole index, which keeps every entry.
 
     Why the entries of `_entries` suffice.  The Levi form of the real form
     at t is L(x, y) = i^(1 + t_y) N(x, c(y)) kappa(Z_t, Z_-t), with t_y the
@@ -326,36 +326,13 @@ def classify_levi(index, entries) -> tuple[DefinitenessClass, str]:
       is zero.  The form is definite when the signs it adds cover the
       whole index, and semidefinite when they are all of one sign.
     The tests keep the dense Killing-scaled matrices and their
-    elimination (`exactla.hermitian_classify`) as a differential oracle."""
-    n_plus = n_minus = 0
-    diag = off = False
-    rows = set()
-    for (x, y), (re, im) in entries.items():
-        if x in rows:
-            raise ValueError(f"two entries in the row of root {x}")
-        rows.add(x)
-        if not (re or im):
-            raise ValueError(f"zero entry at {(x, y)}")
-        if x == y:
-            if im:
-                raise ArithmeticError(f"non-real diagonal entry {(re, im)} "
-                                      f"in a Hermitian form")
-            diag = True
-            if re > 0:
-                n_plus += 1
-            else:
-                n_minus += 1
-        elif entries.get((y, x)) != (re, -im):
-            raise ValueError(f"entries at {(x, y)} and {(y, x)} are not "
-                             f"conjugate")
-        else:
-            off = True
-            if x < y:
-                n_plus += 1
-                n_minus += 1
-    if not rows.issubset(index):
+    elimination (`exactla.hermitian_classify`) as a differential oracle,
+    and the loop that counts the signs block by block as a reference."""
+    side = _mask(index)
+    pattern = LeviPattern(entries)
+    if pattern.rows & ~side:
         raise ValueError("an entry lies outside the index")
-    return _class_and_category(n_plus, n_minus, len(index), diag, off)
+    return pattern.classify(side)
 
 
 def _class_and_category(n_plus: int, n_minus: int, n: int, diag: bool,
@@ -389,17 +366,17 @@ _ZERO_FORM = (DefinitenessClass.ZERO, "zero-diagonal")
 
 
 class LeviPattern:
-    """The entry pattern of the Levi form at the real root `target` over
-    every root, as `_entries` gives it, checked once by `classify_levi`'s
-    invariants when built (a failure raises `LeviInvariantError`), as
-    masks:
+    """The entry pattern of a Levi form given as an entry map (x, y) ->
+    (re, im), as `_entries` gives it, read in one pass that checks the
+    invariants of `classify_levi` and raises its errors, all but the index
+    check.  The pattern is kept as masks:
     - rows: the roots x whose row holds an entry;
     - plus, minus: the x whose diagonal entry is positive, negative;
     - pairs: the mask {x, y} of each off-diagonal position (x, y), x < y.
 
     `classify` reads the form restricted to S x S, for a side S of roots
     given as a mask, from bit counts: its class and category are those of
-    `classify_levi(indices(S), _entries(ctx, target, S, S))`.
+    `classify_levi(indices(S), the entries at positions in S x S)`.
 
     Proof that the restriction passes the invariants.  Restricting keeps
     the entries (x, y) with x and y in S.  Each kept row still holds at
@@ -407,17 +384,17 @@ class LeviPattern:
     entry is real, as in the full pattern.  A kept (x, y) has its mirror
     (y, x) in the full pattern, with the conjugate value, and as y and x
     are in S that mirror is kept too.  Every kept row lies in S, the
-    index.  So running the invariants once on the full pattern is
-    stronger than running them on every restriction.
+    index.  So checking the invariants once on the full pattern is
+    stronger than checking them on every restriction.
 
-    Proof of the counts.  The kept diagonal entries are those at x in plus
-    or minus with x in S, and each adds its sign; the kept off-diagonal
-    blocks are the pairs with both x and y in S, and each adds one + and
-    one -.  So n_plus = |plus n S| + k and n_minus = |minus n S| + k, k the
-    number of kept pairs, and `classify_levi`'s rules give the class and
-    category from these, |S| and whether a diagonal or a pair is kept.
-    When rows misses S nothing is kept, and the form is the zero form with
-    category "zero-diagonal".
+    Proof of the counts.  By the block form of `classify_levi`, the kept
+    diagonal entries are those at x in plus or minus with x in S, and each
+    adds its sign; the kept off-diagonal blocks are the pairs with both x
+    and y in S, and each adds one + and one -.  So n_plus = |plus n S| + k
+    and n_minus = |minus n S| + k, k the number of kept pairs, and
+    `_class_and_category` gives the class and category from these, |S|
+    and whether a diagonal or a pair is kept.  When rows misses S nothing
+    is kept, and the form is the zero form with category "zero-diagonal".
 
     Proof that only whether a pair is kept matters.  With k >= 1 both
     n_plus and n_minus are >= 1, so the class is indefinite for every such
@@ -429,26 +406,29 @@ class LeviPattern:
 
     __slots__ = ("rows", "plus", "minus", "pairs")
 
-    def __init__(self, ctx: FormContext, target: int):
-        every = ctx.tables.every_root
-        entries = _entries(ctx, target, every, every)
-        try:
-            classify_levi(range(len(ctx.rs.roots)), entries)
-        except (ValueError, ArithmeticError) as e:
-            raise LeviInvariantError(
-                f"{ctx.diag.name}, gauge seed {ctx.gauge_seed}: the Levi "
-                f"pattern at root {target} breaks an invariant: {e}") from e
+    def __init__(self, entries: dict):
         rows = plus = minus = 0
         pairs = []
-        for (x, y), (re, _) in entries.items():
-            rows |= 1 << x
+        for (x, y), (re, im) in entries.items():
+            bit = 1 << x
+            if rows & bit:
+                raise ValueError(f"two entries in the row of root {x}")
+            rows |= bit
+            if not (re or im):
+                raise ValueError(f"zero entry at {(x, y)}")
             if x == y:
+                if im:
+                    raise ArithmeticError(f"non-real diagonal entry "
+                                          f"{(re, im)} in a Hermitian form")
                 if re > 0:
-                    plus |= 1 << x
+                    plus |= bit
                 else:
-                    minus |= 1 << x
+                    minus |= bit
+            elif entries.get((y, x)) != (re, -im):
+                raise ValueError(f"entries at {(x, y)} and {(y, x)} are not "
+                                 f"conjugate")
             elif x < y:
-                pairs.append(1 << x | 1 << y)
+                pairs.append(bit | 1 << y)
         self.rows, self.plus, self.minus = rows, plus, minus
         self.pairs = tuple(pairs)
 
@@ -467,13 +447,21 @@ def levi_class(ctx: FormContext, target: int,
                side: int) -> tuple[DefinitenessClass, str]:
     """Class and category of the Levi form at the real root `target` on
     the roots of the mask `side`, equal to `classify_levi(indices(side),
-    _entries(ctx, target, side, side))`, read from the target's
-    `LeviPattern`, which is built on first use and kept in the context's
-    tables."""
+    _entries(ctx, target, side, side))`, read from the `LeviPattern` of
+    the target's entries over every root, which is built on first use and
+    kept in the context's tables.  A pattern that breaks an invariant
+    raises `LeviInvariantError`."""
     table = ctx.tables.levi
     pattern = table.get(target)
     if pattern is None:
-        pattern = table[target] = LeviPattern(ctx, target)
+        every = ctx.tables.every_root
+        try:
+            pattern = LeviPattern(_entries(ctx, target, every, every))
+        except (ValueError, ArithmeticError) as e:
+            raise LeviInvariantError(
+                f"{ctx.diag.name}, gauge seed {ctx.gauge_seed}: the Levi "
+                f"pattern at root {target} breaks an invariant: {e}") from e
+        table[target] = pattern
     return pattern.classify(side)
 
 
@@ -624,12 +612,13 @@ def root_closure(ctx: FormContext, start: int,
     return parent, sizes
 
 
-class _ChainMemo:
+class Chains:
     """The chain data of one cross set (pd, kphi), for a kernel set kphi
     inside Q (a mask): its moves K u conj(K) (a mask) and coefficient
-    bounds, built together,
-    and the parent map and sizes of its `root_closure`, built on first read
-    (`_chain_closure`).
+    bounds, built together, and the parent map and sizes of its
+    `root_closure`, built on first read (`closure`).  A row builds one and
+    passes it to its chain decisions and its span, so they share the
+    closure.
 
     The moves are K u (conj(Q) \\ c(Q \\ K)): c is a bijection of the roots,
     so c(K) = c(Q) \\ c(Q \\ K) for K inside Q, and c runs only over the
@@ -646,65 +635,53 @@ class _ChainMemo:
     ascending value, so the minimum over the nonempty set conj(Q) is the
     value of the first part that meets it."""
 
-    __slots__ = ("key", "moves", "bounds", "closure")
+    __slots__ = ("ctx", "pd", "moves", "bounds", "_closure")
 
     def __init__(self, ctx: FormContext, pd: ParabolicData, kphi: int):
         t, Qbar, cidx = ctx.tables, pd.Qbar, ctx.conj.c_index
-        self.key = (pd, kphi)
+        self.ctx, self.pd = ctx, pd
         left_out = _mask(cidx[a] for a in indices(pd.Q & ~kphi))
         self.moves = kphi | (Qbar & ~left_out)
         self.bounds = [(j, next(v for v, part in t.levels[j] if part & Qbar))
                        for j, neg in enumerate(t.neg) if not self.moves & neg]
-        self.closure = None
+        self._closure = None
+
+    def closure(self) -> tuple:
+        """Parent map and sizes of the `root_closure` of conj(Q) under
+        K u conj(K), shared by the chain decisions and the span, built at
+        most once and only when one of them reads it: a chain decision
+        reads it only for a target that no coefficient bound excludes (see
+        `bound`)."""
+        if self._closure is None:
+            self._closure = root_closure(self.ctx, self.pd.Qbar, self.moves)
+        return self._closure
+
+    def bound(self, target: int):
+        """The first (j, lo), a coordinate j on which no move is negative
+        and the coefficient of the root `target` lies below lo, the minimum
+        of coordinate j over conj(Q); None when no bound excludes the
+        target.
+
+        Proof that a bound excludes the target.  A chain starts at a root
+        of conj(Q), whose coordinate j is at least lo, and each step adds a
+        move, whose coordinate j is >= 0; so coordinate j never falls below
+        lo along any chain, and a root whose coordinate j is below lo is
+        never reached.  Hence testing the bound first and the closure only
+        when no bound applies gives the same answer as closure
+        membership."""
+        tgt = self.ctx.rs.roots[target]
+        for j, lo in self.bounds:
+            if tgt[j] < lo:
+                return j, lo
+        return None
+
+    def reached(self, target: int) -> bool:
+        """Whether a chain from conj(Q), adding moves and staying inside
+        the root set, reaches the root `target`, decided bound first."""
+        return self.bound(target) is None and target in self.closure()[0]
 
 
-def _chain_memo(ctx: FormContext, pd: ParabolicData, kphi) -> _ChainMemo:
-    """The context's one-entry memo, rebuilt when the cross set changes."""
-    memo = ctx._chain_memo
-    if memo is None or memo.key != (pd, kphi):
-        memo = ctx._chain_memo = _ChainMemo(ctx, pd, kphi)
-    return memo
-
-
-def _chain_closure(ctx: FormContext, pd: ParabolicData, kphi) -> tuple:
-    """Parent map and sizes of the `root_closure` of conj(Q) under
-    K u conj(K), shared by the chain decisions and the span, built at most
-    once per cross set and only when one of them reads it: a chain decision
-    reads it only for a target that no coefficient bound excludes (see
-    `chain_decision`)."""
-    memo = _chain_memo(ctx, pd, kphi)
-    if memo.closure is None:
-        memo.closure = root_closure(ctx, pd.Qbar, memo.moves)
-    return memo.closure
-
-
-def chain_decision(ctx: FormContext, pd: ParabolicData, kphi,
-                   target: int) -> tuple:
-    """Whether a chain from conj(Q), adding elements of K u conj(K) and
-    staying inside the root set, reaches the root `target`, decided bound
-    first.  Returns (bound, parent):
-    - bound = (j, lo), the first coordinate j on which no move is negative
-      and the target's coefficient lies below lo, the minimum of coordinate
-      j over conj(Q); then parent is None and no closure is built;
-    - else bound is None, parent is the memoised parent map of the cross
-      set's one closure (`_chain_closure`), and the target is reached iff
-      it is a key.
-
-    Proof that a bound excludes the target.  A chain starts at a root of
-    conj(Q), whose coordinate j is at least lo, and each step adds a move,
-    whose coordinate j is >= 0; so coordinate j never falls below lo along
-    any chain, and a root whose coordinate j is below lo is never reached.
-    Hence testing the bound first and the closure only when no bound
-    applies gives the same answer as closure membership."""
-    tgt = ctx.rs.roots[target]
-    for j, lo in _chain_memo(ctx, pd, kphi).bounds:
-        if tgt[j] < lo:
-            return (j, lo), None
-    return None, _chain_closure(ctx, pd, kphi)[0]
-
-
-def hlc_reachability(ctx: FormContext, pd: ParabolicData, kphi: int,
-                     gamma: int) -> dict:
+def hlc_reachability(chains: Chains, gamma: int) -> dict:
     """Breadth-first chain search: start at any root of conj(Q), repeatedly
     add elements of K u conj(K) staying inside the root set, reach -gamma.
     Returns reached flag plus witness chain or a failure certificate.
@@ -714,25 +691,25 @@ def hlc_reachability(ctx: FormContext, pd: ParabolicData, kphi: int,
     set, and such a search stops at round 0 with the chain [gamma], which
     `concavity_verdict` writes directly (the tests keep the search).
 
-    The decision is `chain_decision`'s, bound first: a target that a
+    The decision is made bound first (`Chains.bound`): a target that a
     coefficient bound excludes gets the first such bound as its
     certificate, and no closure is built for it.  Otherwise the cross set's
-    one memoised `root_closure` answers, and the witness chain is read from
-    its parent map.  The answers equal those of a per-target search that
-    stops once a round has reached its target and, on a miss, names the
-    first coordinate bound or else the closure it exhausted:
+    one `root_closure` (`Chains.closure`) answers, and the witness chain is
+    read from its parent map.  The answers equal those of a per-target
+    search that stops once a round has reached its target and, on a miss,
+    names the first coordinate bound or else the closure it exhausted:
     - that search checks its stop only between rounds and walks frontiers
       and moves in the same order as the full search, so every root it
       discovers gets the same parent, and every witness chain is the same;
     - a target that a bound excludes is never reached (see
-      `chain_decision`), and a bound depends only on moves, start and
+      `Chains.bound`), and a bound depends only on moves, start and
       target, so testing it first gives the same certificate;
     - an unreached target with no bound means that search ran to
       exhaustion, so its `reachable_count` is the size of the full
       closure."""
-    rs = ctx.rs
-    target = ctx.negi(gamma)
-    bound, parent = chain_decision(ctx, pd, kphi, target)
+    rs = chains.ctx.rs
+    target = rs.neg_index[gamma]
+    bound = chains.bound(target)
     if bound is not None:
         j, lo = bound
         return {"reached": False,
@@ -740,6 +717,7 @@ def hlc_reachability(ctx: FormContext, pd: ParabolicData, kphi: int,
                                 "coordinate": j + 1,
                                 "start_minimum": lo,
                                 "target_coefficient": rs.roots[target][j]}}
+    parent = chains.closure()[0]
     if target not in parent:
         return {"reached": False,
                 "certificate": {"kind": "closure-exhausted",
@@ -757,10 +735,10 @@ def hlc_reachability(ctx: FormContext, pd: ParabolicData, kphi: int,
 # -- the span decision in the real form --------------------------------------
 
 
-def t_module_span(ctx: FormContext, pd: ParabolicData,
-                  kphi: int) -> tuple[bool, list[int]]:
+def t_module_span(chains: Chains) -> tuple[bool, list[int]]:
     """Decide whether the iterated bracket module of the kernel directions
-    acting on the real parts of the parabolic spans the whole real form.
+    acting on the real parts of the parabolic spans the whole real form,
+    for the cross set and kernel set of `chains`.
 
     The real module: generators G are the real-form elements Z + sigma(Z)
     and i(Z - sigma(Z)) for Z in the Cartan h and Z = Z_m, m in K_Phi; the
@@ -785,7 +763,7 @@ def t_module_span(ctx: FormContext, pd: ParabolicData,
     does: when a round adds nothing or the module is full.
 
     Proof that S_h = P_h u c(P_h), where P_h is the set of roots that the
-    chain closure P of c(Q) under M (`_chain_closure`) reaches in at most
+    chain closure P of c(Q) under M (`Chains.closure`) reaches in at most
     h rounds.  A closure under adding moves is a union over its start
     roots: a root lies within h rounds of A u B iff it lies within h rounds
     of A or of B.  And c is additive, permutes the roots and has c(M) = M,
@@ -794,8 +772,9 @@ def t_module_span(ctx: FormContext, pd: ParabolicData,
     root is within h rounds of Q iff its conjugate lies in P_h, and S_h =
     P_h u c(P_h).  The parent map lists P in discovery order and its sizes
     mark the rounds, so the span reuses the chain search's closure."""
+    ctx = chains.ctx
     full = len(ctx.rs.roots)
-    parent, sizes = _chain_closure(ctx, pd, kphi)
+    parent, sizes = chains.closure()
     order, cidx = list(parent), ctx.conj.c_index
     reached, dims, done = set(), [], 0
     for n in sizes:
@@ -809,15 +788,15 @@ def t_module_span(ctx: FormContext, pd: ParabolicData,
     return len(reached) == full, dims
 
 
-def span_holds(ctx: FormContext, pd: ParabolicData, kphi) -> bool:
+def span_holds(chains: Chains) -> bool:
     """The span verdict of `t_module_span` without its rounds: whether
-    P u c(P) is every root, P the cross set's chain closure.  The round
+    P u c(P) is every root, P the chain closure of `chains`.  The round
     sets S_h = P_h u c(P_h) grow to P u c(P), and the rounds stop early
     only when S_h is every root or when a round adds nothing.  S_{h+1} is
     S_h with the root sums of its roots and the moves, so it depends on
     S_h alone, and a round that adds nothing leaves S_h at its final value
     P u c(P).  Either way the verdict is whether P u c(P) is every root."""
-    parent = _chain_closure(ctx, pd, kphi)[0]
+    parent, ctx = chains.closure()[0], chains.ctx
     cidx = ctx.conj.c_index
     return len(parent.keys() | {cidx[a] for a in parent}) == len(ctx.rs.roots)
 
@@ -890,11 +869,6 @@ def _row_label(ctx: FormContext, g: int, cls: DefinitenessClass) -> str:
     return text
 
 
-def _reached(ctx: FormContext, pd: ParabolicData, kphi, target: int) -> bool:
-    parent = chain_decision(ctx, pd, kphi, target)[1]
-    return parent is not None and target in parent
-
-
 def verdict_fields(form: str, phi, gauge_seed: int | None = None,
                    check: str = "all", max_rank: int = 8) -> dict:
     """The report fields (finite_type, levi, mot, span, verdict) of the
@@ -905,22 +879,24 @@ def verdict_fields(form: str, phi, gauge_seed: int | None = None,
     Every check of `concavity_verdict` stays: `k_phi` runs, so the
     invariants of `classify_levi` still raise, every real characteristic
     root is classified, and `SufficiencyViolation` fires under --check
-    all.  The chain condition is decided target by target with
-    `chain_decision`, bound first, and stops at the first target that
-    fails, so a row whose first target a bound excludes builds no closure;
-    the span reads the closure only under --check span|all."""
+    all.  The row builds one `Chains`; the chain condition is decided
+    target by target with `Chains.reached`, bound first, and stops at the
+    first target that fails, so a row whose first target a bound excludes
+    builds no closure; the span reads the closure only under --check
+    span|all."""
     ctx = get_context(form, gauge_seed, max_rank)
     pd = parabolic(ctx, phi)
     ft = finite_type(ctx, pd)
     kphi = k_phi(ctx, pd)
     levi = _levi_classes(ctx, pd)
+    chains = Chains(ctx, pd, kphi)
     mot = check in ("mot", "all")
     if mot:
         for choices in _mot_targets(ctx, pd, levi):
-            if not any(_reached(ctx, pd, kphi, ctx.negi(r)) for r in choices):
+            if not any(chains.reached(ctx.negi(r)) for r in choices):
                 mot = False
                 break
-    span = check in ("span", "all") and span_holds(ctx, pd, kphi)
+    span = check in ("span", "all") and span_holds(chains)
     _check_sufficiency(form, phi, check, mot, span)
     return {"finite_type": ft,
             "levi": ";".join([_row_label(ctx, g, cls) for g, cls, _ in levi]),
@@ -969,12 +945,13 @@ def concavity_verdict(form: str, phi, gauge_seed: int | None = None,
     ft = finite_type(ctx, pd)
     kphi = k_phi(ctx, pd)
     levi = _levi_classes(ctx, pd)
+    chains = Chains(ctx, pd, kphi)
 
     mot_details = []
     mot = check in ("mot", "all")
     if mot:
         for choices in _mot_targets(ctx, pd, levi):
-            res = [hlc_reachability(ctx, pd, kphi, r) for r in choices]
+            res = [hlc_reachability(chains, r) for r in choices]
             if len(choices) == 1:
                 g = list(rs.roots[choices[0]])
                 mot_details.append({"kind": "real", "gamma": g,
@@ -989,7 +966,7 @@ def concavity_verdict(form: str, phi, gauge_seed: int | None = None,
             if not any(r["reached"] for r in res):
                 mot = False
 
-    span, dims = (t_module_span(ctx, pd, kphi) if check in ("span", "all")
+    span, dims = (t_module_span(chains) if check in ("span", "all")
                   else (False, []))
     _check_sufficiency(form, phi, check, mot, span)
 

@@ -89,23 +89,31 @@ _ROW_KEYS = frozenset(("form", "params", "predicates", "ambiguous"))
 def load_golden(path: str) -> dict:
     """The golden table at path, keyed by form name.  Raises ValueError
     unless the document has the shape {"rows": [{"form", "params",
-    "predicates", "ambiguous"}, ...]}, with a nonempty list of predicate
-    objects: a row with no reading could match no report row, and
-    `compare_golden` reads its first reading."""
+    "predicates", "ambiguous"}, ...]}, with a string form name and a
+    nonempty list of predicate objects: a row with no reading could match
+    no report row, and `compare_golden` reads its first reading.  Raises
+    ValueError too when two rows name the same form, which would leave the
+    verdict to the order of the rows."""
     with open(path, "r") as fh:
         doc = json.load(fh)
     rows = doc.get("rows") if isinstance(doc, dict) else None
     if not isinstance(rows, list) or not all(
             isinstance(row, dict) and row.keys() >= _ROW_KEYS
+            and isinstance(row["form"], str)
             and isinstance(row["params"], dict)
             and isinstance(row["predicates"], list) and row["predicates"]
             and all(isinstance(p, dict) for p in row["predicates"])
             for row in rows):
         raise ValueError(f"{path} is not a golden table: expected "
                          f'{{"rows": [{{"form", "params", "predicates", '
-                         f'"ambiguous"}}, ...]}} with at least one '
-                         f'predicate per row')
-    return {row["form"]: row for row in rows}
+                         f'"ambiguous"}}, ...]}} with a string form and at '
+                         f'least one predicate per row')
+    table = {}
+    for row in rows:
+        if row["form"] in table:
+            raise ValueError(f"{path} has two rows for form {row['form']!r}")
+        table[row["form"]] = row
+    return table
 
 
 def expected_values(row_doc: dict, diag: SatakeDiagram, phis) -> list[list[bool]]:

@@ -293,7 +293,7 @@ def complex_zero_pairs_by_roots(ctx: FormContext, pd: ParabolicData) -> list:
 
 
 def chain_bounds_by_roots(ctx: FormContext, pd: ParabolicData, kphi) -> list:
-    """The coefficient bounds of `crflag._ChainMemo`: [(j, minimum of
+    """The coefficient bounds of `crflag.Chains`: [(j, minimum of
     coordinate j over conj(Q))] for each j on which no move of
     K u conj(K) is negative, read from the support masks of the moves."""
     ks = indices(kphi)

@@ -3,7 +3,10 @@ kappa(Z_t, Z_-t), with the structural category read from the dense entry
 pattern: the Levi layer as `minorbit.crflag` computed it before it read
 each form from its root involution.  The tests compare it with the sparse
 integer forms entry for entry, and its elimination
-(`exactla.hermitian_classify`) with `crflag.classify_levi`.
+(`exactla.hermitian_classify`) with `crflag.classify_levi`.  It also keeps
+the loop that classified a sparse form by counting the signs its blocks
+add, entry by entry, as the reference of the bit-count reads of
+`crflag.LeviPattern`.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ from fractions import Fraction
 
 from algebra_oracle import killing_z_pair
 from gaussq import I_POW, QQi
-from minorbit.crflag import FormContext, ParabolicData, indices
+from minorbit.crflag import (FormContext, ParabolicData, _class_and_category,
+                             indices)
 from minorbit.exactla import DefinitenessClass, hermitian_classify
 
 
@@ -91,6 +95,43 @@ def structural_category(m) -> str:
 
 def classify_levi(m) -> tuple[DefinitenessClass, str]:
     return hermitian_classify(m), structural_category(m)
+
+
+def classify_by_counts(index, entries) -> tuple[DefinitenessClass, str]:
+    """Class and category of a sparse form (index, entries), as
+    `crflag.classify_levi` gives them, by counting the signs that its
+    blocks add: a diagonal entry its own, an off-diagonal pair one + and
+    one -.  Raises the same errors as `classify_levi` on malformed
+    entries."""
+    n_plus = n_minus = 0
+    diag = off = False
+    rows = set()
+    for (x, y), (re, im) in entries.items():
+        if x in rows:
+            raise ValueError(f"two entries in the row of root {x}")
+        rows.add(x)
+        if not (re or im):
+            raise ValueError(f"zero entry at {(x, y)}")
+        if x == y:
+            if im:
+                raise ArithmeticError(f"non-real diagonal entry {(re, im)} "
+                                      f"in a Hermitian form")
+            diag = True
+            if re > 0:
+                n_plus += 1
+            else:
+                n_minus += 1
+        elif entries.get((y, x)) != (re, -im):
+            raise ValueError(f"entries at {(x, y)} and {(y, x)} are not "
+                             f"conjugate")
+        else:
+            off = True
+            if x < y:
+                n_plus += 1
+                n_minus += 1
+    if not rows.issubset(index):
+        raise ValueError("an entry lies outside the index")
+    return _class_and_category(n_plus, n_minus, len(index), diag, off)
 
 
 def densify(index, entries, scale=1):

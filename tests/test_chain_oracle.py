@@ -36,17 +36,18 @@ def _searches(ctx, pd):
     return out
 
 
-def _search(ctx, pd, kphi, g, minus):
+def _search(chains, g, minus):
     """The chain search toward -g, or toward +g of a real root g the answer
     `concavity_verdict` writes without a search."""
     if minus:
-        return crflag.hlc_reachability(ctx, pd, kphi, g)
-    return {"reached": True, "chain": [list(ctx.rs.roots[g])]}
+        return crflag.hlc_reachability(chains, g)
+    return {"reached": True, "chain": [list(chains.ctx.rs.roots[g])]}
 
 
-def _assert_chains_match(ctx, pd, kphi, searches, kinds):
+def _assert_chains_match(chains, kphi, searches, kinds):
+    ctx, pd = chains.ctx, chains.pd
     for g, minus in searches:
-        got = _search(ctx, pd, kphi, g, minus)
+        got = _search(chains, g, minus)
         want = oracle.hlc_reachability(ctx, pd, kphi, g, minus)
         assert got == want, (ctx.diag.name, sorted(pd.phi), g, minus)
         kinds.add(got["certificate"]["kind"] if not got["reached"]
@@ -65,14 +66,15 @@ def test_chain_search_matches_per_target_oracle(name, rank, seed):
             assert ft == oracle.finite_type_rows(ctx, pd)
             # the span runs first, so it starts the cross set's closure
             kphi = k_phi(ctx, pd)
-            assert crflag.t_module_span(ctx, pd, kphi) == \
+            chains = crflag.Chains(ctx, pd, kphi)
+            assert crflag.t_module_span(chains) == \
                 oracle.t_module_span(ctx, pd, kphi), (name, phi)
             for t in range(len(ctx.rs.roots)):
                 index, entries = crflag.q_form(ctx, pd, t)
                 want_index, want = oracle.q_form(ctx, pd, t)
                 assert index == want_index
                 assert densify(index, entries, killing_scale(ctx, t)) == want
-            _assert_chains_match(ctx, pd, kphi, _searches(ctx, pd), set())
+            _assert_chains_match(chains, kphi, _searches(ctx, pd), set())
 
 
 def test_parabolic_and_closure_match_oracles_on_rank6_catalog():
@@ -129,7 +131,6 @@ def test_verdict_runs_one_root_closure(monkeypatch, check):
     monkeypatch.setattr(crflag, "root_closure", counting)
     for name, rank in INSTANCES:
         ctx = get_context(name)
-        ctx._chain_memo = None
         for k in range(rank + 1):
             for phi in itertools.combinations(range(1, rank + 1), k):
                 pd = parabolic(ctx, phi)
@@ -170,10 +171,12 @@ def test_chain_search_matches_oracle_on_random_kernels(name, rank):
     draws = _random_draws(ctx, name, rank)
     kinds = set()
     for pd, kphi, searches in draws:
-        _assert_chains_match(ctx, pd, kphi, searches, kinds)
+        _assert_chains_match(crflag.Chains(ctx, pd, kphi), kphi, searches,
+                             kinds)
     # revisit in reverse so that each search follows a different cross set
     for pd, kphi, searches in reversed(draws):
-        _assert_chains_match(ctx, pd, kphi, searches[:1], kinds)
+        _assert_chains_match(crflag.Chains(ctx, pd, kphi), kphi, searches[:1],
+                             kinds)
     assert {"reached", "coefficient-bound"} <= kinds, kinds
 
 
@@ -185,8 +188,9 @@ def test_random_kernels_reach_every_certificate_kind():
     for name, rank in RANDOM_FORMS:
         ctx = get_context(name)
         for pd, kphi, searches in _random_draws(ctx, name, rank):
+            chains = crflag.Chains(ctx, pd, kphi)
             for g, minus in searches:
-                res = _search(ctx, pd, kphi, g, minus)
+                res = _search(chains, g, minus)
                 kinds.add(res["certificate"]["kind"] if not res["reached"]
                           else "reached")
     assert kinds == {"reached", "coefficient-bound", "closure-exhausted"}

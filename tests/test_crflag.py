@@ -4,10 +4,10 @@ from algebra_oracle import add, idx, is_root
 from algebra_oracle import rank as xrank
 import levi_oracle as dense
 from chain_oracle import summed, verify_no_triples
-from minorbit.crflag import (characteristic_real_roots, classify_levi,
-                             concavity_verdict, finite_type, get_context,
-                             hlc_reachability, indices, k_phi, levi_matrix,
-                             parabolic, q_form, t_module_span)
+from minorbit.crflag import (Chains, characteristic_real_roots,
+                             classify_levi, concavity_verdict, finite_type,
+                             get_context, hlc_reachability, indices, k_phi,
+                             levi_matrix, parabolic, q_form, t_module_span)
 from minorbit.exactla import DefinitenessClass, hermitian_classify, is_hermitian
 from minorbit.rootsys import neg
 
@@ -247,7 +247,7 @@ def test_fii_chain_fails_with_certificate():
     pd = parabolic(ctx, {3})
     kp = k_phi(ctx, pd)
     g = characteristic_real_roots(ctx, pd)[0]
-    res = hlc_reachability(ctx, pd, kp, g)
+    res = hlc_reachability(Chains(ctx, pd, kp), g)
     assert not res["reached"]
     cert = res["certificate"]
     assert cert["kind"] == "coefficient-bound"
@@ -269,7 +269,7 @@ def test_eiii_chain_succeeds_with_witness():
         if classify_levi(*levi_matrix(ctx, pd, g))[0].is_semidefinite():
             semidef.append(g)
     for g in semidef:
-        res = hlc_reachability(ctx, pd, kp, g)
+        res = hlc_reachability(Chains(ctx, pd, kp), g)
         assert res["reached"]
         chain = [tuple(r) for r in res["chain"]]
         total = chain[0]
@@ -292,7 +292,7 @@ def test_ciia_small_threshold_reaches_all_characteristics():
     chars = sorted(set(Qn) & {ctx.c(a) for a in Qn})
     assert chars
     for d in chars:
-        assert hlc_reachability(ctx, pd, kp, d)["reached"]
+        assert hlc_reachability(Chains(ctx, pd, kp), d)["reached"]
 
 
 # -- no-triples scan -----------------------------------------------------------
@@ -317,14 +317,14 @@ def test_span_compact_always_full():
     ctx = get_context("compact-G2")
     for phi in [set(), {1}, {2}, {1, 2}]:
         pd = parabolic(ctx, phi)
-        ok, dims = t_module_span(ctx, pd, k_phi(ctx, pd))
+        ok, dims = t_module_span(Chains(ctx, pd, k_phi(ctx, pd)))
         assert ok and dims[-1] == ctx.sc.dim
 
 
 def test_span_fii_phi3_fails():
     ctx = get_context("FII")
     pd = parabolic(ctx, {3})
-    ok, dims = t_module_span(ctx, pd, k_phi(ctx, pd))
+    ok, dims = t_module_span(Chains(ctx, pd, k_phi(ctx, pd)))
     assert not ok
     assert dims[-1] < ctx.sc.dim
 
@@ -332,7 +332,7 @@ def test_span_fii_phi3_fails():
 def test_span_su23_phi1_succeeds():
     ctx = get_context("su(2,3)")
     pd = parabolic(ctx, {1})
-    ok, _ = t_module_span(ctx, pd, k_phi(ctx, pd))
+    ok, _ = t_module_span(Chains(ctx, pd, k_phi(ctx, pd)))
     assert ok
 
 
@@ -359,7 +359,7 @@ def test_span_matches_dense_reference():
         ctx = get_context(form)
         pd = parabolic(ctx, phi)
         kp = k_phi(ctx, pd)
-        ok, dims = t_module_span(ctx, pd, kp)
+        ok, dims = t_module_span(Chains(ctx, pd, kp))
         sc, conj, rk = ctx.sc, ctx.conj, ctx.rs.rank
         N = sc.dim
 

@@ -6,8 +6,8 @@ they replaced (kept in `chain_oracle`), on every cross set of every
 non-compact form of rank <= 5, ungauged and under gauge seed 1, and on
 seeded random kernel sets; the Levi forms that `k_phi` classifies; the
 Levi patterns of every real root of the real `catalog(8)` forms, read on
-the whole root set and on seeded random sides, and the `--phi` categories
-read from them."""
+the whole root set and on seeded random sides against the sign-counting
+loop kept in `levi_oracle`, and the `--phi` categories read from them."""
 
 from collections import Counter
 import itertools
@@ -18,10 +18,11 @@ import pytest
 
 import chain_oracle as oracle
 from algebra_oracle import add
+from levi_oracle import classify_by_counts
 from minorbit import cli, crflag
-from minorbit.crflag import (LeviPattern, _chain_memo, _entries,
-                             _mot_targets, characteristic_real_roots,
-                             classify_levi, get_context, indices, parabolic)
+from minorbit.crflag import (Chains, LeviPattern, _entries, _mot_targets,
+                             characteristic_real_roots, get_context, indices,
+                             parabolic)
 from minorbit.realform import catalog
 from test_chain_oracle import RANDOM_FORMS, _random_draws
 
@@ -55,7 +56,7 @@ def test_tables_match_per_root_loops(entry, seed):
         assert levi == oracle.levi_classes_by_matrix(ctx, pd), phi
         pairs = [t for t in _mot_targets(ctx, pd, levi) if len(t) == 2]
         assert pairs == oracle.complex_zero_pairs_by_roots(ctx, pd), phi
-        assert _chain_memo(ctx, pd, kphi).bounds == \
+        assert Chains(ctx, pd, kphi).bounds == \
             oracle.chain_bounds_by_roots(ctx, pd, kphi), phi
 
 
@@ -64,7 +65,7 @@ def test_tables_match_per_root_loops(entry, seed):
 def test_chain_bounds_match_per_root_loop_on_random_kernels(name, rank):
     ctx = get_context(name)
     for pd, kphi, _ in _random_draws(ctx, name, rank):
-        assert _chain_memo(ctx, pd, kphi).bounds == \
+        assert Chains(ctx, pd, kphi).bounds == \
             oracle.chain_bounds_by_roots(ctx, pd, kphi)
 
 
@@ -104,8 +105,8 @@ def test_k_phi_classifies_the_targets_of_the_root_loop(monkeypatch):
                 calls.clear()
                 k_phi(ctx, pd)
                 runs.append(Counter(targets))
-            # a first read of a target builds its pattern, which runs
-            # classify_levi once, so only the loop's calls are counted
+            # the calls are cleared before each run, so only the loop's
+            # are counted
             assert calls["classify"] == sum(runs[1].values())
             assert runs[0] == runs[1], (e.name, phi)
             assert set(runs[0].values()) <= {1}, (e.name, phi)
@@ -120,7 +121,7 @@ def test_chain_moves_are_kernel_and_its_conjugate(entry, seed):
     for phi in _cross_sets(entry.rank):
         pd = parabolic(ctx, phi)
         kphi = crflag.k_phi(ctx, pd)
-        assert indices(_chain_memo(ctx, pd, kphi).moves) == \
+        assert indices(Chains(ctx, pd, kphi).moves) == \
             _moves_by_map(ctx, kphi), phi
 
 
@@ -130,7 +131,7 @@ def test_chain_moves_are_kernel_and_its_conjugate_on_random_kernels(name,
                                                                     rank):
     ctx = get_context(name)
     for pd, kphi, _ in _random_draws(ctx, name, rank):
-        assert indices(_chain_memo(ctx, pd, kphi).moves) == \
+        assert indices(Chains(ctx, pd, kphi).moves) == \
             _moves_by_map(ctx, kphi)
 
 
@@ -179,9 +180,15 @@ def test_mask_tables_match_per_root_definitions(seed):
     assert forms == len([e for e in catalog(8) if not e.doubled])
 
 
+def _pattern(ctx, t):
+    """The `LeviPattern` of the root t's entries over every root."""
+    every = ctx.tables.every_root
+    return LeviPattern(_entries(ctx, t, every, every))
+
+
 def test_levi_pattern_classes_on_random_sides():
-    """`LeviPattern.classify` on seeded random sides equals
-    `classify_levi` of the entries `_entries` builds on that side, for
+    """`LeviPattern.classify` on seeded random sides equals the
+    sign-counting loop on the entries `_entries` builds on that side, for
     every real root whose pattern has an off-diagonal pair, on every
     non-compact real form of `catalog(8)`, ungauged.  Each draw takes a
     side that keeps at least one pair, where `classify` stops at the first
@@ -194,7 +201,7 @@ def test_levi_pattern_classes_on_random_sides():
         n = len(ctx.rs.roots)
         for g in indices(ctx.tables.positive_real):
             for t in (g, ctx.negi(g)):
-                pattern = LeviPattern(ctx, t)
+                pattern = _pattern(ctx, t)
                 if not pattern.pairs:
                     continue
                 patterns += 1
@@ -206,8 +213,8 @@ def test_levi_pattern_classes_on_random_sides():
                     for side, keeps in ((rest | pair, True),
                                         (rest & ~pair | 1 << one_end,
                                          False)):
-                        want = classify_levi(indices(side),
-                                             _entries(ctx, t, side, side))
+                        want = classify_by_counts(indices(side),
+                                                  _entries(ctx, t, side, side))
                         assert pattern.classify(side) == want, (e.name, t)
                         if keeps:
                             kept[want[1]] += 1
@@ -219,27 +226,26 @@ def test_levi_pattern_classes_on_random_sides():
 def test_levi_patterns_pass_their_invariants(seed):
     """The pattern of every positive real root and of its negative builds,
     so passes `classify_levi`'s invariants, on every non-compact real form
-    of `catalog(8)`, and on the whole root set it reads the class of the
-    full entry map."""
+    of `catalog(8)`, and on the whole root set it reads the class that the
+    sign-counting loop finds for the full entry map."""
     patterns = 0
     for e in REAL_CATALOG:
         ctx = get_context(e.name, seed)
         every = ctx.tables.every_root
         for g in indices(ctx.tables.positive_real):
             for t in (g, ctx.negi(g)):
-                full = classify_levi(indices(every),
-                                     _entries(ctx, t, every, every))
-                assert LeviPattern(ctx, t).classify(every) == full, \
-                    (e.name, t)
+                full = classify_by_counts(indices(every),
+                                          _entries(ctx, t, every, every))
+                assert _pattern(ctx, t).classify(every) == full, (e.name, t)
                 patterns += 1
     assert patterns
 
 
 @pytest.mark.parametrize("entry", NONCOMPACT, ids=[e.name for e in NONCOMPACT])
 def test_phi_categories_match_classify_levi_of_entries(entry, capsysbinary):
-    """The classes and categories of a `--phi` run's details equal
-    `classify_levi` of the entries `_entries` builds on the side
-    conj(Q) \\ Q, on every cross set, ungauged."""
+    """The classes and categories of a `--phi` run's details equal the
+    sign-counting loop of `levi_oracle` on the entries `_entries` builds on
+    the side conj(Q) \\ Q, on every cross set, ungauged."""
     ctx = get_context(entry.name, max_rank=5)
     for phi in _cross_sets(entry.rank):
         assert cli.main(["--form", entry.name, "--phi",
@@ -251,8 +257,8 @@ def test_phi_categories_match_classify_levi_of_entries(entry, capsysbinary):
         side = pd.Qbar & ~pd.Q
         want = []
         for g in characteristic_real_roots(ctx, pd):
-            cls, cat = classify_levi(indices(side),
-                                     _entries(ctx, ctx.negi(g), side, side))
+            cls, cat = classify_by_counts(
+                indices(side), _entries(ctx, ctx.negi(g), side, side))
             want.append({"root": list(ctx.rs.roots[g]), "class": cls.value,
                          "category": cat})
         assert gammas == want, phi

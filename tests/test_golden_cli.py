@@ -8,7 +8,7 @@ import pytest
 
 from minorbit.cli import default_golden_path, emit
 from minorbit.golden import compare_golden, load_golden
-from test_swap_reuse import _forbid_engine
+from test_swap_reuse import _forbid_engine, enumerate_form
 
 
 def run_cli(args, env=None):
@@ -113,15 +113,14 @@ def test_cli_internal_error_exit_code(monkeypatch, capsys):
     from minorbit import cli, crflag
     from minorbit.realform import ConjugationError
     # FII phi={1} satisfies the chain condition, so a failed span is a bug
-    monkeypatch.setattr(crflag, "t_module_span",
-                        lambda ctx, pd, kp: (False, []))
+    monkeypatch.setattr(crflag, "t_module_span", lambda chains: (False, []))
     assert cli.main(["--form", "FII", "--phi", "1", "--no-golden"]) == 3
     out, err = capsys.readouterr()
     assert not out
     assert err.startswith("internal error\n")
     assert "Traceback" in err and "SufficiencyViolation" in err
 
-    def data_error(ctx, pd, kp):
+    def data_error(chains):
         raise ConjugationError("bad catalog entry")
 
     monkeypatch.setattr(crflag, "t_module_span", data_error)
@@ -251,15 +250,24 @@ def test_cli_builds_parser_once(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("shape", ["top-level list", "unknown kind",
-                                   "no predicates", "empty predicates"])
+                                   "no predicates", "empty predicates",
+                                   "list form", "repeated form",
+                                   "repeated form, real row first"])
 def test_cli_malformed_golden_exits_2(tmp_path, shape):
     row = dict(load_golden(default_golden_path())["su(2,3)"])
+    never = dict(row, predicates=[{"kind": "never"}])
     if shape == "top-level list":
         doc = [row]
     elif shape == "unknown kind":
         doc = {"rows": [dict(row, predicates=[{"kind": "bogus"}])]}
     elif shape == "empty predicates":
         doc = {"rows": [dict(row, predicates=[])]}
+    elif shape == "list form":
+        doc = {"rows": [dict(row, form=["su(2,3)"]), row]}
+    elif shape == "repeated form":
+        doc = {"rows": [never, row]}
+    elif shape == "repeated form, real row first":
+        doc = {"rows": [row, never]}
     else:
         del row["predicates"]
         doc = {"rows": [row]}
@@ -269,6 +277,21 @@ def test_cli_malformed_golden_exits_2(tmp_path, shape):
     assert r.returncode == 2, r.stderr
     assert b"error: golden comparison failed" in r.stderr
     assert b"Traceback" not in r.stderr
+
+
+def test_package_has_no_assert_statement():
+    """Invariants in the installed package raise real exceptions: an
+    `assert` statement vanishes under `python -O`."""
+    import ast
+    from pathlib import Path
+
+    import minorbit
+    sources = sorted(Path(minorbit.__file__).parent.glob("*.py"))
+    assert sources
+    found = [f"{path.name}:{node.lineno}" for path in sources
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert not found, found
 
 
 def test_classify_never_imports_fractions():
@@ -346,21 +369,10 @@ def test_golden_table_file_matches_generator():
     assert len(doc["rows"]) == 201
 
 
-def test_enumerate_form_library_api():
-    from minorbit.cli import enumerate_form
-    rows = enumerate_form("sl(2,R)")
-    assert len(rows) == 2
-    assert all(r["form"] == "sl(2,R)" for r in rows)
-    with pytest.raises(KeyError):
-        enumerate_form("not-a-form")
-    one = enumerate_form("FII", phis=[{3}])
-    assert len(one) == 1 and one[0]["verdict"] is False
-
-
 def test_library_and_cli_resolve_labels_alike(capsys):
     from minorbit import cli
     from minorbit.realform import find_form
-    direct = cli.enumerate_form("DIIIa", phis=[{1}], max_rank=4)
+    direct = enumerate_form("DIIIa", phis=[{1}], max_rank=4)
     assert cli.main(["--form", "DIIIa", "--max-rank", "4", "--phi", "1",
                      "--no-golden"]) == 0
     assert json.loads(capsys.readouterr().out)["details"] == direct

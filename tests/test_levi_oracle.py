@@ -1,6 +1,8 @@
 """Differential test: the sparse integer Levi forms of `minorbit.crflag` and
 `classify_levi` against the dense Killing-scaled matrices, their exact
-elimination and their structural category, kept in `levi_oracle`."""
+elimination and their structural category, kept in `levi_oracle`, and
+`classify_levi`'s one-pass pattern against the sign-counting loop kept
+there, errors and their messages included."""
 
 import itertools
 import random
@@ -102,11 +104,21 @@ def test_classify_levi_matches_dense_on_random_involution_forms():
         index, entries = _random_form(rng, rng.randint(0, 6))
         got = classify_levi(index, entries)
         assert got == dense.classify_levi(densify(index, entries))
+        assert got == dense.classify_by_counts(index, entries)
         seen.add(got)
     assert {cls for cls, _ in seen} == set(D)
     assert {cat for _, cat in seen} == {"zero-diagonal",
                                         "diagonal-semidefinite",
                                         "diagonal-indefinite", "mixed"}
+
+
+def _rejects(index, entries, exc):
+    """`classify_levi` raises `exc` with the counting loop's message."""
+    with pytest.raises(exc) as got:
+        classify_levi(index, entries)
+    with pytest.raises(exc) as want:
+        dense.classify_by_counts(index, entries)
+    assert str(got.value) == str(want.value)
 
 
 def test_classify_levi_empty_and_zero_forms():
@@ -116,31 +128,25 @@ def test_classify_levi_empty_and_zero_forms():
 
 
 def test_classify_levi_rejects_non_real_diagonal():
-    with pytest.raises(ArithmeticError):
-        classify_levi([0], {(0, 0): (1, 1)})
-    with pytest.raises(ArithmeticError):
-        classify_levi([0, 1, 2], {(0, 1): (0, 1), (1, 0): (0, -1),
-                                  (2, 2): (0, 3)})
+    _rejects([0], {(0, 0): (1, 1)}, ArithmeticError)
+    _rejects([0, 1, 2], {(0, 1): (0, 1), (1, 0): (0, -1), (2, 2): (0, 3)},
+             ArithmeticError)
 
 
 def test_classify_levi_rejects_non_hermitian_pairs():
     # the mirror entry differs, or is missing
-    with pytest.raises(ValueError):
-        classify_levi([0, 1], {(0, 1): (1, 0), (1, 0): (2, 0)})
-    with pytest.raises(ValueError):
-        classify_levi([0, 1], {(0, 1): (0, 1), (1, 0): (0, 1)})
-    with pytest.raises(ValueError):
-        classify_levi([0, 1], {(0, 1): (0, 1)})
+    _rejects([0, 1], {(0, 1): (1, 0), (1, 0): (2, 0)}, ValueError)
+    _rejects([0, 1], {(0, 1): (0, 1), (1, 0): (0, 1)}, ValueError)
+    _rejects([0, 1], {(0, 1): (0, 1)}, ValueError)
     # the dense elimination rejects the same matrices
     with pytest.raises(ValueError):
         hermitian_classify(densify([0, 1], {(0, 1): (1, 0), (1, 0): (2, 0)}))
 
 
 def test_classify_levi_rejects_malformed_entries():
-    with pytest.raises(ValueError):  # two entries in one row
-        classify_levi([0, 1], {(0, 0): (1, 0), (0, 1): (1, 0),
-                               (1, 0): (1, 0)})
-    with pytest.raises(ValueError):  # an explicit zero
-        classify_levi([0], {(0, 0): (0, 0)})
-    with pytest.raises(ValueError):  # an entry outside the index
-        classify_levi([0], {(0, 0): (1, 0), (4, 4): (1, 0)})
+    # two entries in one row
+    _rejects([0, 1], {(0, 0): (1, 0), (0, 1): (1, 0), (1, 0): (1, 0)},
+             ValueError)
+    _rejects([0], {(0, 0): (0, 0)}, ValueError)  # an explicit zero
+    # an entry outside the index
+    _rejects([0], {(0, 0): (1, 0), (4, 4): (1, 0)}, ValueError)

@@ -13,12 +13,11 @@ import json
 import pytest
 
 from minorbit import cli, crflag
-from minorbit.cli import _report_rows, enumerate_form
-from minorbit.crflag import (_chain_closure, _chain_memo, _mot_targets,
-                             chain_decision, get_context, k_phi, parabolic)
+from minorbit.cli import _report_rows
+from minorbit.crflag import Chains, _mot_targets, get_context, k_phi, parabolic
 from minorbit.realform import catalog
 from test_chain_oracle import RANDOM_FORMS, _random_draws
-from test_swap_reuse import _classify
+from test_swap_reuse import _classify, enumerate_form
 
 REAL = [e for e in catalog(5)
         if e.rank <= 5 and e.label not in ("compact", "complex")]
@@ -59,7 +58,7 @@ def test_whole_form_real_runs_build_no_document(monkeypatch):
 
 def test_sufficiency_violation_still_fires_on_whole_forms(monkeypatch):
     # FII phi={1} satisfies the chain condition, so a failed span is a bug
-    monkeypatch.setattr(crflag, "span_holds", lambda ctx, pd, kp: False)
+    monkeypatch.setattr(crflag, "span_holds", lambda chains: False)
     with pytest.raises(crflag.SufficiencyViolation):
         crflag.verdict_fields("FII", (1,), check="all")
     assert cli.main(["--form", "FII", "--no-golden"]) == 3
@@ -71,14 +70,16 @@ def test_bound_excluded_target_is_never_in_the_closure(name, rank):
     ctx = get_context(name)
     excluded = 0
     for pd, kphi, searches in _random_draws(ctx, name, rank):
-        closure = _chain_closure(ctx, pd, kphi)[0]
+        chains = Chains(ctx, pd, kphi)
+        closure = chains.closure()[0]
         for g, minus in searches:
             target = ctx.negi(g) if minus else g
-            bound, parent = chain_decision(ctx, pd, kphi, target)
-            if bound is None:
-                assert parent is closure
+            reached = chains.reached(target)
+            if chains.bound(target) is None:
+                assert chains.closure()[0] is closure
+                assert reached == (target in closure)
             else:
-                assert parent is None and target not in closure
+                assert not reached and target not in closure
                 excluded += 1
     assert excluded
 
@@ -111,7 +112,7 @@ def test_whole_form_row_builds_at_most_one_closure(monkeypatch, check):
                 pd = parabolic(ctx, phi)
                 kphi = k_phi(ctx, pd)
                 levi = crflag._levi_classes(ctx, pd)
-                bounds = _chain_memo(ctx, pd, kphi).bounds
+                bounds = Chains(ctx, pd, kphi).bounds
                 all_bounded = all(
                     any(ctx.rs.roots[ctx.negi(r)][j] < lo for j, lo in bounds)
                     for choices in _mot_targets(ctx, pd, levi)

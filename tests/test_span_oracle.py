@@ -6,7 +6,8 @@ import itertools
 
 import pytest
 
-from minorbit.crflag import get_context, k_phi, parabolic, t_module_span
+from minorbit.crflag import (Chains, get_context, k_phi, parabolic,
+                             t_module_span)
 from span_oracle import exact_span
 from test_acceptance import INSTANCES
 
@@ -25,5 +26,5 @@ def test_closure_span_matches_exact_engine(name, rank, seed):
         for phi in itertools.combinations(range(1, rank + 1), k):
             pd = parabolic(ctx, phi)
             kp = k_phi(ctx, pd)
-            assert t_module_span(ctx, pd, kp) == exact_span(ctx, pd, kp), \
-                (name, seed, phi)
+            assert t_module_span(Chains(ctx, pd, kp)) == \
+                exact_span(ctx, pd, kp), (name, seed, phi)

@@ -14,9 +14,9 @@ import sys
 import pytest
 
 from minorbit import cli, crflag
-from minorbit.cli import _report_rows, emit, enumerate_form
+from minorbit.cli import _report_rows, emit
 from minorbit.golden import compare_golden
-from minorbit.realform import catalog
+from minorbit.realform import catalog, find_form
 from minorbit.rootsys import build_root_system
 
 COMPLEX = [e for e in catalog(8) if e.label == "complex" and e.dim <= 150]
@@ -27,6 +27,28 @@ SIMPLE_TYPES = ([("A", l) for l in range(1, 9)] +
                 [(f, l) for f, lo in (("B", 2), ("C", 3), ("D", 3))
                  for l in range(lo, 9)] +
                 [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+def enumerate_form(name: str, phis=None, gauge_seed=None, check="all",
+                   max_rank: int = 8) -> list[dict]:
+    """Verdict documents for the given cross sets (all subsets by default),
+    in deterministic row order, each computed directly by
+    `concavity_verdict`: the oracle of the whole-form rows."""
+    diag = find_form(name, max_rank)
+    if phis is None:
+        phis = list(cli._all_phi(diag.rank))
+    return [crflag.concavity_verdict(diag.name, tuple(sorted(p)), gauge_seed,
+                                     check, max_rank).to_doc() for p in phis]
+
+
+def test_enumerate_form_library_api():
+    rows = enumerate_form("sl(2,R)")
+    assert len(rows) == 2
+    assert all(r["form"] == "sl(2,R)" for r in rows)
+    with pytest.raises(KeyError):
+        enumerate_form("not-a-form")
+    one = enumerate_form("FII", phis=[{3}])
+    assert len(one) == 1 and one[0]["verdict"] is False
 
 
 def _classify(argv):
