@@ -10,7 +10,7 @@ Exit codes: 0 all golden parity passed, 1 mismatches, 2 usage or data error,
 --form, --p, --q and --l pick one catalog entry by `realform.find_form`.
 --golden and --no-golden exclude each other.  Before any row is computed:
 a whole-form run (no --phi) needs rank <= 16, and the golden table, unless
---no-golden, must cover the form.
+--no-golden, must cover the form with the catalog entry's params.
 A single-Phi run (--phi) prints the report row and, under "details", the
 full verdict document of `concavity_verdict`.  A whole-form run prints
 only the rows, so it builds no documents: a complex-type form's rows come
@@ -31,7 +31,8 @@ from importlib import resources
 from itertools import combinations
 
 from . import golden as goldenmod
-from .crflag import complex_type_verdict, concavity_verdict, verdict_fields
+from .crflag import (complex_type_verdict, concavity_verdict, get_context,
+                     verdict_fields)
 # catalog is not called here, but perfbench/tracing.py wraps cli.catalog by
 # name, so it stays a module attribute
 from .realform import catalog, find_form  # noqa: F401
@@ -67,14 +68,14 @@ def _phi_str(phi) -> str:
 def _run_rows(diag, phis, args) -> tuple[list[dict], list[dict]]:
     """(verdict documents, report rows) for `phis`.  A whole-form run builds
     no documents: it reads each row's fields from `complex_type_verdict`
-    for a complex-type form and from `verdict_fields` for a real one."""
+    for a complex-type form and from `verdict_fields` for a real one, on
+    the one context of the form."""
     if args.phi is None:
         if diag.doubled:
             fields = [complex_type_verdict(diag, p, args.check) for p in phis]
         else:
-            fields = [verdict_fields(diag.name, tuple(sorted(p)),
-                                     args.gauge_seed, args.check,
-                                     args.max_rank) for p in phis]
+            ctx = get_context(diag.name, args.gauge_seed, args.max_rank)
+            fields = [verdict_fields(ctx, p, args.check) for p in phis]
         return [], [dict(f, form=diag.name, phi=sorted(p), expected=None,
                          match=None) for p, f in zip(phis, fields)]
     docs = [concavity_verdict(diag.name, tuple(sorted(p)), args.gauge_seed,
@@ -214,6 +215,10 @@ def main(argv=None) -> int:
             if diag.name not in gold:
                 raise KeyError(f"golden table does not cover form "
                                f"{diag.name!r}")
+            if gold[diag.name]["params"] != diag.params:
+                raise ValueError(f"golden params {gold[diag.name]['params']} "
+                                 f"of form {diag.name!r} disagree with the "
+                                 f"catalog's {diag.params}")
         except (KeyError, OSError, ValueError) as e:  # JSONDecodeError too
             print(f"error: golden comparison failed: {e}", file=sys.stderr)
             return 2

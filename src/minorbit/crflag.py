@@ -22,18 +22,18 @@ follow, with no Killing value, no dense matrix and no elimination.
 Every root set of a cross set is an integer mask, bit a standing for the
 root with index a: Q, Qn and conj(Q), the kernel set, the chain moves and
 every table set.  The data that no cross set changes are tables of the
-context (`FormTables`, built once per context on first use): per simple
-index, the negative roots whose support holds it, their conjugates and
-the positive roots whose support holds it; the roots a with a + c(a) a
-root, grouped by that sum; the positive real roots; the complex positive
-pairs; and the roots grouped by the value of each coordinate.  The
-per-cross-set phases (`parabolic`, `finite_type`, `k_phi`, the Levi side,
-the complex zero pairs and the chain moves and bounds) are OR, AND and
-AND-NOT of masks and bit counts, with no loop over the roots; the tests
-keep the per-root loops as differential oracles.  The document path and
-the tests read the roots of a mask through `indices`, in ascending order.
-The closure alone keeps Python sets: `root_closure` turns its start and
-moves into a list and a set once per call.
+`FormContext`, built with it in one pass: per simple index, the negative
+roots whose support holds it, their conjugates and the positive roots
+whose support holds it; the roots a with a + c(a) a root, grouped by that
+sum; the positive real roots; the complex positive pairs; and the roots
+grouped by the value of each coordinate.  The per-cross-set phases
+(`parabolic`, `finite_type`, `k_phi`, the Levi side, the complex zero
+pairs and the chain moves and bounds) are OR, AND and AND-NOT of masks
+and bit counts, with no loop over the roots; the tests keep the per-root
+loops as differential oracles.  The document path and the tests read the
+roots of a mask through `indices`, in ascending order.  The closure alone
+keeps Python sets: `root_closure` turns its start and moves into a list
+and a set once per call.
 
 Two tables fill lazily.  The Levi pattern of a real root t (`LeviPattern`)
 is the entry pattern of its Levi form over every root, built and checked
@@ -54,7 +54,6 @@ and reads the span as one set, with the same checks on the way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .chevalley import StructureConstants, build_chevalley
 # hermitian_classify is not called here, but perfbench/tracing.py wraps
@@ -100,35 +99,11 @@ class LeviInvariantError(RuntimeError):
 
 
 class FormContext:
-    """The algebraic data of one catalog real form, fixed once built, and
-    its cross-set-free tables (`tables`, built on first use)."""
-
-    def __init__(self, diag: SatakeDiagram, gauge_seed: int | None = None):
-        self.diag = diag
-        self.rs: RootSystem = diag.root_system()
-        sc = build_chevalley(self.rs)
-        if gauge_seed is not None:
-            sc = sc.sign_gauge(gauge_seed)
-        self.sc: StructureConstants = sc
-        self.conj: Conjugation = build_conjugation(diag, self.rs, sc)
-        self.gauge_seed = gauge_seed
-
-    def c(self, ia: int) -> int:
-        return self.conj.c_index[ia]
-
-    def negi(self, ia: int) -> int:
-        return self.rs.neg_index[ia]
-
-    @cached_property
-    def tables(self) -> FormTables:
-        return FormTables(self.rs, self.conj.c_index)
-
-
-class FormTables:
-    """The data of a form that no cross set changes, so that each
-    per-cross-set phase is a few mask operations over them instead of a
-    loop over the roots.  Every root set is a mask, bit a for the root with
-    index a.  Simple indices j are 0-based here.
+    """The algebraic data of one catalog real form and the tables that no
+    cross set changes, all fixed once built, so that each per-cross-set
+    phase is a few mask operations over them instead of a loop over the
+    roots.  Every root set is a mask, bit a for the root with index a.
+    Simple indices j are 0-based here.
     - simple: the 1-based simple indices, the range of a cross set (a
       frozenset).
     - every_root: every root.
@@ -151,12 +126,17 @@ class FormTables:
     - labels: the report label "<coefficients>:<class>" of each (root,
       class) printed so far (`verdict_fields`)."""
 
-    __slots__ = ("simple", "every_root", "neg", "conj_neg", "pos",
-                 "conj_sums", "positive_real", "complex_pairs", "levels",
-                 "levi", "labels")
-
-    def __init__(self, rs: RootSystem, cidx):
-        n, masks = len(rs.roots), rs.support_masks
+    def __init__(self, diag: SatakeDiagram, gauge_seed: int | None = None):
+        self.diag = diag
+        self.rs: RootSystem = diag.root_system()
+        rs = self.rs
+        sc = build_chevalley(rs)
+        if gauge_seed is not None:
+            sc = sc.sign_gauge(gauge_seed)
+        self.sc: StructureConstants = sc
+        self.conj: Conjugation = build_conjugation(diag, rs, sc)
+        self.gauge_seed = gauge_seed
+        cidx, n, masks = self.conj.c_index, len(rs.roots), rs.support_masks
         half = n // 2  # negatives come first
         self.simple = frozenset(range(1, rs.rank + 1))
         self.every_root = (1 << n) - 1
@@ -187,6 +167,12 @@ class FormTables:
         self.levels = tuple(levels)
         self.levi: dict[int, LeviPattern] = {}
         self.labels: dict[tuple, str] = {}
+
+    def c(self, ia: int) -> int:
+        return self.conj.c_index[ia]
+
+    def negi(self, ia: int) -> int:
+        return self.rs.neg_index[ia]
 
 
 _CTX_CACHE: dict = {}
@@ -222,21 +208,21 @@ def parabolic(ctx: FormContext, phi) -> ParabolicData:
     conj_neg[j], because c is a bijection of the roots, so it carries the
     complement of a union of sets to the complement of the union of their
     images."""
-    phi, t = frozenset(phi), ctx.tables
-    if not phi <= t.simple:
+    phi = frozenset(phi)
+    if not phi <= ctx.simple:
         raise ValueError(f"phi {sorted(phi)} outside the simple basis")
     negs = pos = conj_negs = 0
     for j in phi:
-        negs |= t.neg[j - 1]
-        pos |= t.pos[j - 1]
-        conj_negs |= t.conj_neg[j - 1]
-    every = t.every_root
+        negs |= ctx.neg[j - 1]
+        pos |= ctx.pos[j - 1]
+        conj_negs |= ctx.conj_neg[j - 1]
+    every = ctx.every_root
     return ParabolicData(phi, every & ~negs, pos, every & ~conj_negs)
 
 
 def characteristic_real_roots(ctx: FormContext, pd: ParabolicData) -> list[int]:
     """Positive real roots in Qn (automatically in conj(Qn)), ascending."""
-    return indices(pd.Qn & ctx.tables.positive_real)
+    return indices(pd.Qn & ctx.positive_real)
 
 
 # -- Levi forms ---------------------------------------------------------------
@@ -449,12 +435,12 @@ def levi_class(ctx: FormContext, target: int,
     the roots of the mask `side`, equal to `classify_levi(indices(side),
     _entries(ctx, target, side, side))`, read from the `LeviPattern` of
     the target's entries over every root, which is built on first use and
-    kept in the context's tables.  A pattern that breaks an invariant
-    raises `LeviInvariantError`."""
-    table = ctx.tables.levi
+    kept in the context's table `levi`.  A pattern that breaks an
+    invariant raises `LeviInvariantError`."""
+    table = ctx.levi
     pattern = table.get(target)
     if pattern is None:
-        every = ctx.tables.every_root
+        every = ctx.every_root
         try:
             pattern = LeviPattern(_entries(ctx, target, every, every))
         except (ValueError, ArithmeticError) as e:
@@ -485,7 +471,7 @@ def k_phi(ctx: FormContext, pd: ParabolicData) -> int:
     choice that moves a form only between definite and semidefinite,
     never into or out of indefinite."""
     Q, drop = pd.Q, 0
-    for beta, neg_beta, sources in ctx.tables.conj_sums:
+    for beta, neg_beta, sources in ctx.conj_sums:
         if Q >> neg_beta & 1 and sources & Q:
             cls = levi_class(ctx, beta, Q)[0]
             if cls is not DefinitenessClass.INDEFINITE:
@@ -522,7 +508,7 @@ def finite_type(ctx: FormContext, pd: ParabolicData) -> bool:
     that is, iff Q u conj(Q) meets neg[j].  The tests keep the closure
     itself as a differential oracle."""
     both = pd.Q | pd.Qbar
-    return all(both & neg for neg in ctx.tables.neg)
+    return all(both & neg for neg in ctx.neg)
 
 
 def complex_type_verdict(diag: SatakeDiagram, phi, check: str = "all") -> dict:
@@ -638,12 +624,12 @@ class Chains:
     __slots__ = ("ctx", "pd", "moves", "bounds", "_closure")
 
     def __init__(self, ctx: FormContext, pd: ParabolicData, kphi: int):
-        t, Qbar, cidx = ctx.tables, pd.Qbar, ctx.conj.c_index
+        Qbar, cidx, levels = pd.Qbar, ctx.conj.c_index, ctx.levels
         self.ctx, self.pd = ctx, pd
         left_out = _mask(cidx[a] for a in indices(pd.Q & ~kphi))
-        self.moves = kphi | (Qbar & ~left_out)
-        self.bounds = [(j, next(v for v, part in t.levels[j] if part & Qbar))
-                       for j, neg in enumerate(t.neg) if not self.moves & neg]
+        self.moves = moves = kphi | (Qbar & ~left_out)
+        self.bounds = [(j, next(v for v, part in levels[j] if part & Qbar))
+                       for j, neg in enumerate(ctx.neg) if not moves & neg]
         self._closure = None
 
     def closure(self) -> tuple:
@@ -825,7 +811,7 @@ def _mot_targets(ctx: FormContext, pd: ParabolicData, levi):
             yield (g,)
     Q, Qn, Qbar = pd.Q, pd.Qn, pd.Qbar
     pairs, negi = ctx.rs.sum_pairs, ctx.rs.neg_index
-    for b, cb, both in ctx.tables.complex_pairs:
+    for b, cb, both in ctx.complex_pairs:
         if Qn & both == both and not any(
                 Q >> x & 1 and Qbar >> r & 1 for x, r in pairs[negi[b]]):
             yield (b, cb)
@@ -857,11 +843,11 @@ def _check_sufficiency(form: str, phi, check: str, mot: bool, span: bool):
 
 def _row_label(ctx: FormContext, g: int, cls: DefinitenessClass) -> str:
     """The report label "<coefficients>:<class>" of the root g, memoised
-    per (root, class) in the context's tables.  The key holds the class's
-    value as the member attribute `_value_`, read with no call: an Enum
-    member's hash and `.value` are Python-level calls, which more than
-    double the cost of a lookup."""
-    labels, key = ctx.tables.labels, (g, cls._value_)
+    per (root, class) in the context's table `labels`.  The key holds the
+    class's value as the member attribute `_value_`, read with no call: an
+    Enum member's hash and `.value` are Python-level calls, which more
+    than double the cost of a lookup."""
+    labels, key = ctx.labels, (g, cls._value_)
     text = labels.get(key)
     if text is None:
         text = labels[key] = "%s:%s" % ("".join(map(str, ctx.rs.roots[g])),
@@ -869,11 +855,10 @@ def _row_label(ctx: FormContext, g: int, cls: DefinitenessClass) -> str:
     return text
 
 
-def verdict_fields(form: str, phi, gauge_seed: int | None = None,
-                   check: str = "all", max_rank: int = 8) -> dict:
+def verdict_fields(ctx: FormContext, phi, check: str = "all") -> dict:
     """The report fields (finite_type, levi, mot, span, verdict) of the
-    cross set `phi` of a real form, equal to those `cli` reads from
-    `concavity_verdict`'s document, with no document, witness chain,
+    cross set `phi` of the real form of `ctx`, equal to those `cli` reads
+    from `concavity_verdict`'s document, with no document, witness chain,
     certificate, k_phi list or span_dims built.
 
     Every check of `concavity_verdict` stays: `k_phi` runs, so the
@@ -884,7 +869,6 @@ def verdict_fields(form: str, phi, gauge_seed: int | None = None,
     first target that fails, so a row whose first target a bound excludes
     builds no closure; the span reads the closure only under --check
     span|all."""
-    ctx = get_context(form, gauge_seed, max_rank)
     pd = parabolic(ctx, phi)
     ft = finite_type(ctx, pd)
     kphi = k_phi(ctx, pd)
@@ -897,7 +881,7 @@ def verdict_fields(form: str, phi, gauge_seed: int | None = None,
                 mot = False
                 break
     span = check in ("span", "all") and span_holds(chains)
-    _check_sufficiency(form, phi, check, mot, span)
+    _check_sufficiency(ctx.diag.name, phi, check, mot, span)
     return {"finite_type": ft,
             "levi": ";".join([_row_label(ctx, g, cls) for g, cls, _ in levi]),
             "mot": mot, "span": span,

@@ -355,7 +355,33 @@ def _solve_sign_exponents(rs: RootSystem, sc: StructureConstants, c_idx):
     additive and odd, so k(a) + k(b) - k(a+b) = const(a) + const(b) -
     const(a+b), which the check compares with e(a, b), and k(-a) + k(a) =
     const(-a) + const(a) = 0 by construction.  So the solved table obeys
-    the cocycle and k(-a) = -k(a) without a further pass."""
+    the cocycle and k(-a) = -k(a) without a further pass.
+
+    The mod-4 system has one row per conjugation orbit of positive roots:
+    (a, -const(a)) for a positive real or imaginary a, where k(a) = 0, and
+    (c(a) - a, const(a) - const(c(a))) for a positive complex a with
+    c(a) > a, where k(c(a)) = k(a).  The system with both kinds of row for
+    every root, which the final validation loop checks, has the same row
+    module L (the Z/4 combinations of the augmented rows), because each of
+    its other rows is -1 or -2 times a kept row:
+    - const(-a) = -const(a) and c(-a) = -c(a), so each row of -a is -1
+      times the row of the same kind of a;
+    - c(c(a)) = a, and c(a) is positive for a positive complex a (the
+      conjugation battery checks this), so the row of c(a) is -1 times the
+      row of a, and one of the two has c(a) > a;
+    - for an imaginary a, c(a) = -a, so its second row, (-2a, 2 const(a)),
+      is -2 times its first.
+    And `_solve_mod4` returns the same answer, or None, on any two systems
+    with the same L, since each of its steps is fixed by L alone:
+    - a column is a unit pivot iff L holds a vector that is zero on the
+      earlier unit pivots and odd in that column;
+    - the rows left after the first stage span the vectors of L that are
+      zero on every unit pivot, so whether one has an odd right-hand side
+      is fixed by L, and their halves span a GF(2) space fixed by L, whose
+      reduced echelon form, and so the second-stage solution, is unique;
+    - each unit-pivot row is fixed by L up to adding a vector of that
+      residual space, which the second-stage solution satisfies, so the
+      value of its pivot is fixed too."""
     nroots = len(rs.roots)
     nrank = rs.rank
     half = nroots // 2  # negatives first, then the simple roots
@@ -382,16 +408,16 @@ def _solve_sign_exponents(rs: RootSystem, sc: StructureConstants, c_idx):
                 raise ConjugationError("sign cocycle inconsistent; bad "
                                        "catalog data or conjugation")
 
-    # boundary (real and compact imaginary roots) and orbit-tie conditions
-    # give a small mod-4 system on the simple-root exponents
+    # boundary (real and imaginary roots) and orbit-tie conditions give a
+    # small mod-4 system on the simple-root exponents, one row per orbit
     rows = []
-    for ia in range(nroots):
+    for ia in range(half, nroots):
         ica = c_idx[ia]
         if ica in (ia, negi[ia]):
-            rows.append(([x % 4 for x in rs.roots[ia]], (-const[ia]) % 4))
-        if ica != ia:
-            cf = [(x - y) % 4 for x, y in zip(rs.roots[ica], rs.roots[ia])]
-            rows.append((cf, (const[ia] - const[ica]) % 4))
+            rows.append((rs.roots[ia], -const[ia]))
+        elif ica > ia:
+            cf = [x - y for x, y in zip(rs.roots[ica], rs.roots[ia])]
+            rows.append((cf, const[ia] - const[ica]))
     sol = _solve_mod4(nrank, rows)
     if sol is None:
         raise ConjugationError("sign table system infeasible (a compact "

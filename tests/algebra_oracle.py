@@ -3,12 +3,12 @@ the Euclidean realisation of the simple roots (Bourbaki) with its inner
 product and pairing, simple reflections and the reflection closure of the
 simple roots, root strings, supports and tuple addition of roots,
 the `Fraction` form of the Chevalley recursion, the one Gauss-Jordan
-elimination `rref` with `rank` and `kernel`, an incremental echelon store
-and a span-closure fixpoint engine, basis elements, adjoint matrices, the
-Killing form as an explicit adjoint trace, the root classes and root images
-of a conjugation, and the anti-linear involution sigma of a real form with
-a basis of its fixed points, the completed sign table, and canonical JSON
-dumps of a root system and of a structure constant table.
+elimination `rref` with `rank` and `kernel`, an incremental echelon
+store, basis elements, adjoint matrices, the Killing form as an explicit
+adjoint trace, the root classes and root images of a conjugation, and the
+anti-linear involution sigma of a real form with a basis of its fixed
+points, the completed sign table, and canonical JSON dumps of a root
+system and of a structure constant table.
 
 `classify` decides everything in integers from root-index tables and never
 forms these objects; the tests use them as independent references (the
@@ -23,7 +23,7 @@ import json
 from enum import Enum
 from functools import cache
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from gaussq import I_POW, QQi, ZERO
 from minorbit.chevalley import StructureConstants, standard_constants
@@ -363,27 +363,6 @@ class Echelon:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-
-def span_closure(generators: Sequence[Sequence], step: Callable) -> list[list[QQi]]:
-    """Least subspace containing `generators` and closed under `step`.
-
-    `step` maps a list of basis vectors to an iterable of new vectors; it is
-    applied to the newly inserted vectors each round (monotone fixpoint,
-    deterministic in generator order)."""
-    gens = [[QQi.of(x) for x in v] for v in generators]
-    if not gens:
-        return []
-    ech = Echelon(len(gens[0]))
-    fresh = [v for v in gens if ech.insert(v)]
-    while fresh:
-        produced = []
-        for w in step(fresh):
-            w = [QQi.of(x) for x in w]
-            if ech.insert(w):
-                produced.append(ech.rows[-1])
-        fresh = produced
-    return [row[:] for row in ech.rows]
 
 
 def h(sc: StructureConstants, i: int) -> dict:

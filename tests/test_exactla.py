@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from algebra_oracle import Echelon, kernel, mat, rank, rref, span_closure
+from algebra_oracle import Echelon, kernel, mat, rank, rref
 from float_oracle import float_classify, float_eigen_oracle
 from gaussq import QQi
 from minorbit.exactla import (DefinitenessClass, hermitian_classify, inertia,
@@ -88,21 +88,6 @@ def test_rank_kernel_dimension_identity_random():
         m = [[QQi(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(cols)]
              for _ in range(rows)]
         assert rank(m) + len(kernel(m)) == cols
-
-
-def test_span_closure_heisenberg():
-    # basis (x, y, z) with [x, y] = z central; step brackets with x
-    def step(news):
-        return [[QQi(0), QQi(0), v[1]] for v in news]
-
-    assert len(span_closure([[1, 0, 0], [0, 1, 0]], step)) == 3
-    assert len(span_closure([[1, 0, 0]], step)) == 1
-    assert span_closure([], step) == []
-
-
-def test_span_closure_identity_step():
-    basis = span_closure([[1, 2, 0], [2, 4, 0], [0, 0, 1]], lambda vs: [])
-    assert len(basis) == 2
 
 
 def test_echelon_incremental():

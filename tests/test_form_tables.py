@@ -141,7 +141,7 @@ REAL_CATALOG = [e for e in catalog(8) if e.label != "compact"
 
 @pytest.mark.parametrize("seed", (None, 1))
 def test_mask_tables_match_per_root_definitions(seed):
-    """Each mask table of `FormTables` read through `indices` equals its
+    """Each mask table of `FormContext` read through `indices` equals its
     definition root by root, with signs and supports read from the
     coefficient vectors, on every real form of `catalog(8)`, compact
     ones included."""
@@ -150,7 +150,7 @@ def test_mask_tables_match_per_root_definitions(seed):
         if e.doubled:
             continue
         ctx = get_context(e.name, seed)
-        roots, t, c = ctx.rs.roots, ctx.tables, ctx.c
+        roots, t, c = ctx.rs.roots, ctx, ctx.c
         every = range(len(roots))
         assert indices(t.every_root) == list(every)
         for j in range(ctx.rs.rank):
@@ -182,7 +182,7 @@ def test_mask_tables_match_per_root_definitions(seed):
 
 def _pattern(ctx, t):
     """The `LeviPattern` of the root t's entries over every root."""
-    every = ctx.tables.every_root
+    every = ctx.every_root
     return LeviPattern(_entries(ctx, t, every, every))
 
 
@@ -199,7 +199,7 @@ def test_levi_pattern_classes_on_random_sides():
     for e in REAL_CATALOG:
         ctx = get_context(e.name)
         n = len(ctx.rs.roots)
-        for g in indices(ctx.tables.positive_real):
+        for g in indices(ctx.positive_real):
             for t in (g, ctx.negi(g)):
                 pattern = _pattern(ctx, t)
                 if not pattern.pairs:
@@ -231,8 +231,8 @@ def test_levi_patterns_pass_their_invariants(seed):
     patterns = 0
     for e in REAL_CATALOG:
         ctx = get_context(e.name, seed)
-        every = ctx.tables.every_root
-        for g in indices(ctx.tables.positive_real):
+        every = ctx.every_root
+        for g in indices(ctx.positive_real):
             for t in (g, ctx.negi(g)):
                 full = classify_by_counts(indices(every),
                                           _entries(ctx, t, every, every))

@@ -252,7 +252,8 @@ def test_cli_builds_parser_once(monkeypatch, capsys):
 @pytest.mark.parametrize("shape", ["top-level list", "unknown kind",
                                    "no predicates", "empty predicates",
                                    "list form", "repeated form",
-                                   "repeated form, real row first"])
+                                   "repeated form, real row first",
+                                   "params disagree with the catalog"])
 def test_cli_malformed_golden_exits_2(tmp_path, shape):
     row = dict(load_golden(default_golden_path())["su(2,3)"])
     never = dict(row, predicates=[{"kind": "never"}])
@@ -268,6 +269,8 @@ def test_cli_malformed_golden_exits_2(tmp_path, shape):
         doc = {"rows": [never, row]}
     elif shape == "repeated form, real row first":
         doc = {"rows": [row, never]}
+    elif shape == "params disagree with the catalog":
+        doc = {"rows": [dict(row, params={"p": 1, "q": 4})]}
     else:
         del row["predicates"]
         doc = {"rows": [row]}

@@ -240,3 +240,31 @@ def test_solve_mod4_against_brute_force():
             assert len(sol) == n and solves(sol)
             feasible += 1
     assert 750 < feasible < 1500  # both outcomes are exercised
+
+
+def test_solve_mod4_depends_only_on_the_row_module():
+    """`_solve_mod4` gives the same answer, or None, on any system with the
+    same row module: on seeded random systems with n <= 5 and up to 8
+    rows, half of them built around a solution, the rows shuffled and
+    extended by negated copies, doubled copies and sums of rows."""
+    from minorbit.realform import _solve_mod4
+    rng = random.Random("row-module")
+    feasible = 0
+    for t in range(2000):
+        n, m = rng.randint(1, 5), rng.randint(1, 8)
+        cfs = [[rng.randrange(4) for _ in range(n)] for _ in range(m)]
+        if t % 2:
+            x = [rng.randrange(4) for _ in range(n)]
+            rows = [(cf, sum(a * b for a, b in zip(cf, x))) for cf in cfs]
+        else:
+            rows = [(cf, rng.randrange(4)) for cf in cfs]
+        want = _solve_mod4(n, rows)
+        feasible += want is not None
+        more = list(rows)
+        for _ in range(rng.randint(1, 6)):
+            (cf, r), (cf2, r2) = rng.choice(rows), rng.choice(rows)
+            more += [([-a for a in cf], -r), ([2 * a for a in cf], 2 * r),
+                     ([a + b for a, b in zip(cf, cf2)], r + r2)]
+        rng.shuffle(more)
+        assert _solve_mod4(n, more) == want, (n, rows)
+    assert 500 < feasible < 2000  # both outcomes are exercised
