@@ -8,7 +8,8 @@
 Exit codes: 0 all golden parity passed, 1 mismatches, 2 usage or data error,
 3 internal error (an implementation bug; the traceback goes to stderr).
 --form, --p, --q and --l pick one catalog entry by `realform.find_form`.
---golden and --no-golden exclude each other.  Before any row is computed:
+--golden and --no-golden exclude each other.  --max-rank must lie in
+1..16, checked before the catalog is built.  Before any row is computed:
 a whole-form run (no --phi) needs rank <= 16, and the golden table, unless
 --no-golden, must cover the form with the catalog entry's params.
 A single-Phi run (--phi) prints the report row and, under "details", the
@@ -37,7 +38,10 @@ from .crflag import (complex_type_verdict, concavity_verdict, get_context,
 # name, so it stays a module attribute
 from .realform import catalog, find_form  # noqa: F401
 
-MAX_WHOLE_FORM_RANK = 16  # the largest rank in catalog(8): 2^16 cross sets
+# The largest rank of a whole-form run (the largest rank in catalog(8):
+# 2^16 cross sets) and the largest --max-rank: catalog(16) is the largest
+# catalog in use, and a catalog's memory grows like the cube of its rank.
+MAX_WHOLE_FORM_RANK = 16
 
 
 def _all_phi(rank: int):
@@ -181,6 +185,10 @@ def main(argv=None) -> int:
 
     if not args.form:
         ap.print_usage(sys.stderr)
+        return 2
+    if not 1 <= args.max_rank <= MAX_WHOLE_FORM_RANK:
+        print(f"error: --max-rank must be between 1 and "
+              f"{MAX_WHOLE_FORM_RANK}", file=sys.stderr)
         return 2
     try:
         diag = find_form(args.form, args.max_rank, p=args.p, q=args.q,

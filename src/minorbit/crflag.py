@@ -5,7 +5,8 @@ span decision in the real form.  The chain data of a cross set is a value,
 `Chains`, that the row builds once and passes to its chain decisions and
 its span.  One root-set closure, `root_closure`, runs at most once per
 `Chains`, and only when something reads it: the span, which equals the
-iterated bracket module, is read from the closure and its conjugate (see
+iterated bracket module, is read from the closure and its conjugate, or
+holds by theorem with no closure when Q u c(Q) is every root (see
 `t_module_span`), and a chain decision reads it only for a target that no
 coefficient bound excludes (see `Chains.bound`, tested first).  Finite
 type needs no closure: by the theorem on closed root sets that contain
@@ -48,12 +49,12 @@ Two paths share these pieces.  `concavity_verdict` builds the full verdict
 document of one cross set, with witness chains, certificates, the kernel
 set and the span dimensions.  `verdict_fields` computes only the report
 fields of a row: it stops the chain condition at the first failed target
-and reads the span as one set, with the same checks on the way.
+and keeps only the span verdict, with the same checks on the way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .chevalley import StructureConstants, build_chevalley
 # hermitian_classify is not called here, but perfbench/tracing.py wraps
@@ -249,21 +250,15 @@ def _entries(ctx: FormContext, target: int, rows, cols) -> dict:
     return out
 
 
-def levi_matrix(ctx: FormContext, pd: ParabolicData, gamma: int,
-                mirrored: bool = False):
-    """Hermitian Levi form of the real characteristic root `gamma`.
-
-    Default convention: rows and columns indexed by conj(Q) \\ Q, entry at
-    (x, y) iff x + conj(y) = -gamma.  The mirrored convention indexes
-    Q \\ conj(Q) (the same covector, presented on the parabolic side); the
-    two forms are unitarily congruent and must classify identically.
-    Returns (index list, entries) as `_entries` gives them.
-    """
+def levi_matrix(ctx: FormContext, pd: ParabolicData, gamma: int):
+    """Hermitian Levi form of the real characteristic root `gamma`: rows
+    and columns indexed by conj(Q) \\ Q, entry at (x, y) iff x + conj(y) =
+    -gamma.  Returns (index list, entries) as `_entries` gives them."""
     if ctx.c(gamma) != gamma:
         raise ValueError("levi_matrix needs a real root")
     if not pd.Qn >> gamma & 1:
         raise ValueError("levi_matrix needs a characteristic root")
-    side = pd.Q & ~pd.Qbar if mirrored else pd.Qbar & ~pd.Q
+    side = pd.Qbar & ~pd.Q
     return indices(side), _entries(ctx, ctx.negi(gamma), side, side)
 
 
@@ -604,7 +599,8 @@ class Chains:
     bounds, built together, and the parent map and sizes of its
     `root_closure`, built on first read (`closure`).  A row builds one and
     passes it to its chain decisions and its span, so they share the
-    closure.
+    closure; the span reads it only when Q u conj(Q) is not every root
+    (see `t_module_span`).
 
     The moves are K u (conj(Q) \\ c(Q \\ K)): c is a bijection of the roots,
     so c(K) = c(Q) \\ c(Q \\ K) for K inside Q, and c runs only over the
@@ -637,7 +633,7 @@ class Chains:
         K u conj(K), shared by the chain decisions and the span, built at
         most once and only when one of them reads it: a chain decision
         reads it only for a target that no coefficient bound excludes (see
-        `bound`)."""
+        `bound`), and the span only when Q u conj(Q) is not every root."""
         if self._closure is None:
             self._closure = root_closure(self.ctx, self.pd.Qbar, self.moves)
         return self._closure
@@ -757,9 +753,20 @@ def t_module_span(chains: Chains) -> tuple[bool, list[int]]:
     c(q) + c(m_1), ... from c(Q), with the same length, and back.  So a
     root is within h rounds of Q iff its conjugate lies in P_h, and S_h =
     P_h u c(P_h).  The parent map lists P in discovery order and its sizes
-    mark the rounds, so the span reuses the chain search's closure."""
-    ctx = chains.ctx
+    mark the rounds, so the span reuses the chain search's closure.
+
+    Proof that no closure is needed when Q u c(Q) is every root.  P_0 is
+    the start set c(Q), so S_0 = P_0 u c(P_0) = c(Q) u Q is every root:
+    the first entry of `span_dims` is rank + |R|, the module is full, and
+    the rounds stop there.  So the verdict is true and `span_dims` is
+    [rank + |R|], as the closure gives.  This covers every cross set of a
+    compact form, where c(a) = -a on every root, so c(Q) holds c(R+) = R-
+    and Q holds R+; and the empty cross set of every form, where Q is
+    every root."""
+    ctx, pd = chains.ctx, chains.pd
     full = len(ctx.rs.roots)
+    if pd.Q | pd.Qbar == ctx.every_root:
+        return True, [ctx.rs.rank + full]
     parent, sizes = chains.closure()
     order, cidx = list(parent), ctx.conj.c_index
     reached, dims, done = set(), [], 0
@@ -772,19 +779,6 @@ def t_module_span(chains: Chains) -> tuple[bool, list[int]]:
         if len(reached) == full or (len(dims) > 1 and dims[-2] == dims[-1]):
             break
     return len(reached) == full, dims
-
-
-def span_holds(chains: Chains) -> bool:
-    """The span verdict of `t_module_span` without its rounds: whether
-    P u c(P) is every root, P the chain closure of `chains`.  The round
-    sets S_h = P_h u c(P_h) grow to P u c(P), and the rounds stop early
-    only when S_h is every root or when a round adds nothing.  S_{h+1} is
-    S_h with the root sums of its roots and the moves, so it depends on
-    S_h alone, and a round that adds nothing leaves S_h at its final value
-    P u c(P).  Either way the verdict is whether P u c(P) is every root."""
-    parent, ctx = chains.closure()[0], chains.ctx
-    cidx = ctx.conj.c_index
-    return len(parent.keys() | {cidx[a] for a in parent}) == len(ctx.rs.roots)
 
 
 # -- full pipeline ------------------------------------------------------------
@@ -867,8 +861,9 @@ def verdict_fields(ctx: FormContext, phi, check: str = "all") -> dict:
     all.  The row builds one `Chains`; the chain condition is decided
     target by target with `Chains.reached`, bound first, and stops at the
     first target that fails, so a row whose first target a bound excludes
-    builds no closure; the span reads the closure only under --check
-    span|all."""
+    builds no closure.  Under --check span|all the span is the verdict of
+    `t_module_span`, which reads the same closure unless Q u conj(Q) is
+    every root."""
     pd = parabolic(ctx, phi)
     ft = finite_type(ctx, pd)
     kphi = k_phi(ctx, pd)
@@ -880,7 +875,7 @@ def verdict_fields(ctx: FormContext, phi, check: str = "all") -> dict:
             if not any(chains.reached(ctx.negi(r)) for r in choices):
                 mot = False
                 break
-    span = check in ("span", "all") and span_holds(chains)
+    span = check in ("span", "all") and t_module_span(chains)[0]
     _check_sufficiency(ctx.diag.name, phi, check, mot, span)
     return {"finite_type": ft,
             "levi": ";".join([_row_label(ctx, g, cls) for g, cls, _ in levi]),
@@ -904,21 +899,14 @@ class ConcavityVerdict:
     gauge_seed: int | None = None
 
     def to_doc(self) -> dict:
-        return {
-            "form": self.form,
-            "phi": sorted(self.phi),
-            "finite_type": self.finite_type,
-            "gammas": [{"root": g, "class": c, "category": cat}
-                       for g, c, cat in self.gammas],
-            "k_phi": self.k_phi,
-            "mot_satisfied": self.mot_satisfied,
-            "mot_details": self.mot_details,
-            "span_satisfied": self.span_satisfied,
-            "span_dims": self.span_dims,
-            "verdict": self.verdict,
-            "annotation": self.annotation,
-            "gauge_seed": self.gauge_seed,
-        }
+        """Every field by name, read shallowly (`dataclasses.asdict` would
+        deep-copy `mot_details`), with phi sorted and each gamma a
+        {"root", "class", "category"} dict."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["phi"] = sorted(self.phi)
+        doc["gammas"] = [{"root": g, "class": c, "category": cat}
+                         for g, c, cat in self.gammas]
+        return doc
 
 
 def concavity_verdict(form: str, phi, gauge_seed: int | None = None,

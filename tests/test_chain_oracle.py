@@ -64,7 +64,8 @@ def test_chain_search_matches_per_target_oracle(name, rank, seed):
             ft = crflag.finite_type(ctx, pd)
             assert ft == oracle.finite_type(ctx, pd)
             assert ft == oracle.finite_type_rows(ctx, pd)
-            # the span runs first, so it starts the cross set's closure
+            # the span runs first, so unless Q u conj(Q) is every root it
+            # starts the cross set's closure
             kphi = k_phi(ctx, pd)
             chains = crflag.Chains(ctx, pd, kphi)
             assert crflag.t_module_span(chains) == \
@@ -129,6 +130,7 @@ def test_verdict_runs_one_root_closure(monkeypatch, check):
         return closure(ctx, start, moves)
 
     monkeypatch.setattr(crflag, "root_closure", counting)
+    seen = set()
     for name, rank in INSTANCES:
         ctx = get_context(name)
         for k in range(rank + 1):
@@ -138,12 +140,30 @@ def test_verdict_runs_one_root_closure(monkeypatch, check):
                 crflag.finite_type(ctx, pd)
                 assert len(starts) == before
                 crflag.concavity_verdict(name, phi, check=check)
-                # the span always reads the closure; --check mot reads it
-                # only when a chain is searched
+                # --check mot reads the closure only when a chain is
+                # searched; under --check span|all a row builds none
+                # exactly when Q u conj(Q) is every root, so the span holds
+                # by theorem, and no chain search reads it: the document
+                # searches every root of every target, and a search reads
+                # the closure iff no bound excludes its target
                 made = len(starts) - before
-                assert made == 1 or (check == "mot" and made == 0), (name, phi)
+                if check == "mot":
+                    assert made in (0, 1), (name, phi)
+                else:
+                    theorem = pd.Q | pd.Qbar == ctx.every_root
+                    chains = crflag.Chains(ctx, pd, k_phi(ctx, pd))
+                    levi = crflag._levi_classes(ctx, pd)
+                    chain_reads = check == "all" and any(
+                        chains.bound(ctx.negi(r)) is None
+                        for choices in crflag._mot_targets(ctx, pd, levi)
+                        for r in choices)
+                    assert made == (0 if theorem and not chain_reads else 1), \
+                        (name, phi)
+                    seen.add((theorem, made))
                 # the one closure starts from conj(Q), never Q u conj(Q)
                 assert starts[before:] in ([], [pd.Qbar]), (name, phi)
+    if check != "mot":
+        assert {(True, 0), (False, 1)} <= seen, seen
 
 
 # Real kernel sets rarely leave a target unreached by an exhausted closure,

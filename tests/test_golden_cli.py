@@ -179,6 +179,23 @@ def test_cli_whole_form_rank_cap(monkeypatch, capsys):
     assert err == "error: sl(10,C) has 2^18 cross sets; give --phi\n"
 
 
+@pytest.mark.parametrize("max_rank", ["0", "17"])
+def test_cli_max_rank_out_of_range_fails_before_the_catalog(
+        monkeypatch, capsys, max_rank):
+    """--max-rank outside 1..16 is refused before `find_form` builds the
+    catalog, whose memory grows like the cube of its rank."""
+    from minorbit import cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the catalog was built")
+
+    monkeypatch.setattr(cli, "find_form", fail)
+    assert cli.main(["--form", "su(2,3)", "--max-rank", max_rank]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == "error: --max-rank must be between 1 and 16\n"
+
+
 def test_cli_uncovered_form_fails_before_rows(monkeypatch, capsys):
     from minorbit import cli
     _forbid_rows(monkeypatch)

@@ -4,14 +4,16 @@ certificate.  The document engine stays as the oracle: rows built from
 `enumerate_form`, which runs `concavity_verdict` on every cross set, are
 compared with `classify`'s output on every non-compact real form of rank
 <= 5 under each `--check` mode, ungauged and under gauge seed 1.  The
-bound-first chain decision is checked against the closure it skips, and
-the closures a row builds are counted."""
+bound-first chain decision is checked against the closure it skips, the
+closures a row builds are counted, and the span's support rule and its
+theorem rows are checked against the closure."""
 
 import itertools
 import json
 
 import pytest
 
+import chain_oracle as oracle
 from minorbit import cli, crflag
 from minorbit.cli import _report_rows
 from minorbit.crflag import Chains, _mot_targets, get_context, k_phi, parabolic
@@ -58,7 +60,7 @@ def test_whole_form_real_runs_build_no_document(monkeypatch):
 
 def test_sufficiency_violation_still_fires_on_whole_forms(monkeypatch):
     # FII phi={1} satisfies the chain condition, so a failed span is a bug
-    monkeypatch.setattr(crflag, "span_holds", lambda chains: False)
+    monkeypatch.setattr(crflag, "t_module_span", lambda chains: (False, []))
     with pytest.raises(crflag.SufficiencyViolation):
         crflag.verdict_fields(get_context("FII"), (1,), check="all")
     assert cli.main(["--form", "FII", "--no-golden"]) == 3
@@ -84,11 +86,8 @@ def test_bound_excluded_target_is_never_in_the_closure(name, rank):
     assert excluded
 
 
-@pytest.mark.parametrize("check", ["mot", "span", "all"])
-def test_whole_form_row_builds_at_most_one_closure(monkeypatch, check):
-    """A row builds at most one closure; under --check mot it builds none
-    when every chain target fails its coefficient bound, and the span
-    always reads one."""
+def _count_closures(monkeypatch) -> list:
+    """Make `crflag.root_closure` append to the returned list per call."""
     closure = crflag.root_closure
     made = []
 
@@ -97,6 +96,19 @@ def test_whole_form_row_builds_at_most_one_closure(monkeypatch, check):
         return closure(ctx, start, moves)
 
     monkeypatch.setattr(crflag, "root_closure", counting)
+    return made
+
+
+@pytest.mark.parametrize("check", ["mot", "span", "all"])
+def test_whole_form_row_builds_at_most_one_closure(monkeypatch, check):
+    """A row builds at most one closure.  Under --check mot it builds none
+    when every chain target fails its coefficient bound.  Under --check
+    span|all it builds none exactly when Q u conj(Q) is every root, so
+    that the span holds by theorem, and no chain decision reads the
+    closure: under --check all the chain condition stops at its first
+    target, which reads the closure iff one of its roots has no bound.
+    Every other row builds one."""
+    made = _count_closures(monkeypatch)
     seen = set()
     for e in REAL:
         ctx = get_context(e.name, max_rank=5)
@@ -106,22 +118,30 @@ def test_whole_form_row_builds_at_most_one_closure(monkeypatch, check):
                 crflag.verdict_fields(ctx, phi, check=check)
                 built = len(made) - before
                 assert built <= 1, (e.name, phi)
-                if check != "mot":
-                    assert built == 1, (e.name, phi)
-                    continue
                 pd = parabolic(ctx, phi)
                 kphi = k_phi(ctx, pd)
                 levi = crflag._levi_classes(ctx, pd)
                 bounds = Chains(ctx, pd, kphi).bounds
-                all_bounded = all(
-                    any(ctx.rs.roots[ctx.negi(r)][j] < lo for j, lo in bounds)
-                    for choices in _mot_targets(ctx, pd, levi)
-                    for r in choices)
-                if all_bounded:
-                    assert built == 0, (e.name, phi)
-                seen.add((all_bounded, built))
-    if check == "mot":
-        assert {(True, 0), (False, 1)} <= seen, seen
+                targets = list(_mot_targets(ctx, pd, levi))
+
+                def bounded(r):
+                    return any(ctx.rs.roots[ctx.negi(r)][j] < lo
+                               for j, lo in bounds)
+
+                if check == "mot":
+                    all_bounded = all(bounded(r) for choices in targets
+                                      for r in choices)
+                    if all_bounded:
+                        assert built == 0, (e.name, phi)
+                    seen.add((all_bounded, built))
+                    continue
+                theorem = pd.Q | pd.Qbar == ctx.every_root
+                chain_reads = check == "all" and bool(targets) and not all(
+                    bounded(r) for r in targets[0])
+                assert built == (0 if theorem and not chain_reads else 1), \
+                    (e.name, phi)
+                seen.add((theorem, built))
+    assert {(True, 0), (False, 1)} <= seen, seen
 
 
 @pytest.mark.parametrize("seed", (None, 1))
@@ -153,3 +173,48 @@ def test_every_chain_target_is_bound_excluded_or_reached(seed):
                                 (e.name, phi, r)
                             counts["reached"] += 1
     assert counts["bound"] and counts["reached"], counts
+
+
+def _assert_span_theorem_row(chains, made):
+    """`t_module_span` gives (True, [rank + |R|]) with no closure built,
+    equal to the closure of the oracle."""
+    ctx, pd = chains.ctx, chains.pd
+    before = len(made)
+    got = crflag.t_module_span(chains)
+    assert len(made) == before, (ctx.diag.name, sorted(pd.phi))
+    assert got == (True, [ctx.rs.rank + len(ctx.rs.roots)]), \
+        (ctx.diag.name, sorted(pd.phi))
+    assert got == oracle.t_module_span(ctx, pd, k_phi(ctx, pd))
+
+
+@pytest.mark.parametrize("seed", (None, 1))
+def test_span_support_rule_matches_the_closure(monkeypatch, seed):
+    """The support rule of the span (ROADMAP item 14), which no decision
+    reads: with M = K_Phi u conj(K_Phi) the chain moves, the span holds
+    iff M meets the table set neg[j] of every simple index j.  It equals
+    the closure span of `chain_oracle.t_module_span` on every cross set
+    of every real form of `catalog(8)` that is neither compact nor of
+    complex type (13,614 rows per gauge).  The theorem rows, where
+    Q u conj(Q) is every root, get the full span from `t_module_span`
+    with no closure: every cross set of every compact form of rank <= 6
+    and the empty cross set of every form above."""
+    made = _count_closures(monkeypatch)
+    agree = set()
+    for e in catalog(8):
+        if e.label == "complex" or e.label == "compact" and e.rank > 6:
+            continue
+        ctx = get_context(e.name, seed)
+        for k in range(e.rank + 1):
+            for phi in itertools.combinations(range(1, e.rank + 1), k):
+                pd = parabolic(ctx, phi)
+                kphi = k_phi(ctx, pd)
+                chains = Chains(ctx, pd, kphi)
+                if e.label == "compact" or not phi:
+                    _assert_span_theorem_row(chains, made)
+                if e.label == "compact":
+                    continue
+                rule = all(chains.moves & neg for neg in ctx.neg)
+                span = oracle.t_module_span(ctx, pd, kphi)[0]
+                assert rule == span, (e.name, phi)
+                agree.add(span)
+    assert agree == {True, False}

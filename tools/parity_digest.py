@@ -1,4 +1,4 @@
-"""Digest of `classify` output over seven fixed invocation sets, and of the
+"""Digest of `classify` output over eight fixed invocation sets, and of the
 form contexts of the whole catalog, for showing that a change leaves every
 output byte, exit code and context table as it was.
 
@@ -23,6 +23,11 @@ from the `src` directory beside this script:
   a whole form, three times: `--check all` with golden comparison on,
   `--check span --no-golden`, and `--check all --gauge-seed 1` with golden
   comparison on: 240 invocations;
+- compact: every compact form of `catalog(8)` (32 forms), whose every
+  cross set has Q u c(Q) every root, so that the span holds by theorem,
+  as a whole form twice: `--check all` with golden comparison on and
+  `--check span --no-golden`, each ungauged and with `--gauge-seed 1`:
+  128 invocations;
 - resolve: `--dump-form` for every `catalog(8)` entry given by its name,
   by its label, by its label with its `--p`/`--q`/`--l` parameters, and by
   its label with `--l <rank>` when it has no `l` parameter; the same four
@@ -90,9 +95,15 @@ def invocation_sets() -> dict[str, list[list[str]]]:
                          ["--check", "span", "--no-golden"],
                          ["--check", "all", "--gauge-seed", "1"])
             for name in real_names]
+    compact = [["--form", name, *mode, *gauge]
+               for mode in (["--check", "all"],
+                            ["--check", "span", "--no-golden"])
+               for gauge in GAUGES
+               for name in sorted(n for n, e in forms.items()
+                                  if e.label == "compact")]
     return {"instances": instances, "sweep": sweep, "span": span,
             "complex": complex_, "resolve": resolve_set(),
-            "complex-all": complex_all, "real": real}
+            "complex-all": complex_all, "real": real, "compact": compact}
 
 
 def resolve_set() -> list[list[str]]:
