@@ -26,9 +26,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
-import traceback
-from importlib import resources
 from itertools import combinations
 
 from . import golden as goldenmod
@@ -140,7 +139,11 @@ def emit(rows: list[dict], fmt: str, details=None) -> bytes:
 
 
 def default_golden_path() -> str:
-    return str(resources.files("minorbit").joinpath("data/golden_table.json"))
+    """The packaged golden table, beside this module: the package is
+    installed as plain files (see pyproject.toml), so no resource loader is
+    needed."""
+    return os.path.join(os.path.dirname(__file__), "data",
+                        "golden_table.json")
 
 
 @functools.cache
@@ -237,6 +240,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception:  # a bug, SufficiencyViolation and LeviInvariantError too
+        import traceback  # imported here: no other path needs it
         print("internal error", file=sys.stderr)
         traceback.print_exc()
         return 3

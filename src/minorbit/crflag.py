@@ -54,7 +54,7 @@ and keeps only the span verdict, with the same checks on the way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from .chevalley import StructureConstants, build_chevalley
 # hermitian_classify is not called here, but perfbench/tracing.py wraps
@@ -190,15 +190,11 @@ def get_context(name: str, gauge_seed: int | None = None,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParabolicData:
+class ParabolicData(namedtuple("ParabolicData", "phi Q Qn Qbar")):
     """The root sets of a cross set phi (a frozenset of 1-based simple
     indices) as masks, bit a for the root with index a: Q, Qn and
-    Qbar = conj(Q)."""
-    phi: frozenset
-    Q: int
-    Qn: int
-    Qbar: int
+    Qbar = conj(Q).  An immutable value, equal and hashed by its fields."""
+    __slots__ = ()
 
 
 def parabolic(ctx: FormContext, phi) -> ParabolicData:
@@ -883,26 +879,54 @@ def verdict_fields(ctx: FormContext, phi, check: str = "all") -> dict:
             "verdict": ft and (mot if check == "mot" else span)}
 
 
-@dataclass
 class ConcavityVerdict:
-    form: str
-    phi: tuple
-    finite_type: bool
-    gammas: list            # (root, class name, structural category)
-    k_phi: list             # root coefficient vectors
-    mot_satisfied: bool
-    mot_details: list       # per semidefinite gamma, both directions
-    span_satisfied: bool
-    span_dims: list
-    verdict: bool
-    annotation: str = ""
-    gauge_seed: int | None = None
+    """The full verdict document of one cross set.  Equal when every field
+    is; mutable, so unhashable."""
+    __slots__ = ("form", "phi", "finite_type",
+                 "gammas",          # (root, class name, structural category)
+                 "k_phi",           # root coefficient vectors
+                 "mot_satisfied",
+                 "mot_details",     # per semidefinite gamma, both directions
+                 "span_satisfied", "span_dims", "verdict", "annotation",
+                 "gauge_seed")
+
+    def __init__(self, form: str, phi: tuple, finite_type: bool,
+                 gammas: list, k_phi: list, mot_satisfied: bool,
+                 mot_details: list, span_satisfied: bool, span_dims: list,
+                 verdict: bool, annotation: str = "",
+                 gauge_seed: int | None = None):
+        self.form = form
+        self.phi = phi
+        self.finite_type = finite_type
+        self.gammas = gammas
+        self.k_phi = k_phi
+        self.mot_satisfied = mot_satisfied
+        self.mot_details = mot_details
+        self.span_satisfied = span_satisfied
+        self.span_dims = span_dims
+        self.verdict = verdict
+        self.annotation = annotation
+        self.gauge_seed = gauge_seed
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, slot) for slot in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "ConcavityVerdict(%s)" % ", ".join(
+            f"{slot}={getattr(self, slot)!r}" for slot in self.__slots__)
 
     def to_doc(self) -> dict:
-        """Every field by name, read shallowly (`dataclasses.asdict` would
-        deep-copy `mot_details`), with phi sorted and each gamma a
+        """Every field by name, read shallowly (a deep copy would copy
+        `mot_details`), with phi sorted and each gamma a
         {"root", "class", "category"} dict."""
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc = {slot: getattr(self, slot) for slot in self.__slots__}
         doc["phi"] = sorted(self.phi)
         doc["gammas"] = [{"root": g, "class": c, "category": cat}
                          for g, c, cat in self.gammas]

@@ -13,7 +13,6 @@ against the full battery (the tests add the matrix-realization oracles).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .rootsys import (ROOT_COUNT, RootSystem, build_doubled_system,
@@ -25,17 +24,50 @@ class ConjugationError(ValueError):
     """A catalog entry failed the conjugation invariant battery."""
 
 
-@dataclass(frozen=True)
 class SatakeDiagram:
-    label: str               # Cartan class: AI, AIIIa, ..., compact, complex
-    name: str                # concrete form: su(2,3), so*(8), EIII, ...
-    family: str
-    rank: int                # rank of the underlying (possibly doubled) system
-    params: dict = field(default_factory=dict, compare=False)
-    black: frozenset = frozenset()       # 1-based simple indices
-    arrows: dict = field(default_factory=dict, compare=False)  # 1-based involution
-    char: int = 0            # Killing character dim(p) - dim(k)
-    doubled: bool = False    # complex-type form on R + R
+    """One catalog entry, immutable.  Two entries are equal, and hash
+    alike, when they agree on every field but `params` and `arrows`."""
+    __slots__ = ("label",    # Cartan class: AI, AIIIa, ..., compact, complex
+                 "name",     # concrete form: su(2,3), so*(8), EIII, ...
+                 "family",
+                 "rank",     # rank of the underlying (possibly doubled) system
+                 "params",
+                 "black",    # 1-based simple indices
+                 "arrows",   # 1-based involution
+                 "char",     # Killing character dim(p) - dim(k)
+                 "doubled")  # complex-type form on R + R
+
+    def __init__(self, label: str, name: str, family: str, rank: int,
+                 params: dict | None = None, black: frozenset = frozenset(),
+                 arrows: dict | None = None, char: int = 0,
+                 doubled: bool = False):
+        values = (label, name, family, rank, {} if params is None else params,
+                  black, {} if arrows is None else arrows, char, doubled)
+        for slot, value in zip(self.__slots__, values):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SatakeDiagram is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SatakeDiagram is immutable: cannot delete "
+                             f"{name!r}")
+
+    def _key(self) -> tuple:
+        return (self.label, self.name, self.family, self.rank, self.black,
+                self.char, self.doubled)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "SatakeDiagram(%s)" % ", ".join(
+            f"{slot}={getattr(self, slot)!r}" for slot in self.__slots__)
 
     def root_system(self) -> RootSystem:
         if self.doubled:

@@ -12,14 +12,16 @@ are a test oracle that pins the table.)
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
 from math import gcd
-from typing import Callable, Iterable, Sequence
 
 Root = tuple  # integer coefficient vector over the simple basis
 
-_FAMILIES = "ABCDEFG"
+# the legal ranks of each family: (lowest, highest or None)
+_RANKS = {"A": (1, None), "B": (2, None), "C": (3, None), "D": (3, None),
+          "E": (6, 8), "F": (4, 4), "G": (2, 2)}
 # root keys in base 32 (see RootSystem.sum_row): exact while every
 # coefficient of a sum of two roots has |c| < 16
 _KEY_BASE = 32
@@ -35,19 +37,18 @@ ROOT_COUNT = {  # |R| for each irreducible type, keyed by family
 }
 
 
-@dataclass(frozen=True)
-class SimpleType:
-    family: str
-    rank: int
+class SimpleType(namedtuple("SimpleType", "family rank")):
+    """A family letter A-G with a legal rank for it: an immutable value,
+    equal and hashed by (family, rank)."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        lo_hi = {"A": (1, None), "B": (2, None), "C": (3, None),
-                 "D": (3, None), "E": (6, 8), "F": (4, 4), "G": (2, 2)}
-        lo, hi = lo_hi[self.family]
-        if self.rank < lo or (hi is not None and self.rank > hi):
-            raise ValueError(f"illegal rank {self.rank} for family {self.family}")
+    def __new__(cls, family: str, rank: int):
+        if family not in _RANKS:
+            raise ValueError(f"unknown family {family!r}")
+        lo, hi = _RANKS[family]
+        if rank < lo or (hi is not None and rank > hi):
+            raise ValueError(f"illegal rank {rank} for family {family}")
+        return super().__new__(cls, family, rank)
 
     def __str__(self):
         return f"{self.family}{self.rank}"

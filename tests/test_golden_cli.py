@@ -327,6 +327,37 @@ def test_classify_never_imports_fractions():
     assert r.returncode == 0, r.stderr
 
 
+# stdlib modules that no classify request runs; importing any of them costs
+# start-up time on every invocation
+UNUSED_MODULES = ("dataclasses", "inspect", "typing", "importlib.resources",
+                  "pathlib", "zipfile", "tempfile", "traceback")
+
+
+def test_classify_imports_only_what_it_runs():
+    """Without the site hook (`python -S`, which would import some of these
+    itself), importing `minorbit.cli` leaves every module of
+    UNUSED_MODULES unimported, and so do a gauged --phi row and a whole
+    form under --check mot: no import moved into a request."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = ("import sys\n"
+            f"unused = {UNUSED_MODULES!r}\n"
+            "from minorbit import cli\n"
+            "assert not [m for m in unused if m in sys.modules], "
+            "[m for m in unused if m in sys.modules]\n"
+            "rc = cli.main(['--form', 'su(2,3)', '--phi', '2', "
+            "'--gauge-seed', '1'])\n"
+            "assert rc == 0, rc\n"
+            "rc = cli.main(['--form', 'so(3,4)', '--check', 'mot', "
+            "'--no-golden'])\n"
+            "assert rc == 0, rc\n"
+            "assert not [m for m in unused if m in sys.modules], "
+            "[m for m in unused if m in sys.modules]\n")
+    r = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                       env=dict(os.environ, PYTHONPATH=src))
+    assert r.returncode == 0, r.stderr
+
+
 def test_cli_missing_coverage(tmp_path):
     p = tmp_path / "g.json"
     p.write_text(json.dumps({"version": 1, "rows": []}))
@@ -438,4 +469,31 @@ def test_cli_passes_golden_on_every_rank6_form(capsys):
     diii = {"so*(6)": "so_star_ends", "so*(8)": "always",
             "so*(10)": "so_star_ends", "so*(12)": "always"}
     for name, kind in diii.items():
+        assert gold[name]["predicates"][readings[name]]["kind"] == kind
+
+
+def test_cli_pins_rank_7_and_8_ambiguous_readings(capsys):
+    """The ambiguous forms of rank 7-8 exit 0 as whole forms (--check all,
+    packaged golden table) with these readings: 0 for every BI and BII
+    form (so(7,8) and so(8,9) have no parity row, so every reading passes
+    vacuously and the first is reported), 1 for so*(14) (DIIIb,
+    `so_star_ends`) and so*(16) (DIIIa, `always`)."""
+    from minorbit import cli
+    from minorbit.realform import catalog
+    gold = cli._packaged_golden()
+    forms = [e for e in catalog(8) if e.rank >= 7 and e.label in
+             ("BI", "BII", "DIIIa", "DIIIb")]
+    assert len(forms) == 17
+    readings, parity = {}, {}
+    for e in forms:
+        assert cli.main(["--form", e.name]) == 0, e.name
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        summary = compare_golden(rows, gold)["forms"][e.name]
+        assert summary["pass"], e.name
+        readings[e.name] = summary["reading"]
+        parity[e.name] = summary["parity_rows"]
+    assert readings == {e.name: int(e.label.startswith("DIII"))
+                        for e in forms}
+    assert [n for n, k in parity.items() if not k] == ["so(7,8)", "so(8,9)"]
+    for name, kind in (("so*(14)", "so_star_ends"), ("so*(16)", "always")):
         assert gold[name]["predicates"][readings[name]]["kind"] == kind

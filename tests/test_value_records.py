@@ -1,0 +1,78 @@
+"""The package's four record classes are plain classes (no `dataclasses`
+import), and keep the contract they had as dataclasses: constructor
+signature, immutability, value equality and hash on the same fields, and
+the keys of `ConcavityVerdict.to_doc`."""
+
+import pytest
+
+import chain_oracle as oracle
+from minorbit.crflag import (ConcavityVerdict, ParabolicData,
+                             concavity_verdict, get_context, parabolic)
+from minorbit.realform import SatakeDiagram, find_form
+from minorbit.rootsys import SimpleType
+
+
+def test_simple_type_is_a_hashable_value():
+    a, b = SimpleType("B", 3), SimpleType(family="B", rank=3)
+    assert a == b and hash(a) == hash(b)
+    assert {a, b, SimpleType("C", 3)} == {a, SimpleType("C", 3)}
+    assert a != SimpleType("B", 4)
+    assert (a.family, a.rank, str(a)) == ("B", 3, "B3")
+
+
+@pytest.mark.parametrize("family,rank", [("A", 0), ("B", 1), ("C", 2),
+                                         ("D", 2), ("E", 5), ("E", 9),
+                                         ("F", 3), ("G", 3), ("H", 2),
+                                         ("", 2), ("AB", 2)])
+def test_simple_type_rejects_an_illegal_type(family, rank):
+    with pytest.raises(ValueError):
+        SimpleType(family, rank)
+
+
+def test_satake_diagram_equality_ignores_params_and_arrows():
+    e = find_form("su(2,5)")
+    twin = SatakeDiagram(e.label, e.name, e.family, e.rank, {"p": 9},
+                         e.black, {}, e.char, e.doubled)
+    assert twin == e and hash(twin) == hash(e)
+    assert twin.params == {"p": 9} and twin.arrows == {}
+    other = SatakeDiagram(e.label, e.name, e.family, e.rank, e.params,
+                          e.black, e.arrows, e.char + 1, e.doubled)
+    assert other != e
+    bare = SatakeDiagram("x", "bad", "A", 3)
+    assert (bare.params, bare.black, bare.arrows, bare.char,
+            bare.doubled) == ({}, frozenset(), {}, 0, False)
+    assert SatakeDiagram("x", "bad", "A", 3).params is not bare.params
+
+
+def test_parabolic_data_equals_the_oracle_value():
+    ctx = get_context("su(2,3)")
+    for phi in ((), (1,), (2,), (1, 4), (1, 2, 3, 4)):
+        pd = parabolic(ctx, phi)
+        assert pd == oracle.parabolic(ctx, phi)
+        assert hash(pd) == hash(oracle.parabolic(ctx, phi))
+        assert pd == ParabolicData(frozenset(phi), pd.Q, pd.Qn, pd.Qbar)
+
+
+@pytest.mark.parametrize("record,field", [
+    (SimpleType("A", 2), "rank"),
+    (find_form("su(2,3)"), "black"),
+    (find_form("su(2,3)"), "params"),
+    (ParabolicData(frozenset(), 1, 2, 3), "Q"),
+])
+def test_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+
+
+def test_concavity_verdict_doc_keys_and_equality():
+    v = concavity_verdict("su(2,3)", (2,))
+    assert list(v.to_doc()) == [
+        "form", "phi", "finite_type", "gammas", "k_phi", "mot_satisfied",
+        "mot_details", "span_satisfied", "span_dims", "verdict",
+        "annotation", "gauge_seed"]
+    assert v == concavity_verdict("su(2,3)", (2,))
+    assert v != concavity_verdict("su(2,3)", (1,))
+    with pytest.raises(TypeError):
+        hash(v)
+    bare = ConcavityVerdict("f", (), True, [], [], True, [], False, [], True)
+    assert (bare.annotation, bare.gauge_seed) == ("", None)

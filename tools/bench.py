@@ -19,6 +19,14 @@ interquartile range over the pairs, and the number of pairs the change won
 (a lower or higher value, as BENCHMARK.json says is better; a tie counts
 for neither side).  It also records both git SHAs, the seeds, `nproc` and
 the Python version.  Standard library only.
+
+Last, a start-up probe: for each side, 21 fresh `python -S` interpreters
+(the sides alternating, after one untimed run each) time the set-up that
+`perfbench/child.py` reports as `setup_s`: importing `minorbit.cli`,
+building `catalog(8)` and loading the packaged golden table.  `-S` skips
+the site hook, which may import modules (`typing`, `importlib.resources`)
+before `setup_s` starts; the probe counts them where the package imports
+them.  The output records each side's times, median and quartiles.
 """
 
 from __future__ import annotations
@@ -36,6 +44,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+PROBE_RUNS = 21
+# the set-up steps of perfbench/child.py, after the checkout's src is put
+# first on sys.path; prints their time in seconds
+PROBE = """import sys, time
+sys.path.insert(0, sys.argv[1])
+t0 = time.perf_counter()
+import minorbit.cli as cli
+from minorbit import golden, realform
+realform.catalog(8)
+golden.load_golden(cli.default_golden_path())
+print(time.perf_counter() - t0)
+"""
 
 
 def git(*args: str) -> str:
@@ -68,6 +88,42 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     return out
 
 
+def probe_once(checkout: Path) -> float:
+    """One start-up probe in a fresh `python -S`: its set-up seconds.  As
+    in `perfbench/run.py`, the environment may not stop the bytecode cache
+    or set the optimisation level."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONOPTIMIZE")}
+    proc = subprocess.run([sys.executable, "-S", "-c", PROBE,
+                           str(checkout / "src")], check=True, env=env,
+                          capture_output=True, text=True, cwd=str(checkout))
+    return float(proc.stdout)
+
+
+def quartiles(xs: list[float]) -> dict:
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def startup_probe(sides: dict) -> dict:
+    """PROBE_RUNS timed probes per side, alternating which side goes first,
+    after one untimed probe per side (it may write the bytecode cache)."""
+    times = {side: [] for side in sides}
+    for side, checkout in sides.items():
+        probe_once(checkout)
+    for k in range(PROBE_RUNS):
+        for side in (list(sides) if k % 2 == 0 else list(sides)[::-1]):
+            times[side].append(probe_once(sides[side]))
+    out = {"command": "python -S: import minorbit.cli, catalog(8), "
+                      "load the packaged golden table",
+           "runs": PROBE_RUNS}
+    for side, xs in times.items():
+        out[side] = {"setup_s": xs, **quartiles(xs)}
+        print(f"start-up probe {side}: median {out[side]['median']:.4g} s",
+              file=sys.stderr, flush=True)
+    return out
+
+
 def summary(pairs: list[dict], better: dict[str, str]) -> dict:
     out = {}
     for name, direction in better.items():
@@ -78,9 +134,8 @@ def summary(pairs: list[dict], better: dict[str, str]) -> dict:
         out[name] = {"better": direction, "change_wins": wins,
                      "pairs": len(pairs)}
         for side, xs in (("parent", par), ("change", chg)):
-            q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-            out[name].update({f"{side}_median": med, f"{side}_q1": q1,
-                              f"{side}_q3": q3, f"{side}_iqr": q3 - q1})
+            out[name].update({f"{side}_{k}": v
+                              for k, v in quartiles(xs).items()})
     return out
 
 
@@ -129,6 +184,8 @@ def main(argv=None) -> int:
                       file=sys.stderr, flush=True)
             result["workloads"][workload] = {
                 "pairs": pairs, "summary": summary(pairs, better)}
+        result["startup_probe"] = startup_probe(
+            {side: sides[side][0] for side in ("parent", "change")})
     finally:
         shutil.rmtree(work, ignore_errors=True)
     Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True)
