@@ -2,15 +2,15 @@
 concavity condition on minimal orbits of real forms in complex flag
 manifolds."""
 
-from .crflag import (ConcavityVerdict, FormContext, SufficiencyViolation,
-                     concavity_verdict, get_context)
+from .crflag import (FormContext, SufficiencyViolation, concavity_verdict,
+                     get_context)
 from .golden import compare_golden, load_golden
 from .realform import ConjugationError, SatakeDiagram, catalog, find_form
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConcavityVerdict", "FormContext", "SufficiencyViolation",
+    "FormContext", "SufficiencyViolation",
     "concavity_verdict", "get_context", "compare_golden", "load_golden",
     "ConjugationError", "SatakeDiagram", "catalog", "find_form",
 ]

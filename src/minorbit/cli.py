@@ -13,11 +13,15 @@ Exit codes: 0 all golden parity passed, 1 mismatches, 2 usage or data error,
 a whole-form run (no --phi) needs rank <= 16, and the golden table, unless
 --no-golden, must cover the form with the catalog entry's params.
 A single-Phi run (--phi) prints the report row and, under "details", the
-full verdict document of `concavity_verdict`.  A whole-form run prints
-only the rows, so it builds no documents: a complex-type form's rows come
-from `complex_type_verdict`, a real form's from `verdict_fields`, which
-decides the chain condition bound first and stops at its first failed
-target.
+verdict document, the plain dict that `concavity_verdict` returns.  A
+whole-form run prints only the rows, so it builds no documents: a
+complex-type form's rows come from `complex_type_verdict`, with no
+context, a real form's from `verdict_fields`, which decides the chain
+condition bound first and stops at its first failed target.  Both
+`concavity_verdict` and `verdict_fields` take the context that
+`get_context` builds once per run.  Once the form and Phi are valid, the
+only data error is a `ConjugationError` (exit 2); any other exception from
+the engine is a bug (exit 3).
 Identical invocations produce byte-identical JSON.
 """
 
@@ -35,11 +39,14 @@ from .crflag import (complex_type_verdict, concavity_verdict, get_context,
                      verdict_fields)
 # catalog is not called here, but perfbench/tracing.py wraps cli.catalog by
 # name, so it stays a module attribute
-from .realform import catalog, find_form  # noqa: F401
+from .realform import ConjugationError, catalog, find_form  # noqa: F401
 
 # The largest rank of a whole-form run (the largest rank in catalog(8):
 # 2^16 cross sets) and the largest --max-rank: catalog(16) is the largest
-# catalog in use, and a catalog's memory grows like the cube of its rank.
+# catalog in use.  The catalog itself is small (catalog(16) holds about
+# 0.6 MB); the form contexts set the memory of a long run, as a rank-16
+# real-form context holds about 7 MB and `crflag.get_context` keeps every
+# context it builds.
 MAX_WHOLE_FORM_RANK = 16
 
 
@@ -69,22 +76,22 @@ def _phi_str(phi) -> str:
 
 
 def _run_rows(diag, phis, args) -> tuple[list[dict], list[dict]]:
-    """(verdict documents, report rows) for `phis`.  A whole-form run builds
-    no documents: it reads each row's fields from `complex_type_verdict`
-    for a complex-type form and from `verdict_fields` for a real one, on
-    the one context of the form."""
-    if args.phi is None:
-        if diag.doubled:
-            fields = [complex_type_verdict(diag, p, args.check) for p in phis]
-        else:
-            ctx = get_context(diag.name, args.gauge_seed, args.max_rank)
-            fields = [verdict_fields(ctx, p, args.check) for p in phis]
-        return [], [dict(f, form=diag.name, phi=sorted(p), expected=None,
-                         match=None) for p, f in zip(phis, fields)]
-    docs = [concavity_verdict(diag.name, tuple(sorted(p)), args.gauge_seed,
-                              args.check, args.max_rank).to_doc()
-            for p in phis]
-    return docs, _report_rows(docs)
+    """(verdict documents, report rows) for `phis`.  A complex-type whole
+    form reads its rows from `complex_type_verdict` and builds no context;
+    every other run builds the form's context once and hands it to
+    `concavity_verdict` (a --phi run, one document per cross set) or to
+    `verdict_fields` (a whole-form run, no documents)."""
+    if args.phi is None and diag.doubled:
+        fields = [complex_type_verdict(diag, p, args.check) for p in phis]
+    else:
+        ctx = get_context(diag.name, args.gauge_seed, args.max_rank)
+        if args.phi is not None:
+            docs = [concavity_verdict(ctx, tuple(sorted(p)), args.check)
+                    for p in phis]
+            return docs, _report_rows(docs)
+        fields = [verdict_fields(ctx, p, args.check) for p in phis]
+    return [], [dict(f, form=diag.name, phi=sorted(p), expected=None,
+                     match=None) for p, f in zip(phis, fields)]
 
 
 def _report_rows(docs) -> list[dict]:
@@ -234,12 +241,14 @@ def main(argv=None) -> int:
             print(f"error: golden comparison failed: {e}", file=sys.stderr)
             return 2
 
+    # form and phi are valid by now, so the one data error left is a catalog
+    # entry that fails its conjugation checks; anything else is a bug
     try:
         docs, rows = _run_rows(diag, phis, args)
-    except (KeyError, ValueError) as e:  # data errors, ConjugationError too
+    except ConjugationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except Exception:  # a bug, SufficiencyViolation and LeviInvariantError too
+    except Exception:  # SufficiencyViolation and LeviInvariantError too
         import traceback  # imported here: no other path needs it
         print("internal error", file=sys.stderr)
         traceback.print_exc()

@@ -45,11 +45,14 @@ invariants passes them on every restriction to S x S, so no check is lost
 (see `LeviPattern`).  The row labels "<coefficients>:<class>" are memoised
 per (root, class), for the roots that a row prints.
 
-Two paths share these pieces.  `concavity_verdict` builds the full verdict
-document of one cross set, with witness chains, certificates, the kernel
-set and the span dimensions.  `verdict_fields` computes only the report
-fields of a row: it stops the chain condition at the first failed target
-and keeps only the span verdict, with the same checks on the way.
+Two paths share these pieces, and both take a context, a cross set and a
+check mode, `(ctx, phi, check)`; `get_context` is the one entry point that
+looks a form up by name.  `concavity_verdict` returns the full verdict
+document of one cross set as a plain dict, with witness chains,
+certificates, the kernel set and the span dimensions.  `verdict_fields`
+computes only the report fields of a row: it stops the chain condition at
+the first failed target and keeps only the span verdict, with the same
+checks on the way.
 """
 
 from __future__ import annotations
@@ -825,10 +828,11 @@ def _levi_classes(ctx: FormContext, pd: ParabolicData) -> list:
             for g in characteristic_real_roots(ctx, pd)]
 
 
-def _check_sufficiency(form: str, phi, check: str, mot: bool, span: bool):
+def _check_sufficiency(ctx: FormContext, phi, check: str, mot: bool,
+                       span: bool):
     if check == "all" and mot and not span:
-        raise SufficiencyViolation(f"{form} phi={sorted(set(phi))}: chain "
-                                   f"condition held but span failed")
+        raise SufficiencyViolation(f"{ctx.diag.name} phi={sorted(set(phi))}"
+                                   f": chain condition held but span failed")
 
 
 def _row_label(ctx: FormContext, g: int, cls: DefinitenessClass) -> str:
@@ -872,70 +876,19 @@ def verdict_fields(ctx: FormContext, phi, check: str = "all") -> dict:
                 mot = False
                 break
     span = check in ("span", "all") and t_module_span(chains)[0]
-    _check_sufficiency(ctx.diag.name, phi, check, mot, span)
+    _check_sufficiency(ctx, phi, check, mot, span)
     return {"finite_type": ft,
             "levi": ";".join([_row_label(ctx, g, cls) for g, cls, _ in levi]),
             "mot": mot, "span": span,
             "verdict": ft and (mot if check == "mot" else span)}
 
 
-class ConcavityVerdict:
-    """The full verdict document of one cross set.  Equal when every field
-    is; mutable, so unhashable."""
-    __slots__ = ("form", "phi", "finite_type",
-                 "gammas",          # (root, class name, structural category)
-                 "k_phi",           # root coefficient vectors
-                 "mot_satisfied",
-                 "mot_details",     # per semidefinite gamma, both directions
-                 "span_satisfied", "span_dims", "verdict", "annotation",
-                 "gauge_seed")
-
-    def __init__(self, form: str, phi: tuple, finite_type: bool,
-                 gammas: list, k_phi: list, mot_satisfied: bool,
-                 mot_details: list, span_satisfied: bool, span_dims: list,
-                 verdict: bool, annotation: str = "",
-                 gauge_seed: int | None = None):
-        self.form = form
-        self.phi = phi
-        self.finite_type = finite_type
-        self.gammas = gammas
-        self.k_phi = k_phi
-        self.mot_satisfied = mot_satisfied
-        self.mot_details = mot_details
-        self.span_satisfied = span_satisfied
-        self.span_dims = span_dims
-        self.verdict = verdict
-        self.annotation = annotation
-        self.gauge_seed = gauge_seed
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, slot) for slot in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "ConcavityVerdict(%s)" % ", ".join(
-            f"{slot}={getattr(self, slot)!r}" for slot in self.__slots__)
-
-    def to_doc(self) -> dict:
-        """Every field by name, read shallowly (a deep copy would copy
-        `mot_details`), with phi sorted and each gamma a
-        {"root", "class", "category"} dict."""
-        doc = {slot: getattr(self, slot) for slot in self.__slots__}
-        doc["phi"] = sorted(self.phi)
-        doc["gammas"] = [{"root": g, "class": c, "category": cat}
-                         for g, c, cat in self.gammas]
-        return doc
-
-
-def concavity_verdict(form: str, phi, gauge_seed: int | None = None,
-                      check: str = "all", max_rank: int = 8) -> ConcavityVerdict:
-    ctx = get_context(form, gauge_seed, max_rank)
+def concavity_verdict(ctx: FormContext, phi, check: str = "all") -> dict:
+    """The full verdict document of the cross set `phi` of the real form of
+    `ctx`: the form's name and the context's gauge seed, phi sorted, each
+    real characteristic root as a {"root", "class", "category"} dict, the
+    kernel set, the chain condition with a witness chain or certificate
+    per target, and the span with its dimensions."""
     rs = ctx.rs
     pd = parabolic(ctx, phi)
     ft = finite_type(ctx, pd)
@@ -964,20 +917,21 @@ def concavity_verdict(form: str, phi, gauge_seed: int | None = None,
 
     span, dims = (t_module_span(chains) if check in ("span", "all")
                   else (False, []))
-    _check_sufficiency(form, phi, check, mot, span)
+    _check_sufficiency(ctx, phi, check, mot, span)
 
-    annotation = "orbit is a point (elliptic, empty cross set)" if not phi else ""
-    return ConcavityVerdict(
-        form=form,
-        phi=tuple(sorted(set(phi))),
-        finite_type=ft,
-        gammas=[(list(rs.roots[g]), cls.value, cat) for g, cls, cat in levi],
-        k_phi=[list(rs.roots[a]) for a in indices(kphi)],
-        mot_satisfied=mot,
-        mot_details=mot_details,
-        span_satisfied=span,
-        span_dims=dims,
-        verdict=ft and (mot if check == "mot" else span),
-        annotation=annotation,
-        gauge_seed=gauge_seed,
-    )
+    return {
+        "form": ctx.diag.name,
+        "phi": sorted(set(phi)),
+        "finite_type": ft,
+        "gammas": [{"root": list(rs.roots[g]), "class": cls.value,
+                    "category": cat} for g, cls, cat in levi],
+        "k_phi": [list(rs.roots[a]) for a in indices(kphi)],
+        "mot_satisfied": mot,
+        "mot_details": mot_details,
+        "span_satisfied": span,
+        "span_dims": dims,
+        "verdict": ft and (mot if check == "mot" else span),
+        "annotation": ("orbit is a point (elliptic, empty cross set)"
+                       if not phi else ""),
+        "gauge_seed": ctx.gauge_seed,
+    }

@@ -46,9 +46,9 @@ def _enumerate(gauge_seed=None):
     if key not in _cache:
         rows = []
         for name, rk in INSTANCES:
+            ctx = get_context(name, gauge_seed)
             for phi in _all_phi(rk):
-                v = concavity_verdict(name, phi, gauge_seed=gauge_seed)
-                rows.append(v)
+                rows.append(concavity_verdict(ctx, phi))
         _cache[key] = rows
     return _cache[key]
 
@@ -58,8 +58,8 @@ def test_criterion_1_classification_parity():
     t0 = time.time()
     verdicts = _enumerate()
     elapsed = time.time() - t0
-    rows = [{"form": v.form, "phi": list(v.phi),
-             "finite_type": v.finite_type, "verdict": v.verdict}
+    rows = [{"form": v["form"], "phi": v["phi"],
+             "finite_type": v["finite_type"], "verdict": v["verdict"]}
             for v in verdicts]
     diff = compare_golden(rows, load_golden(default_golden_path()))
     ok = not diff["mismatches"] and all(f["pass"]
@@ -318,11 +318,12 @@ def test_criterion_7_gauge_robustness():
         redone = _enumerate(seed)
         assert len(base) == len(redone)
         for v0, v1 in zip(base, redone):
-            assert (v0.form, v0.phi) == (v1.form, v1.phi)
-            assert v0.verdict == v1.verdict
-            assert v0.k_phi == v1.k_phi
-            assert v0.mot_satisfied == v1.mot_satisfied
-            assert [g[0] for g in v0.gammas] == [g[0] for g in v1.gammas]
+            assert (v0["form"], v0["phi"]) == (v1["form"], v1["phi"])
+            assert v0["verdict"] == v1["verdict"]
+            assert v0["k_phi"] == v1["k_phi"]
+            assert v0["mot_satisfied"] == v1["mot_satisfied"]
+            assert [g["root"] for g in v0["gammas"]] == \
+                [g["root"] for g in v1["gammas"]]
     print("ACCEPTANCE 7 gauge robustness: PASS "
           "(3 randomized sign gauges, identical verdicts, kernel sets, "
           "chain results on every row)")
@@ -332,8 +333,8 @@ def test_criterion_8_sufficiency_direction():
     rows = list(_enumerate())
     for seed in (1, 2, 3):
         rows.extend(_enumerate(seed))
-    viol = [(v.form, v.phi) for v in rows
-            if v.mot_satisfied and not v.span_satisfied]
+    viol = [(v["form"], v["phi"]) for v in rows
+            if v["mot_satisfied"] and not v["span_satisfied"]]
     print(f"ACCEPTANCE 8 sufficiency direction: "
           f"{'PASS' if not viol else 'FAIL'} "
           f"({len(rows)} rows, chain condition implies span on all)")

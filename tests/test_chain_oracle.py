@@ -139,7 +139,7 @@ def test_verdict_runs_one_root_closure(monkeypatch, check):
                 before = len(starts)
                 crflag.finite_type(ctx, pd)
                 assert len(starts) == before
-                crflag.concavity_verdict(name, phi, check=check)
+                crflag.concavity_verdict(ctx, phi, check=check)
                 # --check mot reads the closure only when a chain is
                 # searched; under --check span|all a row builds none
                 # exactly when Q u conj(Q) is every root, so the span holds

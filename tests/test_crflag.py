@@ -258,7 +258,7 @@ def test_fii_chain_fails_with_certificate():
     assert cert["target_coefficient"] == -2
     assert cert["start_minimum"] == -1
     # the positive direction is trivially reachable
-    real = concavity_verdict("FII", {3}, check="mot").mot_details[0]
+    real = concavity_verdict(ctx, {3}, check="mot")["mot_details"][0]
     assert real["gamma"] == list(ctx.rs.roots[g])
     assert real["toward_plus"]["reached"]
 
@@ -343,15 +343,15 @@ def test_chain_covers_zero_levi_complex_pairs():
     # a form with no real roots at all: the literal real-root chain loop is
     # vacuous, but zero-Levi complex pairs still demand chains; without them
     # the chain condition would wrongly claim sufficiency here
-    v = concavity_verdict("su*(6)", {2})
-    assert not v.finite_type
-    assert not v.span_satisfied
-    assert not v.mot_satisfied
-    kinds = {d["kind"] for d in v.mot_details}
+    v = concavity_verdict(get_context("su*(6)"), {2})
+    assert not v["finite_type"]
+    assert not v["span_satisfied"]
+    assert not v["mot_satisfied"]
+    kinds = {d["kind"] for d in v["mot_details"]}
     assert kinds == {"complex-zero-pair"}
     assert any(not (d["toward_minus_beta"]["reached"]
                     or d["toward_minus_conj_beta"]["reached"])
-               for d in v.mot_details)
+               for d in v["mot_details"])
 
 
 def test_span_matches_dense_reference():
@@ -404,51 +404,53 @@ def test_span_matches_dense_reference():
 
 
 def test_verdict_empty_phi_annotated():
-    v = concavity_verdict("su(2,3)", set())
-    assert v.verdict and v.annotation
+    v = concavity_verdict(get_context("su(2,3)"), set())
+    assert v["verdict"] and v["annotation"]
 
 
 def test_verdict_examples():
-    assert concavity_verdict("FII", {1, 2}).verdict
-    assert not concavity_verdict("FII", {3}).verdict
-    assert concavity_verdict("EIII", {3}).verdict
-    assert concavity_verdict("su(2,3)", {1}).verdict
-    assert not concavity_verdict("su(2,3)", {2}).verdict
+    fii, eiii, su23 = (get_context(n) for n in ("FII", "EIII", "su(2,3)"))
+    assert concavity_verdict(fii, {1, 2})["verdict"]
+    assert not concavity_verdict(fii, {3})["verdict"]
+    assert concavity_verdict(eiii, {3})["verdict"]
+    assert concavity_verdict(su23, {1})["verdict"]
+    assert not concavity_verdict(su23, {2})["verdict"]
 
 
 def test_verdict_serialization_deterministic():
     import json
-    d1 = concavity_verdict("FII", {3}).to_doc()
-    d2 = concavity_verdict("FII", {3}).to_doc()
+    d1 = concavity_verdict(get_context("FII"), {3})
+    d2 = concavity_verdict(get_context("FII"), {3})
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
     assert d1["k_phi"] and d1["gammas"][0]["class"]
     assert d1["mot_details"][0]["toward_minus"]["certificate"]
 
 
 def test_verdict_check_modes():
-    vm = concavity_verdict("FII", {1}, check="mot")
-    assert vm.mot_satisfied and not vm.span_satisfied
-    vs = concavity_verdict("FII", {1}, check="span")
-    assert vs.span_satisfied and not vs.mot_satisfied
-    assert vm.verdict and vs.verdict
+    ctx = get_context("FII")
+    vm = concavity_verdict(ctx, {1}, check="mot")
+    assert vm["mot_satisfied"] and not vm["span_satisfied"]
+    vs = concavity_verdict(ctx, {1}, check="span")
+    assert vs["span_satisfied"] and not vs["mot_satisfied"]
+    assert vm["verdict"] and vs["verdict"]
     # mode selection never changes the outcome of the engine that does run
     for phi in ({3}, {1, 2}):
-        va = concavity_verdict("FII", phi, check="all")
-        assert concavity_verdict("FII", phi, check="span").span_satisfied == \
-            va.span_satisfied
-        assert concavity_verdict("FII", phi, check="mot").mot_satisfied == \
-            va.mot_satisfied
+        va = concavity_verdict(ctx, phi, check="all")
+        assert concavity_verdict(ctx, phi, check="span")["span_satisfied"] \
+            == va["span_satisfied"]
+        assert concavity_verdict(ctx, phi, check="mot")["mot_satisfied"] \
+            == va["mot_satisfied"]
 
 
 def test_so_star_parity_pattern():
     # computed resolution of the sub-label ambiguity: the avoid-the-last-two
     # condition binds for odd l, while even l passes on every finite-type row
-    v = concavity_verdict("so*(6)", {2})
-    assert v.finite_type and not v.verdict
-    v = concavity_verdict("so*(6)", {1})
-    assert v.finite_type and v.verdict
-    v = concavity_verdict("so*(8)", {3})
-    assert v.finite_type and v.verdict
+    v = concavity_verdict(get_context("so*(6)"), {2})
+    assert v["finite_type"] and not v["verdict"]
+    v = concavity_verdict(get_context("so*(6)"), {1})
+    assert v["finite_type"] and v["verdict"]
+    v = concavity_verdict(get_context("so*(8)"), {3})
+    assert v["finite_type"] and v["verdict"]
 
 
 def test_global_normalization_flip():
@@ -469,14 +471,16 @@ def test_global_normalization_flip():
 
 def test_gauge_robustness_small():
     for form, phi in [("FII", {3}), ("su(2,3)", {2}), ("so*(8)", {3})]:
-        base = concavity_verdict(form, phi)
+        base = concavity_verdict(get_context(form), phi)
         for seed in (1, 2, 3):
-            v = concavity_verdict(form, phi, gauge_seed=seed)
-            assert v.verdict == base.verdict
-            assert v.k_phi == base.k_phi
-            assert v.mot_satisfied == base.mot_satisfied
-            assert [g[0] for g in v.gammas] == [g[0] for g in base.gammas]
+            v = concavity_verdict(get_context(form, seed), phi)
+            assert v["verdict"] == base["verdict"]
+            assert v["k_phi"] == base["k_phi"]
+            assert v["mot_satisfied"] == base["mot_satisfied"]
+            assert [g["root"] for g in v["gammas"]] == \
+                [g["root"] for g in base["gammas"]]
             assert all(
-                a[1] == b[1] or
-                DefinitenessClass(a[1]) == DefinitenessClass(b[1]).flipped()
-                for a, b in zip(v.gammas, base.gammas))
+                a["class"] == b["class"] or
+                DefinitenessClass(a["class"])
+                == DefinitenessClass(b["class"]).flipped()
+                for a, b in zip(v["gammas"], base["gammas"]))

@@ -127,6 +127,17 @@ def test_cli_internal_error_exit_code(monkeypatch, capsys):
     assert cli.main(["--form", "FII", "--phi", "1", "--no-golden"]) == 2
     assert capsys.readouterr().err == "error: bad catalog entry\n"
 
+    # form and phi are valid by now, so a KeyError from the engine is a bug
+    def engine_bug(chains):
+        raise KeyError("stray key")
+
+    monkeypatch.setattr(crflag, "t_module_span", engine_bug)
+    assert cli.main(["--form", "FII", "--phi", "1", "--no-golden"]) == 3
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("internal error\n")
+    assert "Traceback" in err and "KeyError: 'stray key'" in err
+
 
 def test_cli_levi_invariant_failure_is_internal_error(monkeypatch, capsys):
     """A Levi pattern that breaks `classify_levi`'s invariants in a built,

@@ -15,7 +15,7 @@ left as it is)."""
 import pytest
 
 from minorbit.cli import _all_phi, _packaged_golden
-from minorbit.crflag import concavity_verdict
+from minorbit.crflag import concavity_verdict, get_context
 from minorbit.golden import compare_golden
 from minorbit.realform import find_form
 
@@ -36,8 +36,8 @@ CASES = [(a, b, m, seed) for seed in (None, 1) for a, b, m in PAIRS]
 
 
 def _docs(form, phis, seed):
-    return [concavity_verdict(form, tuple(sorted(p)), seed).to_doc()
-            for p in phis]
+    ctx = get_context(form, seed)
+    return [concavity_verdict(ctx, tuple(sorted(p))) for p in phis]
 
 
 def _map_root(root, node_map):

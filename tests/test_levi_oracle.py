@@ -41,7 +41,7 @@ def _q_form_targets(name, phi, seed, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(crflag, "levi_class", recording_levi_class)
-        concavity_verdict(name, phi, gauge_seed=seed, check="mot")
+        concavity_verdict(ctx, phi, check="mot")
     Qn = indices(pd.Qn)
     targets += [ctx.negi(b) for b in Qn if b < ctx.c(b) and ctx.c(b) in Qn]
     return sorted(set(targets))

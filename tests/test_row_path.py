@@ -50,7 +50,6 @@ def test_whole_form_real_runs_build_no_document(monkeypatch):
     monkeypatch.setattr(cli, "concavity_verdict", fail)
     monkeypatch.setattr(crflag, "concavity_verdict", fail)
     monkeypatch.setattr(crflag, "hlc_reachability", fail)
-    monkeypatch.setattr(crflag.ConcavityVerdict, "to_doc", fail)
     for e in catalog(4):
         if e.rank <= 4 and e.label != "complex":
             for check in ("mot", "span", "all"):

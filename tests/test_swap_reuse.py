@@ -37,8 +37,9 @@ def enumerate_form(name: str, phis=None, gauge_seed=None, check="all",
     diag = find_form(name, max_rank)
     if phis is None:
         phis = list(cli._all_phi(diag.rank))
-    return [crflag.concavity_verdict(diag.name, tuple(sorted(p)), gauge_seed,
-                                     check, max_rank).to_doc() for p in phis]
+    ctx = crflag.get_context(diag.name, gauge_seed, max_rank)
+    return [crflag.concavity_verdict(ctx, tuple(sorted(p)), check)
+            for p in phis]
 
 
 def test_enumerate_form_library_api():
@@ -85,6 +86,7 @@ def _forbid_engine(monkeypatch):
         raise AssertionError("the engine ran")
 
     monkeypatch.setattr(crflag, "get_context", fail)
+    monkeypatch.setattr(cli, "get_context", fail)  # a cached context too
     monkeypatch.setattr(crflag, "FormContext", fail)
     monkeypatch.setattr(cli, "concavity_verdict", fail)
 

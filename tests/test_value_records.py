@@ -1,13 +1,14 @@
-"""The package's four record classes are plain classes (no `dataclasses`
+"""The package's three record classes are plain classes (no `dataclasses`
 import), and keep the contract they had as dataclasses: constructor
-signature, immutability, value equality and hash on the same fields, and
-the keys of `ConcavityVerdict.to_doc`."""
+signature, immutability, and value equality and hash on the same fields.
+The verdict document of `concavity_verdict` is a plain dict with a fixed
+key order."""
 
 import pytest
 
 import chain_oracle as oracle
-from minorbit.crflag import (ConcavityVerdict, ParabolicData,
-                             concavity_verdict, get_context, parabolic)
+from minorbit.crflag import (ParabolicData, concavity_verdict, get_context,
+                             parabolic)
 from minorbit.realform import SatakeDiagram, find_form
 from minorbit.rootsys import SimpleType
 
@@ -65,14 +66,11 @@ def test_records_are_immutable(record, field):
 
 
 def test_concavity_verdict_doc_keys_and_equality():
-    v = concavity_verdict("su(2,3)", (2,))
-    assert list(v.to_doc()) == [
+    ctx = get_context("su(2,3)")
+    v = concavity_verdict(ctx, (2,))
+    assert list(v) == [
         "form", "phi", "finite_type", "gammas", "k_phi", "mot_satisfied",
         "mot_details", "span_satisfied", "span_dims", "verdict",
         "annotation", "gauge_seed"]
-    assert v == concavity_verdict("su(2,3)", (2,))
-    assert v != concavity_verdict("su(2,3)", (1,))
-    with pytest.raises(TypeError):
-        hash(v)
-    bare = ConcavityVerdict("f", (), True, [], [], True, [], False, [], True)
-    assert (bare.annotation, bare.gauge_seed) == ("", None)
+    assert v == concavity_verdict(ctx, (2,))
+    assert v != concavity_verdict(ctx, (1,))
