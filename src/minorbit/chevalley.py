@@ -1,8 +1,9 @@
 """Chevalley basis {H_i} u {Z_a} for the complex semisimple Lie algebra of a
 RootSystem: integer structure constants and brackets, all exact.  Every
 root sum is read from the root system's `sum_row` and `sum_pairs` tables.
-The Killing form lives with the tests (tests/algebra_oracle.py): `classify`
-never needs its values.
+The Killing form lives with the tests (tests/algebra_oracle.py), and the
+coroots, which only the bracket [Z_a, Z_-a] reads, are derived from the
+root system on first read: `classify` never needs either.
 
 Normalization: [H_a, Z_a] = 2 Z_a, [Z_a, Z_-a] = -H_a, and the linear map
 H -> -H, Z_a -> Z_-a is an automorphism (so N(-a,-b) = N(a,b)).  Signs are
@@ -14,6 +15,7 @@ hook below re-randomizes it for robustness tests.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 
 from .rootsys import RootSystem, exact_div
 
@@ -21,12 +23,21 @@ from .rootsys import RootSystem, exact_div
 
 
 class StructureConstants:
-    def __init__(self, rs: RootSystem, ntable: dict, coroots: list):
+    def __init__(self, rs: RootSystem, ntable: dict):
         self.rs = rs
         self.rank = rs.rank
         self.dim = rs.rank + len(rs.roots)
         self.ntable = ntable        # (ia, ib) -> int, for root pairs with a+b a root
-        self.coroots = coroots      # per root index: integer vector over simple coroots
+
+    @cached_property
+    def coroots(self) -> list[tuple[int, ...]]:
+        """Per root index, the coroot over the simple coroots:
+        coroot(a) = sum_i k_i (a_i|a_i)/(a|a) coroot(a_i), each an exact
+        division.  Derived on first read: only `bracket_basis` reads it."""
+        g2 = self.rs.twice_gram
+        return [tuple(exact_div(k * g2[i][i], m, lambda: f"coroot of {r}")
+                      if k else 0 for i, k in enumerate(r))
+                for r, m in zip(self.rs.roots, _twice_norms(self.rs))]
 
     # -- basis bracket -----------------------------------------------------
     def n(self, ia: int, ib: int) -> int:
@@ -86,30 +97,35 @@ class StructureConstants:
         nt = {}
         for (ia, ib), v in self.ntable.items():
             nt[(ia, ib)] = u[ia] * u[ib] * u[rs.sum_row[ia][ib]] * v
-        return StructureConstants(rs, nt, self.coroots)
+        return StructureConstants(rs, nt)
+
+
+def _twice_norms(rs: RootSystem) -> list[int]:
+    """Per root index, the integer 2(a|a) = sum over i, j of
+    a_i a_j 2(alpha_i|alpha_j)."""
+    g2, out = rs.twice_gram, []
+    for r in rs.roots:
+        nz = [(i, k) for i, k in enumerate(r) if k]
+        out.append(sum(ki * kj * g2[i][j] for i, ki in nz for j, kj in nz))
+    return out
 
 
 def standard_constants(rs: RootSystem):
     """The extraspecial-pair recursion in the standard basis: returns
-    (n_std, nn), where n_std(a, b, s) is the structure constant n(a, b) of
-    roots a, b with a + b the root s, and nn[a] = 2(a|a).  Roots are
-    handled by index throughout, and every sum is read from `rs.sum_row`.
+    n_std, where n_std(a, b, s) is the structure constant n(a, b) of roots
+    a, b with a + b the root s.  Roots are handled by index throughout,
+    and every sum is read from `rs.sum_row`.
 
     Integers only (Carter, Simple Groups of Lie Type, ch. 4): squared
-    lengths enter as the integers nn[a], and every quotient of them (the
-    mixed-sign rotation, the four-root relation) is an exact integer
-    division that raises ArithmeticError when it leaves a remainder.  Each
-    quotient is homogeneous of degree 0 in the lengths, so the factor 2
-    cancels."""
+    lengths enter as the integers nn[a] = 2(a|a), and every quotient of
+    them (the mixed-sign rotation, the four-root relation) is an exact
+    integer division that raises ArithmeticError when it leaves a
+    remainder.  Each quotient is homogeneous of degree 0 in the lengths,
+    so the factor 2 cancels."""
     roots, row = rs.roots, rs.sum_row
     half = len(roots) // 2  # negatives come first, positives from here on
     negi = rs.neg_index
-    # nn[a] = 2(a|a) = sum over i, j of a_i a_j 2(alpha_i|alpha_j)
-    g2 = rs.twice_gram
-    nn = []
-    for r in roots:
-        nz = [(i, k) for i, k in enumerate(r) if k]
-        nn.append(sum(ki * kj * g2[i][j] for i, ki in nz for j, kj in nz))
+    nn = _twice_norms(rs)
 
     npos: dict[tuple[int, int], int] = {}
 
@@ -171,7 +187,7 @@ def standard_constants(rs: RootSystem):
             v = exact_div(num, m2 * m3 * n1, what)
             npos[(a, b)] = v
             npos[(b, a)] = -v
-    return n_std, nn
+    return n_std
 
 
 def build_chevalley(rs: RootSystem) -> StructureConstants:
@@ -179,7 +195,8 @@ def build_chevalley(rs: RootSystem) -> StructureConstants:
     (`standard_constants`), then transported to the normalization
     [Z_a, Z_-a] = -H_a whose footprint is that H -> -H, Z_a -> Z_-a is an
     automorphism: N(a, b) = e_a e_b e_{a+b} n(a, b) with e_a = -1 on
-    negative roots.  The coroots are exact integer divisions too.
+    negative roots.  No coroot is computed here (see
+    `StructureConstants.coroots`).
 
     The table is filled row by row in `rs.sum_row` order, and a pair
     (a, b) with b < a takes N(a, b) = -N(b, a) from the row of b, filled
@@ -189,13 +206,13 @@ def build_chevalley(rs: RootSystem) -> StructureConstants:
     symmetric in a and b, so N(b, a) = -N(a, b).  So the fill no longer
     runs `n_std` on the pairs (a, b) with b < a: the exact divisions of the
     mixed-sign rotation for those pairs (one order of every mixed-sign
-    pair) no longer run, while the rotation for the other order, the
-    four-root relation and the coroot divisions all still do.  The tests
+    pair) no longer run, while the rotation for the other order and the
+    four-root relation still do.  The tests
     keep the per-pair fill as a differential oracle on every catalog root
     system, item order included."""
-    n_std, nn = standard_constants(rs)
-    roots, row, g2 = rs.roots, rs.sum_row, rs.twice_gram
-    half = len(roots) // 2  # negatives come first
+    n_std = standard_constants(rs)
+    row = rs.sum_row
+    half = len(rs.roots) // 2  # negatives come first
     ntable: dict[tuple[int, int], int] = {}
     for a, sums in enumerate(row):
         for b, s in sums.items():
@@ -205,9 +222,4 @@ def build_chevalley(rs: RootSystem) -> StructureConstants:
                 v = n_std(a, b, s)
                 flip = (a < half) ^ (b < half) ^ (s < half)
                 ntable[(a, b)] = -v if flip else v
-
-    # coroot(a) = sum_i k_i * (a_i|a_i)/(a|a) * coroot(a_i)
-    coroots = [tuple(exact_div(k * g2[i][i], m, lambda: f"coroot of {r}")
-                     if k else 0 for i, k in enumerate(r))
-               for r, m in zip(roots, nn)]
-    return StructureConstants(rs, ntable, coroots)
+    return StructureConstants(rs, ntable)

@@ -19,9 +19,10 @@ complex-type form's rows come from `complex_type_verdict`, with no
 context, a real form's from `verdict_fields`, which decides the chain
 condition bound first and stops at its first failed target.  Both
 `concavity_verdict` and `verdict_fields` take the context that
-`get_context` builds once per run.  Once the form and Phi are valid, the
-only data error is a `ConjugationError` (exit 2); any other exception from
-the engine is a bug (exit 3).
+`get_context` builds once per run.  Once the form, Phi and golden table
+(checked by `golden.load_golden`) are valid, the only data error is a
+`ConjugationError` (exit 2); any other exception, from the engine or the
+golden comparison, is a bug (exit 3).
 Identical invocations produce byte-identical JSON.
 """
 
@@ -36,7 +37,7 @@ from itertools import combinations
 
 from . import golden as goldenmod
 from .crflag import (complex_type_verdict, concavity_verdict, get_context,
-                     verdict_fields)
+                     levi_label, verdict_fields)
 # catalog is not called here, but perfbench/tracing.py wraps cli.catalog by
 # name, so it stays a module attribute
 from .realform import ConjugationError, catalog, find_form  # noqa: F401
@@ -97,8 +98,8 @@ def _run_rows(diag, phis, args) -> tuple[list[dict], list[dict]]:
 def _report_rows(docs) -> list[dict]:
     return [{"form": d["form"], "phi": d["phi"],
              "finite_type": d["finite_type"],
-             "levi": ";".join("%s:%s" % ("".join(map(str, g["root"])),
-                                         g["class"]) for g in d["gammas"]),
+             "levi": ";".join(levi_label(g["root"], g["class"])
+                              for g in d["gammas"]),
              "mot": d["mot_satisfied"], "span": d["span_satisfied"],
              "verdict": d["verdict"], "expected": None, "match": None}
             for d in docs]
@@ -241,10 +242,11 @@ def main(argv=None) -> int:
             print(f"error: golden comparison failed: {e}", file=sys.stderr)
             return 2
 
-    # form and phi are valid by now, so the one data error left is a catalog
-    # entry that fails its conjugation checks; anything else is a bug
+    # form, phi and golden row are valid by now, so the one data error left
+    # is a catalog entry failing its conjugation checks; the rest are bugs
     try:
         docs, rows = _run_rows(diag, phis, args)
+        diff = None if gold is None else goldenmod.compare_golden(rows, gold)
     except ConjugationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -254,15 +256,8 @@ def main(argv=None) -> int:
         traceback.print_exc()
         return 3
 
-    exit_code = 0
-    if gold is not None:
-        try:
-            diff = goldenmod.compare_golden(rows, gold)
-        except (KeyError, ValueError) as e:  # a bad predicate or params
-            print(f"error: golden comparison failed: {e}", file=sys.stderr)
-            return 2
-        ok = all(f["pass"] for f in diff["forms"].values())
-        exit_code = 0 if ok else 1
+    exit_code = 0 if diff is None or all(
+        f["pass"] for f in diff["forms"].values()) else 1
 
     details = docs if args.phi is not None else None
     sys.stdout.buffer.write(emit(rows, args.format, details))

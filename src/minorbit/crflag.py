@@ -42,8 +42,9 @@ once per context and t; a cross set then reads the class and category of
 the form on any side S from counts of the pattern's sets in S
 (`levi_class`), with no entry rebuilt.  A pattern that passes its
 invariants passes them on every restriction to S x S, so no check is lost
-(see `LeviPattern`).  The row labels "<coefficients>:<class>" are memoised
-per (root, class), for the roots that a row prints.
+(see `LeviPattern`).  The row labels "<coefficients>:<class>", formatted
+by `levi_label` (which `cli` shares for the rows of a document), are
+memoised per (root, class), for the roots that a row prints.
 
 Two paths share these pieces, and both take a context, a cross set and a
 check mode, `(ctx, phi, check)`; `get_context` is the one entry point that
@@ -835,17 +836,22 @@ def _check_sufficiency(ctx: FormContext, phi, check: str, mot: bool,
                                    f": chain condition held but span failed")
 
 
+def levi_label(root, cls: str) -> str:
+    """The report label "<coefficients>:<class>" of a root whose Levi form
+    has the class named `cls`."""
+    return "%s:%s" % ("".join(map(str, root)), cls)
+
+
 def _row_label(ctx: FormContext, g: int, cls: DefinitenessClass) -> str:
-    """The report label "<coefficients>:<class>" of the root g, memoised
-    per (root, class) in the context's table `labels`.  The key holds the
-    class's value as the member attribute `_value_`, read with no call: an
-    Enum member's hash and `.value` are Python-level calls, which more
-    than double the cost of a lookup."""
+    """`levi_label` of the root g, memoised per (root, class) in the
+    context's table `labels`.  The key holds the class's value as the
+    member attribute `_value_`, read with no call: an Enum member's hash
+    and `.value` are Python-level calls, which more than double the cost
+    of a lookup."""
     labels, key = ctx.labels, (g, cls._value_)
     text = labels.get(key)
     if text is None:
-        text = labels[key] = "%s:%s" % ("".join(map(str, ctx.rs.roots[g])),
-                                         key[1])
+        text = labels[key] = levi_label(ctx.rs.roots[g], key[1])
     return text
 
 

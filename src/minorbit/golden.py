@@ -93,7 +93,9 @@ def load_golden(path: str) -> dict:
     nonempty list of predicate objects: a row with no reading could match
     no report row, and `compare_golden` reads its first reading.  Raises
     ValueError too when two rows name the same form, which would leave the
-    verdict to the order of the rows."""
+    verdict to the order of the rows, and when a predicate, evaluated on
+    the empty cross set, has an unknown kind or a param its row lacks or
+    cannot use: so an error in `compare_golden` is a bug."""
     with open(path, "r") as fh:
         doc = json.load(fh)
     rows = doc.get("rows") if isinstance(doc, dict) else None
@@ -110,9 +112,17 @@ def load_golden(path: str) -> dict:
                          f'least one predicate per row')
     table = {}
     for row in rows:
-        if row["form"] in table:
-            raise ValueError(f"{path} has two rows for form {row['form']!r}")
-        table[row["form"]] = row
+        form = row["form"]
+        if form in table:
+            raise ValueError(f"{path} has two rows for form {form!r}")
+        for pred in row["predicates"]:
+            try:
+                _eval_predicate(pred, row["params"], frozenset())
+            except (KeyError, TypeError, ValueError) as e:
+                raise ValueError(f"{path}: predicate {pred} of form "
+                                 f"{form!r} fails on params "
+                                 f"{row['params']}: {e!r}") from None
+        table[form] = row
     return table
 
 

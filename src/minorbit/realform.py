@@ -13,6 +13,7 @@ against the full battery (the tests add the matrix-realization oracles).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 
 from .rootsys import (ROOT_COUNT, RootSystem, build_doubled_system,
@@ -24,50 +25,39 @@ class ConjugationError(ValueError):
     """A catalog entry failed the conjugation invariant battery."""
 
 
-class SatakeDiagram:
-    """One catalog entry, immutable.  Two entries are equal, and hash
-    alike, when they agree on every field but `params` and `arrows`."""
-    __slots__ = ("label",    # Cartan class: AI, AIIIa, ..., compact, complex
-                 "name",     # concrete form: su(2,3), so*(8), EIII, ...
-                 "family",
-                 "rank",     # rank of the underlying (possibly doubled) system
-                 "params",
-                 "black",    # 1-based simple indices
-                 "arrows",   # 1-based involution
-                 "char",     # Killing character dim(p) - dim(k)
-                 "doubled")  # complex-type form on R + R
+class SatakeDiagram(namedtuple("SatakeDiagram", "label name family rank "
+                                 "params black arrows char doubled")):
+    """One catalog entry, immutable: the Cartan class `label` (AI, ...,
+    compact, complex), the concrete form `name` (su(2,3), EIII, ...), the
+    `rank` of the underlying (possibly doubled) system, the 1-based
+    `black` nodes and `arrows` involution, the Killing character `char`
+    = dim(p) - dim(k), and `doubled` for a complex-type form on R + R.
+    Two entries are equal, and hash alike, when they agree on every field
+    but `params` and `arrows`; an entry equals no plain tuple."""
+    __slots__ = ()
 
-    def __init__(self, label: str, name: str, family: str, rank: int,
-                 params: dict | None = None, black: frozenset = frozenset(),
-                 arrows: dict | None = None, char: int = 0,
-                 doubled: bool = False):
-        values = (label, name, family, rank, {} if params is None else params,
-                  black, {} if arrows is None else arrows, char, doubled)
-        for slot, value in zip(self.__slots__, values):
-            object.__setattr__(self, slot, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"SatakeDiagram is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"SatakeDiagram is immutable: cannot delete "
-                             f"{name!r}")
+    def __new__(cls, label: str, name: str, family: str, rank: int,
+                params: dict | None = None, black: frozenset = frozenset(),
+                arrows: dict | None = None, char: int = 0,
+                doubled: bool = False):
+        return super().__new__(cls, label, name, family, rank,
+                               {} if params is None else params, black,
+                               {} if arrows is None else arrows, char, doubled)
 
     def _key(self) -> tuple:
         return (self.label, self.name, self.family, self.rank, self.black,
                 self.char, self.doubled)
 
+    # tuple's __eq__ and __ne__ would compare params and arrows too
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
+        return (other.__class__ is self.__class__
+                and self._key() == other._key())
+
+    def __ne__(self, other):
+        return not self == other
 
     def __hash__(self):
         return hash(self._key())
-
-    def __repr__(self):
-        return "SatakeDiagram(%s)" % ", ".join(
-            f"{slot}={getattr(self, slot)!r}" for slot in self.__slots__)
 
     def root_system(self) -> RootSystem:
         if self.doubled:
@@ -467,19 +457,16 @@ def _solve_sign_exponents(rs: RootSystem, sc: StructureConstants, c_idx):
     return kexp
 
 
-class Conjugation:
+class Conjugation(namedtuple("Conjugation",
+                             "diag rs sc lattice c_index t_exp")):
     """Validated conjugation of a catalog real form: lattice involution,
-    root permutation and sign table."""
-
-    def __init__(self, diag: SatakeDiagram, rs: RootSystem,
-                 sc: StructureConstants):
-        self.diag = diag
-        self.rs = rs
-        self.sc = sc
-        self.lattice, self.c_index = root_conjugation(diag, rs)
-        self.t_exp = tuple(_solve_sign_exponents(rs, sc, self.c_index))
+    root permutation and sign table.  `rs` and `sc` compare and hash by
+    identity."""
+    __slots__ = ()
 
 
 def build_conjugation(diag: SatakeDiagram, rs: RootSystem,
                       sc: StructureConstants) -> Conjugation:
-    return Conjugation(diag, rs, sc)
+    lattice, c_index = root_conjugation(diag, rs)
+    return Conjugation(diag, rs, sc, lattice, c_index,
+                       tuple(_solve_sign_exponents(rs, sc, c_index)))

@@ -197,8 +197,7 @@ def build_chevalley_fraction(rs: RootSystem) -> StructureConstants:
     """The extraspecial-pair recursion of `chevalley.build_chevalley` with
     the squared lengths taken as `Fraction` inner products and every
     quotient formed in `Fraction`: a differential oracle for the integer
-    build, which must give the same `ntable` (entries and order) and the
-    same coroots."""
+    build, which must give the same `ntable` (entries and order)."""
     roots, row = rs.roots, rs.sum_row
     half = len(roots) // 2
     negi = [idx(rs, neg(r)) for r in roots]
@@ -254,10 +253,22 @@ def build_chevalley_fraction(rs: RootSystem) -> StructureConstants:
             sign = (1 if a >= half else -1) * (1 if b >= half else -1) * \
                 (1 if s >= half else -1)
             ntable[(a, b)] = sign * n_std(a, b)
+    return StructureConstants(rs, ntable)
+
+
+def fraction_coroots(rs: RootSystem) -> list[tuple[int, ...]]:
+    """Per root index, the coroot over the simple coroots, each coefficient
+    k_i (a_i|a_i)/(a|a) formed in `Fraction` from the Euclidean Gram
+    matrix: the oracle for `StructureConstants.coroots`."""
     g = gram(rs)
-    coroots = [tuple(integral(Fraction(r[i]) * g[i][i] / m, "coroot")
-                   for i in range(rs.rank)) for r, m in zip(roots, nn)]
-    return StructureConstants(rs, ntable, coroots)
+    out = []
+    for r in rs.roots:
+        m = inner(rs, r, r)
+        x = [Fraction(k) * g[i][i] / m for i, k in enumerate(r)]
+        if any(c.denominator != 1 for c in x):
+            raise ArithmeticError(f"coroot of {r} is not integral")
+        out.append(tuple(int(c) for c in x))
+    return out
 
 
 def ntable_per_pair(rs: RootSystem) -> dict:
@@ -265,7 +276,7 @@ def ntable_per_pair(rs: RootSystem) -> dict:
     run through the integer recursion `standard_constants`, b < a included,
     instead of read off (b, a) by antisymmetry: a differential oracle for
     that fill, items in the same order."""
-    n_std, _ = standard_constants(rs)
+    n_std = standard_constants(rs)
     half = len(rs.roots) // 2
     ntable = {}
     for a, sums in enumerate(rs.sum_row):

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from algebra_oracle import (adjoint_matrix, build_chevalley_fraction, h,
-                            idx, killing, killing_z_pair, ntable_per_pair,
-                            pairing, root_string, z)
+from algebra_oracle import (adjoint_matrix, build_chevalley_fraction,
+                            fraction_coroots, h, idx, killing, killing_z_pair,
+                            ntable_per_pair, pairing, root_string, z)
 from gaussq import QQi
 from minorbit.chevalley import build_chevalley
 from minorbit.realform import catalog
@@ -245,11 +245,28 @@ def test_sign_gauge_is_still_chevalley():
 def test_integer_build_matches_fraction_oracle(entry):
     """The integer recursion against the Fraction one on every distinct
     root system of catalog(8): ntable items in the same order, and the
-    same coroots."""
+    coroots, derived on first read, equal the Fraction oracle's."""
     rs = entry.root_system()
     got, want = build_chevalley(rs), build_chevalley_fraction(rs)
     assert list(got.ntable.items()) == list(want.ntable.items())
-    assert got.coroots == want.coroots
+    assert got.coroots == fraction_coroots(rs)
+
+
+def test_classify_builds_no_coroot_table(monkeypatch, capsys):
+    """`classify` never reads the coroots, so neither a whole-form request
+    nor a --phi request (gauged, so through `sign_gauge`) leaves them on
+    its context's constants; read afterwards, they equal the oracle's."""
+    from minorbit import cli, crflag
+    monkeypatch.setattr(crflag, "_CTX_CACHE", {})
+    assert cli.main(["--form", "su(2,3)"]) == 0
+    assert cli.main(["--form", "FII", "--phi", "1", "--gauge-seed", "1"]) == 0
+    capsys.readouterr()
+    ctxs = crflag._CTX_CACHE
+    assert set(ctxs) == {("su(2,3)", None, 8), ("FII", 1, 8)}
+    for ctx in ctxs.values():
+        assert "coroots" not in vars(ctx.sc)
+        assert ctx.sc.coroots == fraction_coroots(ctx.rs)
+        assert "coroots" in vars(ctx.sc)
 
 
 @pytest.mark.parametrize("entry", _distinct_forms(8),

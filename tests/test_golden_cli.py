@@ -112,6 +112,7 @@ def test_cli_non_integer_phi_index(capsys):
 def test_cli_internal_error_exit_code(monkeypatch, capsys):
     from minorbit import cli, crflag
     from minorbit.realform import ConjugationError
+    span = crflag.t_module_span
     # FII phi={1} satisfies the chain condition, so a failed span is a bug
     monkeypatch.setattr(crflag, "t_module_span", lambda chains: (False, []))
     assert cli.main(["--form", "FII", "--phi", "1", "--no-golden"]) == 3
@@ -137,6 +138,19 @@ def test_cli_internal_error_exit_code(monkeypatch, capsys):
     assert not out
     assert err.startswith("internal error\n")
     assert "Traceback" in err and "KeyError: 'stray key'" in err
+
+    # the golden table is checked when it is loaded, so a KeyError from the
+    # comparison is a bug too
+    def comparison_bug(rows, gold):
+        raise KeyError("stray predicate key")
+
+    monkeypatch.setattr(crflag, "t_module_span", span)
+    monkeypatch.setattr(cli.goldenmod, "compare_golden", comparison_bug)
+    assert cli.main(["--form", "FII", "--phi", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("internal error\n")
+    assert "Traceback" in err and "KeyError: 'stray predicate key'" in err
 
 
 def test_cli_levi_invariant_failure_is_internal_error(monkeypatch, capsys):
@@ -281,14 +295,22 @@ def test_cli_builds_parser_once(monkeypatch, capsys):
                                    "no predicates", "empty predicates",
                                    "list form", "repeated form",
                                    "repeated form, real row first",
-                                   "params disagree with the catalog"])
-def test_cli_malformed_golden_exits_2(tmp_path, shape):
+                                   "params disagree with the catalog",
+                                   "missing parameter", "missing kind"])
+def test_cli_malformed_golden_exits_2(monkeypatch, capsys, tmp_path, shape):
+    """A malformed golden table is a data error found when it is loaded,
+    before any row is computed."""
+    from minorbit import cli
     row = dict(load_golden(default_golden_path())["su(2,3)"])
     never = dict(row, predicates=[{"kind": "never"}])
     if shape == "top-level list":
         doc = [row]
     elif shape == "unknown kind":
         doc = {"rows": [dict(row, predicates=[{"kind": "bogus"}])]}
+    elif shape == "missing parameter":  # so_star_ends reads l
+        doc = {"rows": [dict(row, predicates=[{"kind": "so_star_ends"}])]}
+    elif shape == "missing kind":
+        doc = {"rows": [dict(row, predicates=[{"reading": 0}])]}
     elif shape == "empty predicates":
         doc = {"rows": [dict(row, predicates=[])]}
     elif shape == "list form":
@@ -304,10 +326,11 @@ def test_cli_malformed_golden_exits_2(tmp_path, shape):
         doc = {"rows": [row]}
     p = tmp_path / "g.json"
     p.write_text(json.dumps(doc))
-    r = run_cli(["--form", "su(2,3)", "--golden", str(p)])
-    assert r.returncode == 2, r.stderr
-    assert b"error: golden comparison failed" in r.stderr
-    assert b"Traceback" not in r.stderr
+    _forbid_rows(monkeypatch)
+    assert cli.main(["--form", "su(2,3)", "--golden", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("error: golden comparison failed")
 
 
 def test_package_has_no_assert_statement():

@@ -1,8 +1,11 @@
-"""The package's three record classes are plain classes (no `dataclasses`
-import), and keep the contract they had as dataclasses: constructor
-signature, immutability, and value equality and hash on the same fields.
-The verdict document of `concavity_verdict` is a plain dict with a fixed
-key order."""
+"""The package's record classes are `namedtuple` subclasses (no
+`dataclasses` import).  `SimpleType`, `SatakeDiagram` and `ParabolicData`
+keep the contract they had as dataclasses: constructor signature,
+immutability, repr, and value equality and hash on the same fields, which
+for `SatakeDiagram` leave out `params` and `arrows` (so `==` and `!=`
+both differ from tuple's, and no diagram equals a plain tuple).
+`Conjugation` is immutable too.  The verdict document of
+`concavity_verdict` is a plain dict with a fixed key order."""
 
 import pytest
 
@@ -35,14 +38,26 @@ def test_satake_diagram_equality_ignores_params_and_arrows():
     twin = SatakeDiagram(e.label, e.name, e.family, e.rank, {"p": 9},
                          e.black, {}, e.char, e.doubled)
     assert twin == e and hash(twin) == hash(e)
+    assert not twin != e and not e != twin
     assert twin.params == {"p": 9} and twin.arrows == {}
     other = SatakeDiagram(e.label, e.name, e.family, e.rank, e.params,
                           e.black, e.arrows, e.char + 1, e.doubled)
-    assert other != e
+    assert other != e and not other == e
     bare = SatakeDiagram("x", "bad", "A", 3)
     assert (bare.params, bare.black, bare.arrows, bare.char,
             bare.doubled) == ({}, frozenset(), {}, 0, False)
     assert SatakeDiagram("x", "bad", "A", 3).params is not bare.params
+    assert repr(bare) == ("SatakeDiagram(label='x', name='bad', family='A', "
+                          "rank=3, params={}, black=frozenset(), arrows={}, "
+                          "char=0, doubled=False)")
+
+
+def test_satake_diagram_equals_no_plain_tuple():
+    e = find_form("su(2,5)")
+    fields = tuple(e)
+    assert len(fields) == 9
+    assert e != fields and fields != e
+    assert not e == fields and not fields == e
 
 
 def test_parabolic_data_equals_the_oracle_value():
@@ -59,6 +74,7 @@ def test_parabolic_data_equals_the_oracle_value():
     (find_form("su(2,3)"), "black"),
     (find_form("su(2,3)"), "params"),
     (ParabolicData(frozenset(), 1, 2, 3), "Q"),
+    (get_context("su(2,3)").conj, "t_exp"),
 ])
 def test_records_are_immutable(record, field):
     with pytest.raises(AttributeError):

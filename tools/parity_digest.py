@@ -1,4 +1,4 @@
-"""Digest of `classify` output over eight fixed invocation sets, and of the
+"""Digest of `classify` output over nine fixed invocation sets, and of the
 form contexts of the whole catalog, for showing that a change leaves every
 output byte, exit code and context table as it was.
 
@@ -32,13 +32,20 @@ from the `src` directory beside this script:
   by its label, by its label with its `--p`/`--q`/`--l` parameters, and by
   its label with `--l <rank>` when it has no `l` parameter; the same four
   again with `--max-rank 4` for the entries of rank <= 4: 1,016
-  invocations, which pin every exit code and entry of form resolution.
+  invocations, which pin every exit code and entry of form resolution;
+- formats: the 14 acceptance-instance forms, each as a whole form and
+  with `--phi 1` (its first one-element cross set, whose `levi` column
+  `cli` builds from the verdict document), in `--format csv` and
+  `--format table`, golden comparison on: 56 invocations, which pin the
+  two formats other than JSON.
 For each set it prints the number of invocations and the SHA-256 of the
 argv, exit code and stdout of each in turn.  A last line, `context`, is
 the SHA-256 of `roots` (in order), `cartan`, `ntable` (items in order),
-`coroots`, `lattice`, `c_index` and `t_exp` of the context of each of the
-201 `catalog(8)` entries under the gauges None, 1 and 7.  Run it in two
-checkouts and compare the lines.  Standard library only.
+`coroots` (derived when read), `lattice`, `c_index` and `t_exp` of the
+context of each of the 201 `catalog(8)` entries under the gauges None, 1
+and 7.  Run it in two checkouts and compare the lines; a set that one
+checkout's copy of this script lacks is compared by running the newer
+script against both checkouts' `src`.  Standard library only.
 """
 
 from __future__ import annotations
@@ -101,9 +108,13 @@ def invocation_sets() -> dict[str, list[list[str]]]:
                for gauge in GAUGES
                for name in sorted(n for n, e in forms.items()
                                   if e.label == "compact")]
+    formats = [["--form", name, *phi, "--format", fmt]
+               for fmt in ("csv", "table") for name in INSTANCE_FORMS
+               for phi in ([], ["--phi", "1"])]
     return {"instances": instances, "sweep": sweep, "span": span,
             "complex": complex_, "resolve": resolve_set(),
-            "complex-all": complex_all, "real": real, "compact": compact}
+            "complex-all": complex_all, "real": real, "compact": compact,
+            "formats": formats}
 
 
 def resolve_set() -> list[list[str]]:
