@@ -12,14 +12,19 @@ Exit codes: 0 all golden parity passed, 1 mismatches, 2 usage or data error,
 1..16, checked before the catalog is built.  Before any row is computed:
 a whole-form run (no --phi) needs rank <= 16, and the golden table, unless
 --no-golden, must cover the form with the catalog entry's params.
+--phi names each index at most once.
 A single-Phi run (--phi) prints the report row and, under "details", the
 verdict document, the plain dict that `concavity_verdict` returns.  A
-whole-form run prints only the rows, so it builds no documents: a
-complex-type form's rows come from `complex_type_verdict`, with no
-context, a real form's from `verdict_fields`, which decides the chain
-condition bound first and stops at its first failed target.  Both
-`concavity_verdict` and `verdict_fields` take the context that
-`get_context` builds once per run.  Once the form, Phi and golden table
+whole-form run prints only the rows, so it builds no documents.  It walks
+the cross sets as masks (`_all_phi`) and builds each row once, with its
+sorted `phi` list, from the fields of one of three sources: for a
+complex-type form `complex_type_verdict` and for a compact form
+`compact_verdict`, theorems that need no context, and for every other form
+`verdict_fields`, which decides the chain condition bound first and stops
+at its first failed target.  Both `concavity_verdict` and
+`verdict_fields` take the context that `get_context` builds once per run.
+The JSON report is written row by row from one template (`emit`).  Once
+the form, Phi and golden table
 (checked by `golden.load_golden`) are valid, the only data error is a
 `ConjugationError` (exit 2); any other exception, from the engine or the
 golden comparison, is a bug (exit 3).
@@ -36,8 +41,9 @@ import sys
 from itertools import combinations
 
 from . import golden as goldenmod
-from .crflag import (complex_type_verdict, concavity_verdict, get_context,
-                     levi_label, verdict_fields)
+from .crflag import (compact_verdict, complex_type_verdict,
+                     concavity_verdict, get_context, levi_label,
+                     verdict_fields)
 # catalog is not called here, but perfbench/tracing.py wraps cli.catalog by
 # name, so it stays a module attribute
 from .realform import ConjugationError, catalog, find_form  # noqa: F401
@@ -52,14 +58,31 @@ MAX_WHOLE_FORM_RANK = 16
 
 
 def _all_phi(rank: int):
+    """Every cross set of a rank-`rank` form as a mask, bit j - 1 for the
+    simple index j: by size, and within a size in the order in which
+    `combinations` lists the sorted indices, since it lists the bits of
+    the same positions in the same order."""
+    bits = [1 << j for j in range(rank)]
     for k in range(rank + 1):
-        for c in combinations(range(1, rank + 1), k):
-            yield frozenset(c)
+        yield from map(sum, combinations(bits, k))
 
 
-def _parse_phi(text: str, rank: int) -> frozenset:
+@functools.cache
+def _byte_indices(offset: int) -> list:
+    """Per byte value b, the list of simple indices offset + i + 1 for the
+    set bits i of b, ascending.  Built by doubling: the lists of the bytes
+    below 2^i, then the same lists with offset + i + 1 appended, which is
+    the largest index of each, for i = 0..7."""
+    table = [[]]
+    for j in range(offset + 1, offset + 9):
+        table += [t + [j] for t in table]
+    return table
+
+
+def _parse_phi(text: str, rank: int) -> tuple:
+    """The sorted simple indices of a --phi list."""
     if not text.strip():
-        return frozenset()
+        return ()
     out = set()
     for tok in text.split(","):
         try:
@@ -68,31 +91,42 @@ def _parse_phi(text: str, rank: int) -> frozenset:
             raise ValueError(f"error: phi index {tok!r} is not an integer")
         if not 1 <= j <= rank:
             raise ValueError(f"error: phi index {j} outside 1..{rank}")
+        if j in out:
+            raise ValueError(f"error: phi index {j} given twice")
         out.add(j)
-    return frozenset(out)
+    return tuple(sorted(out))
 
 
 def _phi_str(phi) -> str:
     return "+".join(str(j) for j in sorted(phi)) if phi else "-"
 
 
-def _run_rows(diag, phis, args) -> tuple[list[dict], list[dict]]:
-    """(verdict documents, report rows) for `phis`.  A complex-type whole
-    form reads its rows from `complex_type_verdict` and builds no context;
-    every other run builds the form's context once and hands it to
-    `concavity_verdict` (a --phi run, one document per cross set) or to
-    `verdict_fields` (a whole-form run, no documents)."""
-    if args.phi is None and diag.doubled:
-        fields = [complex_type_verdict(diag, p, args.check) for p in phis]
+def _whole_form_rows(diag, args) -> list[dict]:
+    """The report rows of every cross set of `diag`, in `_all_phi` order.
+    Each row is built once, from the fields (finite_type, levi, mot, span,
+    verdict) of its cross set mask: a compact form's, the same for every
+    cross set, from `compact_verdict` and a complex-type form's from
+    `complex_type_verdict`, with no context; every other form builds its
+    context once and reads `verdict_fields`.  The row's `phi` list is read
+    from byte tables, two lookups for a rank <= 16 mask; it serves the
+    report and the golden predicates."""
+    name, check = diag.name, args.check
+    masks = _all_phi(diag.rank)
+    if diag.label == "compact":
+        fields = compact_verdict(check)
+        results = ((m, fields) for m in masks)
+    elif diag.doubled:
+        results = ((m, complex_type_verdict(diag, m, check)) for m in masks)
     else:
-        ctx = get_context(diag.name, args.gauge_seed, args.max_rank)
-        if args.phi is not None:
-            docs = [concavity_verdict(ctx, tuple(sorted(p)), args.check)
-                    for p in phis]
-            return docs, _report_rows(docs)
-        fields = [verdict_fields(ctx, p, args.check) for p in phis]
-    return [], [dict(f, form=diag.name, phi=sorted(p), expected=None,
-                     match=None) for p, f in zip(phis, fields)]
+        ctx = get_context(name, args.gauge_seed, args.max_rank)
+        results = ((m, verdict_fields(ctx, m, check)) for m in masks)
+    # a rank <= 8 mask has no high byte, so it reads no high table
+    low = _byte_indices(0)
+    high = _byte_indices(8) if diag.rank > 8 else ([],)
+    return [{"form": name, "phi": low[m & 255] + high[m >> 8],
+             "finite_type": ft, "levi": levi, "mot": mot, "span": span,
+             "verdict": verdict, "expected": None, "match": None}
+            for m, (ft, levi, mot, span, verdict) in results]
 
 
 def _report_rows(docs) -> list[dict]:
@@ -105,13 +139,38 @@ def _report_rows(docs) -> list[dict]:
             for d in docs]
 
 
+# A report row in JSON with its keys sorted, as json.dumps(row,
+# sort_keys=True, separators=(",", ":")) writes it
+_ROW_TEMPLATE = ('{"expected":%s,"finite_type":%s,"form":%s,"levi":%s,'
+                 '"match":%s,"mot":%s,"phi":[%s],"span":%s,"verdict":%s}')
+_JSON_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+class _JSONStrings(dict):
+    """JSON encodings of strings, each encoded on its first lookup."""
+
+    def __missing__(self, text: str) -> str:
+        self[text] = encoded = json.dumps(text)
+        return encoded
+
+
 def emit(rows: list[dict], fmt: str, details=None) -> bytes:
+    """The report in `fmt`.  JSON is the bytes of json.dumps({"rows": rows}
+    and "details" when given, sort_keys=True, separators=(",", ":")) and a
+    newline, with each row written from `_ROW_TEMPLATE`: its booleans and
+    nulls from `_JSON_LITERALS`, its `phi` integers by str, and each
+    distinct form name and levi label encoded once per call."""
     if fmt == "json":
-        doc = {"rows": rows}
-        if details:
-            doc["details"] = details
-        return (json.dumps(doc, sort_keys=True, separators=(",", ":"))
-                + "\n").encode()
+        lit, enc = _JSON_LITERALS, _JSONStrings()
+        body = ",".join([_ROW_TEMPLATE % (
+            lit[r["expected"]], lit[r["finite_type"]], enc[r["form"]],
+            enc[r["levi"]], lit[r["match"]], lit[r["mot"]],
+            ",".join(map(str, r["phi"])), lit[r["span"]], lit[r["verdict"]])
+            for r in rows])
+        head = ('{"details":%s,' % json.dumps(details, sort_keys=True,
+                                              separators=(",", ":"))
+                if details else "{")
+        return f'{head}"rows":[{body}]}}\n'.encode()
     if fmt == "csv":
         import csv
         import io
@@ -215,16 +274,14 @@ def main(argv=None) -> int:
 
     if args.phi is not None:
         try:
-            phis = [_parse_phi(args.phi, diag.rank)]
+            phi = _parse_phi(args.phi, diag.rank)
         except ValueError as e:
             print(e, file=sys.stderr)
             return 2
-    else:
-        if diag.rank > MAX_WHOLE_FORM_RANK:
-            print(f"error: {diag.name} has 2^{diag.rank} cross sets; give "
-                  f"--phi", file=sys.stderr)
-            return 2
-        phis = list(_all_phi(diag.rank))
+    elif diag.rank > MAX_WHOLE_FORM_RANK:
+        print(f"error: {diag.name} has 2^{diag.rank} cross sets; give "
+              f"--phi", file=sys.stderr)
+        return 2
 
     gold = None
     if not args.no_golden:
@@ -245,7 +302,12 @@ def main(argv=None) -> int:
     # form, phi and golden row are valid by now, so the one data error left
     # is a catalog entry failing its conjugation checks; the rest are bugs
     try:
-        docs, rows = _run_rows(diag, phis, args)
+        if args.phi is not None:
+            ctx = get_context(diag.name, args.gauge_seed, args.max_rank)
+            docs = [concavity_verdict(ctx, phi, args.check)]
+            rows = _report_rows(docs)
+        else:
+            docs, rows = None, _whole_form_rows(diag, args)
         diff = None if gold is None else goldenmod.compare_golden(rows, gold)
     except ConjugationError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -259,8 +321,7 @@ def main(argv=None) -> int:
     exit_code = 0 if diff is None or all(
         f["pass"] for f in diff["forms"].values()) else 1
 
-    details = docs if args.phi is not None else None
-    sys.stdout.buffer.write(emit(rows, args.format, details))
+    sys.stdout.buffer.write(emit(rows, args.format, docs))
     return exit_code
 
 

@@ -11,30 +11,32 @@ holds by theorem with no closure when Q u c(Q) is every root (see
 coefficient bound excludes (see `Chains.bound`, tested first).  Finite
 type needs no closure: by the theorem on closed root sets that contain
 every positive root it is read from simple-root supports (see
-`finite_type`).  A theorem gives the rows of a complex-type form with no
-context or closure at all (see `complex_type_verdict`).  Every root sum
-comes from the root system's `sum_row` and `sum_pairs` tables.  A Levi
-form is read from the root involution: its Gaussian-integer entries come
-from the pair lists, the conjugation and the Chevalley constants, and one
-pass over them (`LeviPattern`) checks the invariants of `classify_levi`
-and keeps the positions and signs from which the class and category
-follow, with no Killing value, no dense matrix and no elimination.
+`finite_type`).  Theorems give the rows of a complex-type form and of a
+compact form with no context or closure at all (see `complex_type_verdict`
+and `compact_verdict`).  Every root sum comes from the root system's
+`sum_row` and `sum_pairs` tables.  A Levi form is read from the root
+involution: its Gaussian-integer entries come from the pair lists, the
+conjugation and the Chevalley constants, and one pass over them
+(`LeviPattern`) checks the invariants of `classify_levi` and keeps the
+positions and signs from which the class and category follow, with no
+Killing value, no dense matrix and no elimination.
 
 Every root set of a cross set is an integer mask, bit a standing for the
 root with index a: Q, Qn and conj(Q), the kernel set, the chain moves and
-every table set.  The data that no cross set changes are tables of the
-`FormContext`, built with it in one pass: per simple index, the negative
-roots whose support holds it, their conjugates and the positive roots
-whose support holds it; the roots a with a + c(a) a root, grouped by that
-sum; the positive real roots; the complex positive pairs; and the roots
-grouped by the value of each coordinate.  The per-cross-set phases
+every table set, and so is the cross set itself, bit j - 1 for the simple
+index j (`phi_mask`).  The data that no cross set changes are tables of
+the `FormContext`, built with it in one pass: per simple index, the
+negative roots whose support holds it, their conjugates and the positive
+roots whose support holds it; the roots a with a + c(a) a root, grouped by
+that sum; the positive real roots; the complex positive pairs; and the
+roots grouped by the value of each coordinate.  The per-cross-set phases
 (`parabolic`, `finite_type`, `k_phi`, the Levi side, the complex zero
-pairs and the chain moves and bounds) are OR, AND and AND-NOT of masks
-and bit counts, with no loop over the roots; the tests keep the per-root
-loops as differential oracles.  The document path and the tests read the
-roots of a mask through `indices`, in ascending order.  The closure alone
-keeps Python sets: `root_closure` turns its start and moves into a list
-and a set once per call.
+pairs and the chain moves and bounds) are OR, AND and AND-NOT of masks and
+bit counts, with no loop over the roots; the tests keep the per-root loops
+as differential oracles.  The document path and the tests read the roots
+of a mask through `indices`, in ascending order.  The closure alone keeps
+Python sets: `root_closure` turns its start and moves into a list and a
+set once per call.
 
 Two tables fill lazily.  The Levi pattern of a real root t (`LeviPattern`)
 is the entry pattern of its Levi form over every root, built and checked
@@ -48,12 +50,13 @@ memoised per (root, class), for the roots that a row prints.
 
 Two paths share these pieces, and both take a context, a cross set and a
 check mode, `(ctx, phi, check)`; `get_context` is the one entry point that
-looks a form up by name.  `concavity_verdict` returns the full verdict
-document of one cross set as a plain dict, with witness chains,
-certificates, the kernel set and the span dimensions.  `verdict_fields`
-computes only the report fields of a row: it stops the chain condition at
-the first failed target and keeps only the span verdict, with the same
-checks on the way.
+looks a form up by name.  `concavity_verdict` takes phi as simple indices
+and returns the full verdict document of one cross set as a plain dict,
+with witness chains, certificates, the kernel set and the span
+dimensions.  `verdict_fields` takes phi as a mask and computes only the
+report fields of a row, as a tuple: it stops the chain condition at the
+first failed target and keeps only the span verdict, with the same checks
+on the way.
 """
 
 from __future__ import annotations
@@ -109,8 +112,6 @@ class FormContext:
     phase is a few mask operations over them instead of a loop over the
     roots.  Every root set is a mask, bit a for the root with index a.
     Simple indices j are 0-based here.
-    - simple: the 1-based simple indices, the range of a cross set (a
-      frozenset).
     - every_root: every root.
     - neg[j]: the negative roots whose support holds j; conj_neg[j]: their
       conjugates; pos[j]: the positive roots whose support holds j.
@@ -143,7 +144,6 @@ class FormContext:
         self.gauge_seed = gauge_seed
         cidx, n, masks = self.conj.c_index, len(rs.roots), rs.support_masks
         half = n // 2  # negatives come first
-        self.simple = frozenset(range(1, rs.rank + 1))
         self.every_root = (1 << n) - 1
         bits = [1 << j for j in range(rs.rank)]
         self.neg = tuple(_mask(a for a in range(half) if masks[a] & bit)
@@ -194,29 +194,44 @@ def get_context(name: str, gauge_seed: int | None = None,
 # ---------------------------------------------------------------------------
 
 
+def phi_mask(phi) -> int:
+    """The mask of a cross set given as 1-based simple indices: bit j - 1
+    for the simple index j."""
+    return _mask(j - 1 for j in phi)
+
+
+def phi_indices(phi: int) -> list[int]:
+    """The 1-based simple indices of the cross set mask `phi`, ascending."""
+    return [a + 1 for a in indices(phi)]
+
+
 class ParabolicData(namedtuple("ParabolicData", "phi Q Qn Qbar")):
-    """The root sets of a cross set phi (a frozenset of 1-based simple
-    indices) as masks, bit a for the root with index a: Q, Qn and
+    """The root sets of a cross set phi (a mask, bit j - 1 for the simple
+    index j) as masks, bit a for the root with index a: Q, Qn and
     Qbar = conj(Q).  An immutable value, equal and hashed by its fields."""
     __slots__ = ()
 
 
-def parabolic(ctx: FormContext, phi) -> ParabolicData:
+def parabolic(ctx: FormContext, phi: int) -> ParabolicData:
     """Q holds every positive root and the negative roots whose support
-    misses phi; Qn is the positive roots whose support meets phi.  From
-    the tables: Q is every root but the union of neg[j] over j in phi, Qn
-    the union of pos[j], and conj(Q) every root but the union of
-    conj_neg[j], because c is a bijection of the roots, so it carries the
-    complement of a union of sets to the complement of the union of their
-    images."""
-    phi = frozenset(phi)
-    if not phi <= ctx.simple:
-        raise ValueError(f"phi {sorted(phi)} outside the simple basis")
+    misses phi; Qn is the positive roots whose support meets phi, a mask
+    with bit j - 1 for the simple index j.  From the tables: Q is every
+    root but the union of neg[j] over the set bits j of phi, Qn the union
+    of pos[j], and conj(Q) every root but the union of conj_neg[j],
+    because c is a bijection of the roots, so it carries the complement of
+    a union of sets to the complement of the union of their images."""
+    if phi < 0 or phi >> ctx.rs.rank:
+        raise ValueError(f"cross set mask {phi:#b} outside the simple basis "
+                         f"of rank {ctx.rs.rank}")
     negs = pos = conj_negs = 0
-    for j in phi:
-        negs |= ctx.neg[j - 1]
-        pos |= ctx.pos[j - 1]
-        conj_negs |= ctx.conj_neg[j - 1]
+    j, rest = 0, phi
+    while rest:
+        if rest & 1:
+            negs |= ctx.neg[j]
+            pos |= ctx.pos[j]
+            conj_negs |= ctx.conj_neg[j]
+        j += 1
+        rest >>= 1
     every = ctx.every_root
     return ParabolicData(phi, every & ~negs, pos, every & ~conj_negs)
 
@@ -506,12 +521,21 @@ def finite_type(ctx: FormContext, pd: ParabolicData) -> bool:
     return all(both & neg for neg in ctx.neg)
 
 
-def complex_type_verdict(diag: SatakeDiagram, phi, check: str = "all") -> dict:
-    """Report fields of the cross set `phi` of a complex-type form, from phi
-    alone: with s the copy swap j <-> j + l (l the rank of a copy) and ft =
-    [phi n s(phi) empty] (Phi_1 n Phi_2 empty), `concavity_verdict` finds
-    finite type, mot (under --check mot|all, else False), span (under
-    --check span|all, else False) and verdict all ft, and `levi` empty.
+_MOT_CHECKS = ("mot", "all")
+_SPAN_CHECKS = ("span", "all")
+
+
+def complex_type_verdict(diag: SatakeDiagram, phi: int,
+                         check: str = "all") -> tuple:
+    """Report fields (finite_type, levi, mot, span, verdict), as
+    `verdict_fields` orders them, of the cross set mask `phi` of a
+    complex-type form, from phi alone: with s the copy swap j <-> j + l (l
+    the rank of a copy) and ft = [phi n s(phi) empty] (Phi_1 n Phi_2
+    empty), `concavity_verdict` finds finite type, mot (under --check
+    mot|all, else False), span (under --check span|all, else False) and
+    verdict all ft, and `levi` empty.  On the mask, bit j - 1 + l of phi
+    lands on bit j - 1 of phi >> l, and a rank-2l mask has no bit past
+    2l - 1, so ft is not (phi & (phi >> l)).
 
     Proof.  No root of R + R meets both copies, and with no black node and
     the arrows j <-> j + l, c = s swaps them.  Q = R+ u {-b : supp(b) n phi
@@ -545,10 +569,34 @@ def complex_type_verdict(diag: SatakeDiagram, phi, check: str = "all") -> dict:
       s(j) is in phi n s(phi) too, neither target is in C, which holds the
       chain closure.  So the verdict, ft and (span or mot), is ft.
     No step reads a sign; the tests keep `concavity_verdict` as the oracle."""
-    ft = not any(j + diag.rank // 2 in phi for j in phi)
-    return {"finite_type": ft, "levi": "", "verdict": ft,
-            "mot": ft and check in ("mot", "all"),
-            "span": ft and check in ("span", "all")}
+    ft = not (phi & (phi >> diag.rank // 2))
+    return (ft, "", ft and check in _MOT_CHECKS, ft and check in _SPAN_CHECKS,
+            ft)
+
+
+def compact_verdict(check: str = "all") -> tuple:
+    """Report fields (finite_type, levi, mot, span, verdict), as
+    `verdict_fields` orders them, of every cross set of a compact form:
+    finite type, `levi` empty, mot = [check is mot or all], span = [check
+    is span or all] and verdict true, under any gauge.
+
+    Proof.  Every node of a compact form is black, so its conjugation is c
+    = w_0 o tau with tau the opposition involution, w_0(alpha_j) =
+    -alpha_tau(j), and c(alpha_j) = -alpha_j: c(a) = -a on every root.
+    - No root is real (c(a) = a would give a = 0), so there is no real
+      characteristic root, no Levi class and `levi` is empty; and k_phi
+      reads no Levi form, as a + c(a) = 0 is no root.
+    - No positive root b has c(b) > b, as c(b) = -b is negative, so there
+      is no complex zero pair either: the chain condition has no target
+      (`_mot_targets`) and mot holds whenever it is checked.
+    - Q holds R+ and c(Q) holds c(R+) = R-, so Q u c(Q) is every root:
+      finite type holds (`finite_type`), and the span holds by the theorem
+      of `t_module_span`, with no closure, whenever it is checked.
+    So the sufficiency check cannot fire, and the verdict, ft and (mot
+    under --check mot, else span), is true.  No step reads a sign, so the
+    gauge changes nothing; the tests keep `verdict_fields` on a built
+    context as the oracle."""
+    return (True, "", check in _MOT_CHECKS, check in _SPAN_CHECKS, True)
 
 
 def root_closure(ctx: FormContext, start: int,
@@ -829,10 +877,10 @@ def _levi_classes(ctx: FormContext, pd: ParabolicData) -> list:
             for g in characteristic_real_roots(ctx, pd)]
 
 
-def _check_sufficiency(ctx: FormContext, phi, check: str, mot: bool,
+def _check_sufficiency(ctx: FormContext, phi: int, check: str, mot: bool,
                        span: bool):
     if check == "all" and mot and not span:
-        raise SufficiencyViolation(f"{ctx.diag.name} phi={sorted(set(phi))}"
+        raise SufficiencyViolation(f"{ctx.diag.name} phi={phi_indices(phi)}"
                                    f": chain condition held but span failed")
 
 
@@ -855,10 +903,11 @@ def _row_label(ctx: FormContext, g: int, cls: DefinitenessClass) -> str:
     return text
 
 
-def verdict_fields(ctx: FormContext, phi, check: str = "all") -> dict:
-    """The report fields (finite_type, levi, mot, span, verdict) of the
-    cross set `phi` of the real form of `ctx`, equal to those `cli` reads
-    from `concavity_verdict`'s document, with no document, witness chain,
+def verdict_fields(ctx: FormContext, phi: int, check: str = "all") -> tuple:
+    """The report fields (finite_type, levi, mot, span, verdict), in this
+    order, of the cross set mask `phi` (bit j - 1 for the simple index j)
+    of the real form of `ctx`, equal to those `cli` reads from
+    `concavity_verdict`'s document, with no document, witness chain,
     certificate, k_phi list or span_dims built.
 
     Every check of `concavity_verdict` stays: `k_phi` runs, so the
@@ -875,35 +924,35 @@ def verdict_fields(ctx: FormContext, phi, check: str = "all") -> dict:
     kphi = k_phi(ctx, pd)
     levi = _levi_classes(ctx, pd)
     chains = Chains(ctx, pd, kphi)
-    mot = check in ("mot", "all")
+    mot = check in _MOT_CHECKS
     if mot:
         for choices in _mot_targets(ctx, pd, levi):
             if not any(chains.reached(ctx.negi(r)) for r in choices):
                 mot = False
                 break
-    span = check in ("span", "all") and t_module_span(chains)[0]
+    span = check in _SPAN_CHECKS and t_module_span(chains)[0]
     _check_sufficiency(ctx, phi, check, mot, span)
-    return {"finite_type": ft,
-            "levi": ";".join([_row_label(ctx, g, cls) for g, cls, _ in levi]),
-            "mot": mot, "span": span,
-            "verdict": ft and (mot if check == "mot" else span)}
+    return (ft, ";".join([_row_label(ctx, g, cls) for g, cls, _ in levi]),
+            mot, span, ft and (mot if check == "mot" else span))
 
 
 def concavity_verdict(ctx: FormContext, phi, check: str = "all") -> dict:
-    """The full verdict document of the cross set `phi` of the real form of
-    `ctx`: the form's name and the context's gauge seed, phi sorted, each
-    real characteristic root as a {"root", "class", "category"} dict, the
-    kernel set, the chain condition with a witness chain or certificate
-    per target, and the span with its dimensions."""
+    """The full verdict document of the cross set `phi`, given as 1-based
+    simple indices, of the real form of `ctx`: the form's name and the
+    context's gauge seed, phi sorted, each real characteristic root as a
+    {"root", "class", "category"} dict, the kernel set, the chain
+    condition with a witness chain or certificate per target, and the span
+    with its dimensions."""
     rs = ctx.rs
-    pd = parabolic(ctx, phi)
+    mask = phi_mask(phi)
+    pd = parabolic(ctx, mask)
     ft = finite_type(ctx, pd)
     kphi = k_phi(ctx, pd)
     levi = _levi_classes(ctx, pd)
     chains = Chains(ctx, pd, kphi)
 
     mot_details = []
-    mot = check in ("mot", "all")
+    mot = check in _MOT_CHECKS
     if mot:
         for choices in _mot_targets(ctx, pd, levi):
             res = [hlc_reachability(chains, r) for r in choices]
@@ -921,9 +970,9 @@ def concavity_verdict(ctx: FormContext, phi, check: str = "all") -> dict:
             if not any(r["reached"] for r in res):
                 mot = False
 
-    span, dims = (t_module_span(chains) if check in ("span", "all")
+    span, dims = (t_module_span(chains) if check in _SPAN_CHECKS
                   else (False, []))
-    _check_sufficiency(ctx, phi, check, mot, span)
+    _check_sufficiency(ctx, mask, check, mot, span)
 
     return {
         "form": ctx.diag.name,

@@ -15,26 +15,28 @@ import json
 from .realform import SatakeDiagram
 
 
-def _eval_predicate(doc: dict, params: dict, phi: frozenset) -> bool:
+def _eval_predicate(doc: dict, params: dict, phi) -> bool:
+    """The predicate `doc` on the cross set `phi`, any iterable of its
+    simple indices, such as a report row's sorted `phi` list."""
     kind = doc["kind"]
     if kind == "always":
         return True
     if kind == "never":
         return False
     if kind == "su_ends":
-        return not (phi & {params["p"], params["q"]})
+        return {params["p"], params["q"]}.isdisjoint(phi)
     if kind == "cii_a":
         p, l = params["p"], params["p"] + params["q"]
         first = set(range(1, 2 * p - 1, 2)) | set(range(2 * p + 1, l + 1))
         second = set(range(1, 2 * p + 1, 2))
-        return phi <= first or phi <= second
+        return first.issuperset(phi) or second.issuperset(phi)
     if kind == "so_star_ends":
         l = params["l"]
-        return not (phi & {l - 1, l})
+        return {l - 1, l}.isdisjoint(phi)
     if kind == "eiii":
-        return phi <= {3, 4, 5}
+        return {3, 4, 5}.issuperset(phi)
     if kind == "fii":
-        return phi <= {1, 2}
+        return {1, 2}.issuperset(phi)
     raise ValueError(f"unknown predicate kind {kind!r}")
 
 
@@ -117,7 +119,7 @@ def load_golden(path: str) -> dict:
             raise ValueError(f"{path} has two rows for form {form!r}")
         for pred in row["predicates"]:
             try:
-                _eval_predicate(pred, row["params"], frozenset())
+                _eval_predicate(pred, row["params"], ())
             except (KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"{path}: predicate {pred} of form "
                                  f"{form!r} fails on params "
@@ -130,8 +132,7 @@ def expected_values(row_doc: dict, diag: SatakeDiagram, phis) -> list[list[bool]
     """Per reading, the expected verdict for each phi."""
     out = []
     for pred in row_doc["predicates"]:
-        out.append([_eval_predicate(pred, diag.params, frozenset(p))
-                    for p in phis])
+        out.append([_eval_predicate(pred, diag.params, p) for p in phis])
     return out
 
 
@@ -155,7 +156,7 @@ def compare_golden(rows: list[dict], golden: dict) -> dict:
         parity_total += len(parity)
         readings = []
         for pred in doc["predicates"]:
-            vals = [_eval_predicate(pred, doc["params"], frozenset(r["phi"]))
+            vals = [_eval_predicate(pred, doc["params"], r["phi"])
                     for r in parity]
             readings.append(vals)
         best = None

@@ -205,6 +205,18 @@ def catalog(max_rank: int) -> tuple[SatakeDiagram, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _catalog_index(max_rank: int) -> tuple[dict, dict]:
+    """The entries of catalog(max_rank) by name and by label, each a list in
+    catalog order, built once per max_rank, as the catalog is."""
+    by_name: dict[str, list] = {}
+    by_label: dict[str, list] = {}
+    for e in catalog(max_rank):
+        by_name.setdefault(e.name, []).append(e)
+        by_label.setdefault(e.label, []).append(e)
+    return by_name, by_label
+
+
 def find_form(name: str, max_rank: int = 8, *, p: int | None = None,
               q: int | None = None, l: int | None = None) -> SatakeDiagram:
     """The one entry of catalog(max_rank) that `name` and the parameters
@@ -214,10 +226,10 @@ def find_form(name: str, max_rank: int = 8, *, p: int | None = None,
     (AIIIa, DIIIa, compact, ...), keeping the ones whose `params` agree with
     every given p, q and l.  If none is left and l is given, l names the
     rank instead, for forms without an l parameter.  Raises KeyError when no
-    entry is left and ValueError when several are."""
-    entries = catalog(max_rank)
-    named = ([e for e in entries if e.name == name]
-             or [e for e in entries if e.label == name])
+    entry is left and ValueError when several are.  The name and the label
+    are each one lookup in `_catalog_index`."""
+    by_name, by_label = _catalog_index(max_rank)
+    named = by_name.get(name) or by_label.get(name, ())
     want = {k: v for k, v in (("p", p), ("q", q), ("l", l)) if v is not None}
 
     def fits(e, keys):

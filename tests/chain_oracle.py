@@ -55,7 +55,8 @@ def root_closure_by_moves(ctx: FormContext, start, moves):
 
 def parabolic(ctx: FormContext, phi) -> ParabolicData:
     """`crflag.parabolic` with the sign read from the coefficient sum and
-    the support as a set of simple indices."""
+    the support as a set of simple indices; phi is given as simple
+    indices."""
     phi = frozenset(phi)
     Q, Qn = set(), set()
     for ia, r in enumerate(ctx.rs.roots):
@@ -66,8 +67,8 @@ def parabolic(ctx: FormContext, phi) -> ParabolicData:
                 Qn.add(ia)
         elif not meets:
             Q.add(ia)
-    return ParabolicData(phi, mask_of(Q), mask_of(Qn),
-                         mask_of(ctx.c(ia) for ia in Q))
+    return ParabolicData(sum(1 << (j - 1) for j in phi), mask_of(Q),
+                         mask_of(Qn), mask_of(ctx.c(ia) for ia in Q))
 
 
 def q_form(ctx: FormContext, pd: ParabolicData, target: int):
@@ -225,16 +226,16 @@ def hlc_reachability(ctx: FormContext, pd: ParabolicData, kphi: int,
 
 
 def parabolic_by_masks(ctx: FormContext, phi) -> ParabolicData:
-    """`crflag.parabolic` testing each root's support mask against phi."""
-    phi = frozenset(phi)
-    pm = sum(1 << (j - 1) for j in phi)
+    """`crflag.parabolic` testing each root's support mask against phi,
+    given as simple indices."""
+    pm = sum(1 << (j - 1) for j in frozenset(phi))
     masks = ctx.rs.support_masks
     half = len(masks) // 2
     pos = range(half, len(masks))
     neg_q = [ia for ia in range(half) if not masks[ia] & pm]
     Qn = [ia for ia in pos if masks[ia] & pm]
     Q = neg_q + list(pos)
-    return ParabolicData(phi, mask_of(Q), mask_of(Qn),
+    return ParabolicData(pm, mask_of(Q), mask_of(Qn),
                          mask_of(ctx.c(ia) for ia in Q))
 
 

@@ -16,7 +16,7 @@ from minorbit.chevalley import build_chevalley
 from minorbit.cli import default_golden_path
 from minorbit.crflag import (characteristic_real_roots, classify_levi,
                              concavity_verdict, get_context, indices, k_phi,
-                             levi_matrix, parabolic)
+                             levi_matrix, parabolic, phi_mask)
 from minorbit.exactla import DefinitenessClass, hermitian_classify
 from minorbit.golden import compare_golden, load_golden
 from minorbit.realform import catalog
@@ -75,7 +75,7 @@ def test_criterion_1_classification_parity():
 def test_criterion_2_exact_micro_facts():
     # (a) FII: one positive real characteristic root, Levi rank 1
     ctx = get_context("FII")
-    pd = parabolic(ctx, {3})
+    pd = parabolic(ctx, phi_mask({3}))
     chars = characteristic_real_roots(ctx, pd)
     assert [ctx.rs.roots[g] for g in chars] == [(1, 2, 3, 2)]
     _, m = dense.levi_matrix(ctx, pd, chars[0])
@@ -85,7 +85,7 @@ def test_criterion_2_exact_micro_facts():
     # (b) EIII: the unique semidefinite characteristic root and its unique
     # diagonal contributor
     ctx = get_context("EIII")
-    pd = parabolic(ctx, {3})
+    pd = parabolic(ctx, phi_mask({3}))
     semidef = []
     for g in characteristic_real_roots(ctx, pd):
         if classify_levi(*levi_matrix(ctx, pd, g))[0].is_semidefinite():
@@ -111,11 +111,11 @@ def test_criterion_2_exact_micro_facts():
     def levi_class(pd, g):
         return classify_levi(*levi_matrix(ctx, pd, idx(ctx.rs, g)))[0]
 
-    pd = parabolic(ctx, {3, 5})
+    pd = parabolic(ctx, phi_mask({3, 5}))
     assert levi_class(pd, gamma(1)) is D.ZERO
     c2 = levi_class(pd, gamma(2))
     assert c2.is_semidefinite() and c2 is not D.ZERO
-    pd = parabolic(ctx, {1, 5})
+    pd = parabolic(ctx, phi_mask({1, 5}))
     c1 = levi_class(pd, gamma(1))
     assert c1.is_semidefinite() and c1 is not D.ZERO
     assert levi_class(pd, gamma(2)) is D.INDEFINITE
@@ -125,7 +125,7 @@ def test_criterion_2_exact_micro_facts():
     for name, p, q, phi in [("su(2,4)", 2, 4, {1, 3}),
                             ("su(2,5)", 2, 5, {1, 4})]:
         ctx = get_context(name, max_rank=6)
-        pd = parabolic(ctx, phi)
+        pd = parabolic(ctx, phi_mask(phi))
         n = p + q
         j_a = max([j for j in phi if j < p], default=0)
         j_b1 = min([j for j in phi if j > q], default=n)
@@ -144,7 +144,7 @@ def test_criterion_2_exact_micro_facts():
     # (e) FII kernel set: the complement of {-alpha_4} in Q
     ctx = get_context("FII")
     for phi in ({3}, {1, 3}, {2, 3}, {1, 2, 3}):
-        pd = parabolic(ctx, phi)
+        pd = parabolic(ctx, phi_mask(phi))
         kp = k_phi(ctx, pd)
         assert indices(pd.Q & ~kp) == [idx(ctx.rs, (0, 0, 0, -1))]
     print("ACCEPTANCE 2 exact micro-facts: PASS (a-e)")
@@ -274,7 +274,7 @@ def test_criterion_6_exact_vs_numeric():
     for name, rk in INSTANCES:
         ctx = get_context(name)
         for phi in _all_phi(rk):
-            pd = parabolic(ctx, phi)
+            pd = parabolic(ctx, phi_mask(phi))
             for g in characteristic_real_roots(ctx, pd):
                 _, m = dense.levi_matrix(ctx, pd, g)
                 if m:

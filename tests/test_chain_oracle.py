@@ -13,7 +13,8 @@ import pytest
 import chain_oracle as oracle
 from levi_oracle import densify, killing_scale
 from minorbit import crflag
-from minorbit.crflag import get_context, indices, k_phi, parabolic
+from minorbit.crflag import (get_context, indices, k_phi, parabolic,
+                             phi_indices, phi_mask)
 from minorbit.realform import catalog
 from test_acceptance import INSTANCES
 
@@ -49,7 +50,7 @@ def _assert_chains_match(chains, kphi, searches, kinds):
     for g, minus in searches:
         got = _search(chains, g, minus)
         want = oracle.hlc_reachability(ctx, pd, kphi, g, minus)
-        assert got == want, (ctx.diag.name, sorted(pd.phi), g, minus)
+        assert got == want, (ctx.diag.name, phi_indices(pd.phi), g, minus)
         kinds.add(got["certificate"]["kind"] if not got["reached"]
                   else "reached")
 
@@ -60,7 +61,7 @@ def test_chain_search_matches_per_target_oracle(name, rank, seed):
     ctx = get_context(name, seed)
     for k in range(rank + 1):
         for phi in itertools.combinations(range(1, rank + 1), k):
-            pd = parabolic(ctx, phi)
+            pd = parabolic(ctx, phi_mask(phi))
             ft = crflag.finite_type(ctx, pd)
             assert ft == oracle.finite_type(ctx, pd)
             assert ft == oracle.finite_type_rows(ctx, pd)
@@ -90,7 +91,7 @@ def test_parabolic_and_closure_match_oracles_on_rank6_catalog():
         ctx = get_context(entry.name, max_rank=6)
         for k in range(entry.rank + 1):
             for phi in itertools.combinations(range(1, entry.rank + 1), k):
-                pd = parabolic(ctx, phi)
+                pd = parabolic(ctx, phi_mask(phi))
                 assert pd == oracle.parabolic(ctx, phi), (entry.name, phi)
                 kphi = k_phi(ctx, pd)
                 q = indices(pd.Q)
@@ -112,7 +113,7 @@ def test_finite_type_matches_closure_on_rank6_catalog():
         ctx = get_context(entry.name, max_rank=6)
         for k in range(entry.rank + 1):
             for phi in itertools.combinations(range(1, entry.rank + 1), k):
-                pd = parabolic(ctx, phi)
+                pd = parabolic(ctx, phi_mask(phi))
                 got = crflag.finite_type(ctx, pd)
                 assert got == oracle.finite_type_rows(ctx, pd), \
                     (entry.name, phi)
@@ -135,7 +136,7 @@ def test_verdict_runs_one_root_closure(monkeypatch, check):
         ctx = get_context(name)
         for k in range(rank + 1):
             for phi in itertools.combinations(range(1, rank + 1), k):
-                pd = parabolic(ctx, phi)
+                pd = parabolic(ctx, phi_mask(phi))
                 before = len(starts)
                 crflag.finite_type(ctx, pd)
                 assert len(starts) == before
@@ -177,7 +178,7 @@ def _random_draws(ctx, name, rank, count=24):
     draws = []
     for _ in range(count):
         phi = rng.sample(range(1, rank + 1), rng.randint(1, rank))
-        pd = parabolic(ctx, phi)
+        pd = parabolic(ctx, phi_mask(phi))
         q = indices(pd.Q)
         kphi = oracle.mask_of(rng.sample(q, rng.randint(0, len(q) // 2)))
         draws.append((pd, kphi, _searches(ctx, pd)))

@@ -8,7 +8,8 @@ from minorbit import crflag
 from minorbit.crflag import (Chains, characteristic_real_roots,
                              classify_levi, concavity_verdict, finite_type,
                              get_context, hlc_reachability, indices, k_phi,
-                             levi_matrix, parabolic, q_form, t_module_span)
+                             levi_matrix, parabolic, phi_mask, q_form,
+                             t_module_span)
 from minorbit.exactla import DefinitenessClass, hermitian_classify, is_hermitian
 from minorbit.rootsys import neg
 
@@ -24,14 +25,14 @@ def roots_of(ctx, idxs):
 
 def test_parabolic_empty_phi():
     ctx = get_context("sl(3,R)")
-    pd = parabolic(ctx, set())
+    pd = parabolic(ctx, phi_mask(set()))
     assert len(indices(pd.Q)) == len(ctx.rs.roots)
     assert not pd.Qn
 
 
 def test_parabolic_a2():
     ctx = get_context("sl(3,R)")
-    pd = parabolic(ctx, {1})
+    pd = parabolic(ctx, phi_mask({1}))
     got = roots_of(ctx, indices(pd.Q))
     want = sorted([[1, 0], [0, 1], [1, 1], [0, -1]])
     assert got == want
@@ -39,20 +40,20 @@ def test_parabolic_a2():
 
 def test_parabolic_f4_contains_gamma():
     ctx = get_context("FII")
-    pd = parabolic(ctx, {3})
+    pd = parabolic(ctx, phi_mask({3}))
     assert idx(ctx.rs, (1, 2, 3, 2)) in indices(pd.Qn)
 
 
 def test_parabolic_invalid_phi():
     ctx = get_context("sl(3,R)")
     with pytest.raises(ValueError):
-        parabolic(ctx, {5})
+        parabolic(ctx, phi_mask({5}))
 
 
 def test_parabolicity_closure_and_ideal():
     ctx = get_context("su(2,3)")
     for phi in [{1}, {2}, {1, 3}]:
-        pd = parabolic(ctx, phi)
+        pd = parabolic(ctx, phi_mask(phi))
         Q, Qn = set(indices(pd.Q)), set(indices(pd.Qn))
         for a in Q:
             for b in Q:
@@ -64,7 +65,7 @@ def test_parabolicity_closure_and_ideal():
                 if s is not None:
                     assert s in Qn
         # monotonicity of Q under growing phi
-        pd2 = parabolic(ctx, set(phi) | {4})
+        pd2 = parabolic(ctx, phi_mask(set(phi) | {4}))
         assert set(indices(pd2.Q)) <= Q
 
 
@@ -73,13 +74,13 @@ def test_parabolicity_closure_and_ideal():
 
 def test_characteristic_roots_compact_none():
     ctx = get_context("compact-A2")
-    pd = parabolic(ctx, {1})
+    pd = parabolic(ctx, phi_mask({1}))
     assert characteristic_real_roots(ctx, pd) == []
 
 
 def test_fii_characteristic_and_levi():
     ctx = get_context("FII")
-    pd = parabolic(ctx, {3})
+    pd = parabolic(ctx, phi_mask({3}))
     chars = characteristic_real_roots(ctx, pd)
     assert roots_of(ctx, chars) == [[1, 2, 3, 2]]
     index, m = dense.levi_matrix(ctx, pd, chars[0])
@@ -97,7 +98,7 @@ def test_fii_characteristic_and_levi():
 
 def test_eiii_characteristic_and_levi():
     ctx = get_context("EIII")
-    pd = parabolic(ctx, {3})
+    pd = parabolic(ctx, phi_mask({3}))
     chars = characteristic_real_roots(ctx, pd)
     semidef = []
     for g in chars:
@@ -124,7 +125,7 @@ def test_ciia_levi_classes():
         return tuple(v)
 
     # j_a = 3 gives the threshold index 2: below zero, at it semidefinite
-    pd = parabolic(ctx, {3, 5})
+    pd = parabolic(ctx, phi_mask({3, 5}))
     cls = {}
     for g in characteristic_real_roots(ctx, pd):
         cls[ctx.rs.roots[g]] = classify_levi(*levi_matrix(ctx, pd, g))[0]
@@ -132,7 +133,7 @@ def test_ciia_levi_classes():
     c2 = cls[gamma(2)]
     assert c2.is_semidefinite() and c2 is not D.ZERO
     # j_a = 1: the second root is beyond the threshold, hence indefinite
-    pd = parabolic(ctx, {1, 5})
+    pd = parabolic(ctx, phi_mask({1, 5}))
     cls = {}
     for g in characteristic_real_roots(ctx, pd):
         cls[ctx.rs.roots[g]] = classify_levi(*levi_matrix(ctx, pd, g))[0]
@@ -143,7 +144,7 @@ def test_ciia_levi_classes():
 
 def test_ciia_sp12_zero_case():
     ctx = get_context("sp(1,2)")
-    pd = parabolic(ctx, {2})
+    pd = parabolic(ctx, phi_mask({2}))
     for g in characteristic_real_roots(ctx, pd):
         assert classify_levi(*levi_matrix(ctx, pd, g))[0] in (
             D.ZERO, D.INDEFINITE, D.POSITIVE_SEMIDEFINITE_NONZERO,
@@ -152,14 +153,14 @@ def test_ciia_sp12_zero_case():
 
 def test_levi_matrix_preconditions():
     ctx = get_context("FII")
-    pd = parabolic(ctx, {3})
+    pd = parabolic(ctx, phi_mask({3}))
     complex_root = next(i for i, r in enumerate(ctx.rs.roots)
                         if ctx.c(i) not in (i, ctx.negi(i)))
     with pytest.raises(ValueError):
         levi_matrix(ctx, pd, complex_root)
     # a real root outside Qn is not characteristic
     ctx2 = get_context("su(2,3)")
-    pd2 = parabolic(ctx2, {1})
+    pd2 = parabolic(ctx2, phi_mask({1}))
     gamma2 = idx(ctx2.rs, (0, 1, 1, 0))
     assert ctx2.c(gamma2) == gamma2 and gamma2 not in indices(pd2.Qn)
     with pytest.raises(ValueError):
@@ -170,7 +171,7 @@ def test_mirrored_convention_same_classes():
     for form, phi in [("FII", {3}), ("EIII", {3}), ("su(2,3)", {2}),
                       ("sp(1,2)", {1}), ("so*(8)", {1})]:
         ctx = get_context(form)
-        pd = parabolic(ctx, phi)
+        pd = parabolic(ctx, phi_mask(phi))
         side = pd.Q & ~pd.Qbar  # the mirrored convention's index
         for g in characteristic_real_roots(ctx, pd):
             _, m1 = dense.levi_matrix(ctx, pd, g)
@@ -189,7 +190,7 @@ def test_mirrored_convention_same_classes():
 def test_k_phi_fii_complement():
     ctx = get_context("FII")
     for phi in [{3}, {1, 3}, {2, 3}, {1, 2, 3}]:
-        pd = parabolic(ctx, phi)
+        pd = parabolic(ctx, phi_mask(phi))
         kp = k_phi(ctx, pd)
         excluded = indices(pd.Q & ~kp)
         assert roots_of(ctx, excluded) == [[0, 0, 0, -1]]
@@ -197,14 +198,14 @@ def test_k_phi_fii_complement():
 
 def test_k_phi_vacuous_when_no_semidefinite():
     ctx = get_context("sl(3,R)")
-    pd = parabolic(ctx, {1})
+    pd = parabolic(ctx, phi_mask({1}))
     # split form: every a + conj(a) = 2a is not a root, so K = Q
     assert k_phi(ctx, pd) == pd.Q
 
 
 def test_eiii_simple_roots_in_kernel_closure():
     ctx = get_context("EIII")
-    pd = parabolic(ctx, {3})
+    pd = parabolic(ctx, phi_mask({3}))
     kp = indices(k_phi(ctx, pd))
     kk = set(kp) | {ctx.c(a) for a in kp}
     for j in range(6):
@@ -217,7 +218,7 @@ def test_k_phi_isotropy_invariant():
     for form, phi in [("FII", {3}), ("EIII", {3}), ("su(2,4)", {1, 3}),
                       ("sp(2,3)", {3, 5})]:
         ctx = get_context(form, max_rank=6)
-        pd = parabolic(ctx, phi)
+        pd = parabolic(ctx, phi_mask(phi))
         kp = k_phi(ctx, pd)
         for g in characteristic_real_roots(ctx, pd):
             index, m = dense.q_form(ctx, pd, ctx.negi(g))
@@ -236,10 +237,10 @@ def test_k_phi_isotropy_invariant():
 
 def test_finite_type_cases():
     ctx = get_context("su(2,3)")
-    assert finite_type(ctx, parabolic(ctx, set()))
-    assert finite_type(ctx, parabolic(ctx, {1}))
-    assert not finite_type(ctx, parabolic(ctx, {1, 4}))
-    assert not finite_type(ctx, parabolic(ctx, {2, 3}))
+    assert finite_type(ctx, parabolic(ctx, phi_mask(set())))
+    assert finite_type(ctx, parabolic(ctx, phi_mask({1})))
+    assert not finite_type(ctx, parabolic(ctx, phi_mask({1, 4})))
+    assert not finite_type(ctx, parabolic(ctx, phi_mask({2, 3})))
 
 
 # -- chain reachability -----------------------------------------------------------
@@ -247,7 +248,7 @@ def test_finite_type_cases():
 
 def test_fii_chain_fails_with_certificate():
     ctx = get_context("FII")
-    pd = parabolic(ctx, {3})
+    pd = parabolic(ctx, phi_mask({3}))
     kp = k_phi(ctx, pd)
     g = characteristic_real_roots(ctx, pd)[0]
     res = hlc_reachability(Chains(ctx, pd, kp), g)
@@ -265,7 +266,7 @@ def test_fii_chain_fails_with_certificate():
 
 def test_eiii_chain_succeeds_with_witness():
     ctx = get_context("EIII")
-    pd = parabolic(ctx, {3})
+    pd = parabolic(ctx, phi_mask({3}))
     kp = k_phi(ctx, pd)
     semidef = []
     for g in characteristic_real_roots(ctx, pd):
@@ -289,7 +290,7 @@ def test_ciia_small_threshold_reaches_all_characteristics():
     # sp(2,3) with the threshold index below p: the kernel chains cover the
     # negative of every characteristic root, complex ones included
     ctx = get_context("sp(2,3)", max_rank=6)
-    pd = parabolic(ctx, {1, 5})
+    pd = parabolic(ctx, phi_mask({1, 5}))
     kp = k_phi(ctx, pd)
     Qn = indices(pd.Qn)
     chars = sorted(set(Qn) & {ctx.c(a) for a in Qn})
@@ -319,14 +320,14 @@ def test_get_context_key_includes_max_rank():
 def test_span_compact_always_full():
     ctx = get_context("compact-G2")
     for phi in [set(), {1}, {2}, {1, 2}]:
-        pd = parabolic(ctx, phi)
+        pd = parabolic(ctx, phi_mask(phi))
         ok, dims = t_module_span(Chains(ctx, pd, k_phi(ctx, pd)))
         assert ok and dims[-1] == ctx.sc.dim
 
 
 def test_span_fii_phi3_fails():
     ctx = get_context("FII")
-    pd = parabolic(ctx, {3})
+    pd = parabolic(ctx, phi_mask({3}))
     ok, dims = t_module_span(Chains(ctx, pd, k_phi(ctx, pd)))
     assert not ok
     assert dims[-1] < ctx.sc.dim
@@ -334,7 +335,7 @@ def test_span_fii_phi3_fails():
 
 def test_span_su23_phi1_succeeds():
     ctx = get_context("su(2,3)")
-    pd = parabolic(ctx, {1})
+    pd = parabolic(ctx, phi_mask({1}))
     ok, _ = t_module_span(Chains(ctx, pd, k_phi(ctx, pd)))
     assert ok
 
@@ -360,7 +361,7 @@ def test_span_matches_dense_reference():
     for form, phi in [("su(1,2)", {1}), ("sp(1,2)", {2}), ("su*(4)", {2}),
                       ("sl(2,C)", {1, 2}), ("sl(2,C)", {1})]:
         ctx = get_context(form)
-        pd = parabolic(ctx, phi)
+        pd = parabolic(ctx, phi_mask(phi))
         kp = k_phi(ctx, pd)
         ok, dims = t_module_span(Chains(ctx, pd, kp))
         sc, conj, rk = ctx.sc, ctx.conj, ctx.rs.rank
@@ -458,7 +459,7 @@ def test_global_normalization_flip():
     # leaves every decision-relevant predicate unchanged
     for form, phi in [("FII", {3}), ("su(2,3)", {2}), ("sp(2,3)", {1, 5})]:
         ctx = get_context(form, max_rank=6)
-        pd = parabolic(ctx, phi)
+        pd = parabolic(ctx, phi_mask(phi))
         for g in characteristic_real_roots(ctx, pd):
             _, m = dense.levi_matrix(ctx, pd, g)
             flipped = [[-x for x in row] for row in m]

@@ -22,7 +22,7 @@ from levi_oracle import classify_by_counts
 from minorbit import cli, crflag
 from minorbit.crflag import (Chains, LeviPattern, _entries, _mot_targets,
                              characteristic_real_roots, get_context, indices,
-                             parabolic)
+                             parabolic, phi_mask)
 from minorbit.realform import catalog
 from test_chain_oracle import RANDOM_FORMS, _random_draws
 
@@ -46,7 +46,7 @@ def _moves_by_map(ctx, kphi):
 def test_tables_match_per_root_loops(entry, seed):
     ctx = get_context(entry.name, seed, max_rank=5)
     for phi in _cross_sets(entry.rank):
-        pd = parabolic(ctx, phi)
+        pd = parabolic(ctx, phi_mask(phi))
         assert pd == oracle.parabolic_by_masks(ctx, phi), phi
         assert crflag.finite_type(ctx, pd) == \
             oracle.finite_type_by_masks(ctx, pd), phi
@@ -98,7 +98,7 @@ def test_k_phi_classifies_the_targets_of_the_root_loop(monkeypatch):
     for e in NONCOMPACT:
         ctx = get_context(e.name, max_rank=5)
         for phi in _cross_sets(e.rank):
-            pd = parabolic(ctx, phi)
+            pd = parabolic(ctx, phi_mask(phi))
             runs = []
             for k_phi in (crflag.k_phi, oracle.k_phi_by_roots):
                 targets.clear()
@@ -119,7 +119,7 @@ def test_k_phi_classifies_the_targets_of_the_root_loop(monkeypatch):
 def test_chain_moves_are_kernel_and_its_conjugate(entry, seed):
     ctx = get_context(entry.name, seed, max_rank=5)
     for phi in _cross_sets(entry.rank):
-        pd = parabolic(ctx, phi)
+        pd = parabolic(ctx, phi_mask(phi))
         kphi = crflag.k_phi(ctx, pd)
         assert indices(Chains(ctx, pd, kphi).moves) == \
             _moves_by_map(ctx, kphi), phi
@@ -253,7 +253,7 @@ def test_phi_categories_match_classify_levi_of_entries(entry, capsysbinary):
                          "--no-golden", "--max-rank", "5"]) == 0
         doc = json.loads(capsysbinary.readouterr().out)
         gammas = doc["details"][0]["gammas"]
-        pd = parabolic(ctx, phi)
+        pd = parabolic(ctx, phi_mask(phi))
         side = pd.Qbar & ~pd.Q
         want = []
         for g in characteristic_real_roots(ctx, pd):

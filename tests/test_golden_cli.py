@@ -109,6 +109,19 @@ def test_cli_non_integer_phi_index(capsys):
             f"error: phi index {tok} is not an integer\n"
 
 
+def test_cli_repeated_phi_index(monkeypatch, capsys):
+    """A --phi list that names an index twice is ambiguous input: exit 2
+    before any row is computed, where it used to run as if the index were
+    named once."""
+    from minorbit import cli
+    _forbid_engine(monkeypatch)
+    for phi, j in (("1,1", 1), ("2,1,4,2", 2), ("3,1,3", 3)):
+        assert cli.main(["--form", "su(2,3)", "--phi", phi]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == f"error: phi index {j} given twice\n"
+
+
 def test_cli_internal_error_exit_code(monkeypatch, capsys):
     from minorbit import cli, crflag
     from minorbit.realform import ConjugationError
@@ -161,7 +174,7 @@ def test_cli_levi_invariant_failure_is_internal_error(monkeypatch, capsys):
     from minorbit.realform import find_form
     ctx = crflag.FormContext(find_form("sp(1,2)"))
     monkeypatch.setitem(crflag._CTX_CACHE, ("sp(1,2)", None, 8), ctx)
-    pd = crflag.parabolic(ctx, (1, 2, 3))
+    pd = crflag.parabolic(ctx, crflag.phi_mask((1, 2, 3)))
     assert pd.Qbar & ~pd.Q  # a nonempty Levi side, so the patterns are read
     target = ctx.negi(crflag.characteristic_real_roots(ctx, pd)[0])
     monkeypatch.setitem(ctx.sc.ntable, ctx.rs.sum_pairs[target][0], 0)
@@ -183,7 +196,7 @@ def test_cli_single_phi_of_e8(capsys):
 
 def _forbid_rows(monkeypatch):
     """Make building a form context or computing any row fail, the
-    formula's rows of a complex-type form included."""
+    theorem rows of complex-type and compact forms included."""
     from minorbit import cli
 
     def fail(*args, **kwargs):
@@ -191,6 +204,7 @@ def _forbid_rows(monkeypatch):
 
     _forbid_engine(monkeypatch)
     monkeypatch.setattr(cli, "complex_type_verdict", fail)
+    monkeypatch.setattr(cli, "compact_verdict", fail)
 
 
 def test_cli_whole_form_rank_cap(monkeypatch, capsys):

@@ -14,7 +14,7 @@ from levi_oracle import densify, killing_scale
 from minorbit import crflag
 from minorbit.crflag import (characteristic_real_roots, classify_levi,
                              concavity_verdict, get_context, indices,
-                             parabolic)
+                             parabolic, phi_mask)
 from minorbit.exactla import DefinitenessClass, hermitian_classify
 # every instance row ungauged and under gauge seed 1, and every cross set
 # of sl(7,R), so(2,11) and EI
@@ -32,7 +32,7 @@ def _q_form_targets(name, phi, seed, monkeypatch):
     targets = []
     real_levi_class = crflag.levi_class
     ctx = get_context(name, seed)
-    pd = parabolic(ctx, phi)
+    pd = parabolic(ctx, phi_mask(phi))
 
     def recording_levi_class(ctx, target, side):
         if side == pd.Q:
@@ -65,7 +65,7 @@ def test_levi_forms_match_dense_oracle(name, rank, seed, monkeypatch):
     ctx = get_context(name, seed)
     for k in range(rank + 1):
         for phi in itertools.combinations(range(1, rank + 1), k):
-            pd = parabolic(ctx, phi)
+            pd = parabolic(ctx, phi_mask(phi))
             side = pd.Q & ~pd.Qbar  # the mirrored convention's index
             for g in characteristic_real_roots(ctx, pd):
                 _assert_form_matches(ctx, crflag.levi_matrix(ctx, pd, g),

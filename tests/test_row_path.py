@@ -16,7 +16,8 @@ import pytest
 import chain_oracle as oracle
 from minorbit import cli, crflag
 from minorbit.cli import _report_rows
-from minorbit.crflag import Chains, _mot_targets, get_context, k_phi, parabolic
+from minorbit.crflag import (Chains, _mot_targets, get_context, k_phi,
+                             parabolic, phi_indices, phi_mask)
 from minorbit.realform import catalog
 from test_chain_oracle import RANDOM_FORMS, _random_draws
 from test_swap_reuse import _classify, enumerate_form
@@ -61,7 +62,8 @@ def test_sufficiency_violation_still_fires_on_whole_forms(monkeypatch):
     # FII phi={1} satisfies the chain condition, so a failed span is a bug
     monkeypatch.setattr(crflag, "t_module_span", lambda chains: (False, []))
     with pytest.raises(crflag.SufficiencyViolation):
-        crflag.verdict_fields(get_context("FII"), (1,), check="all")
+        crflag.verdict_fields(get_context("FII"), phi_mask((1,)),
+                              check="all")
     assert cli.main(["--form", "FII", "--no-golden"]) == 3
 
 
@@ -114,10 +116,10 @@ def test_whole_form_row_builds_at_most_one_closure(monkeypatch, check):
         for k in range(e.rank + 1):
             for phi in itertools.combinations(range(1, e.rank + 1), k):
                 before = len(made)
-                crflag.verdict_fields(ctx, phi, check=check)
+                crflag.verdict_fields(ctx, phi_mask(phi), check=check)
                 built = len(made) - before
                 assert built <= 1, (e.name, phi)
-                pd = parabolic(ctx, phi)
+                pd = parabolic(ctx, phi_mask(phi))
                 kphi = k_phi(ctx, pd)
                 levi = crflag._levi_classes(ctx, pd)
                 bounds = Chains(ctx, pd, kphi).bounds
@@ -159,7 +161,7 @@ def test_every_chain_target_is_bound_excluded_or_reached(seed):
         ctx = get_context(e.name, seed, max_rank=6)
         for k in range(e.rank + 1):
             for phi in itertools.combinations(range(1, e.rank + 1), k):
-                pd = parabolic(ctx, phi)
+                pd = parabolic(ctx, phi_mask(phi))
                 levi = crflag._levi_classes(ctx, pd)
                 chains = Chains(ctx, pd, k_phi(ctx, pd))
                 for choices in _mot_targets(ctx, pd, levi):
@@ -180,9 +182,9 @@ def _assert_span_theorem_row(chains, made):
     ctx, pd = chains.ctx, chains.pd
     before = len(made)
     got = crflag.t_module_span(chains)
-    assert len(made) == before, (ctx.diag.name, sorted(pd.phi))
+    assert len(made) == before, (ctx.diag.name, phi_indices(pd.phi))
     assert got == (True, [ctx.rs.rank + len(ctx.rs.roots)]), \
-        (ctx.diag.name, sorted(pd.phi))
+        (ctx.diag.name, phi_indices(pd.phi))
     assert got == oracle.t_module_span(ctx, pd, k_phi(ctx, pd))
 
 
@@ -205,7 +207,7 @@ def test_span_support_rule_matches_the_closure(monkeypatch, seed):
         ctx = get_context(e.name, seed)
         for k in range(e.rank + 1):
             for phi in itertools.combinations(range(1, e.rank + 1), k):
-                pd = parabolic(ctx, phi)
+                pd = parabolic(ctx, phi_mask(phi))
                 kphi = k_phi(ctx, pd)
                 chains = Chains(ctx, pd, kphi)
                 if e.label == "compact" or not phi:

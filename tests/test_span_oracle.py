@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 from minorbit.crflag import (Chains, get_context, k_phi, parabolic,
-                             t_module_span)
+                             phi_mask, t_module_span)
 from span_oracle import exact_span
 from test_acceptance import INSTANCES
 
@@ -24,7 +24,7 @@ def test_closure_span_matches_exact_engine(name, rank, seed):
     ctx = get_context(name, seed)
     for k in range(rank + 1):
         for phi in itertools.combinations(range(1, rank + 1), k):
-            pd = parabolic(ctx, phi)
+            pd = parabolic(ctx, phi_mask(phi))
             kp = k_phi(ctx, pd)
             assert t_module_span(Chains(ctx, pd, kp)) == \
                 exact_span(ctx, pd, kp), (name, seed, phi)

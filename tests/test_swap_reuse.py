@@ -36,7 +36,7 @@ def enumerate_form(name: str, phis=None, gauge_seed=None, check="all",
     `concavity_verdict`: the oracle of the whole-form rows."""
     diag = find_form(name, max_rank)
     if phis is None:
-        phis = list(cli._all_phi(diag.rank))
+        phis = [crflag.phi_indices(m) for m in cli._all_phi(diag.rank)]
     ctx = crflag.get_context(diag.name, gauge_seed, max_rank)
     return [crflag.concavity_verdict(ctx, tuple(sorted(p)), check)
             for p in phis]
