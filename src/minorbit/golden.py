@@ -136,49 +136,34 @@ def expected_values(row_doc: dict, diag: SatakeDiagram, phis) -> list[list[bool]
     return out
 
 
-def compare_golden(rows: list[dict], golden: dict) -> dict:
-    """Diff a report against golden predicates.
-
-    rows: report rows (dicts with form, phi, finite_type, verdict).
-    Returns {"mismatches": [...], "parity_rows": n, "forms": {...}} where a
-    form passes when one reading agrees on all its parity rows."""
-    by_form: dict[str, list[dict]] = {}
+def compare_golden(rows: list[dict], golden_row: dict) -> dict:
+    """Diff the report rows of one form (dicts with form, phi, finite_type,
+    verdict) against that form's golden row.  Rows that are not parity rows
+    get expected = match = None.  The readings are evaluated in order up to
+    the first that matches the verdict of every parity row, which is
+    selected; the parity rows get expected and match from it, or from
+    reading 0 when none matches.  Returns {"pass", "reading", "parity_rows",
+    "mismatches"}, with "reading" the selected index or None."""
+    params, parity = golden_row["params"], []
     for r in rows:
-        by_form.setdefault(r["form"], []).append(r)
+        if r["finite_type"] and r["phi"]:
+            parity.append(r)
+        else:
+            r["expected"] = r["match"] = None
+    verdicts = [r["verdict"] for r in parity]
+    reading = None
+    for k, pred in enumerate(golden_row["predicates"]):
+        values = [_eval_predicate(pred, params, r["phi"]) for r in parity]
+        if k == 0:
+            shown = values
+        if values == verdicts:
+            reading, shown = k, values
+            break
     mismatches = []
-    summary = {}
-    parity_total = 0
-    for form, frows in sorted(by_form.items()):
-        if form not in golden:
-            raise KeyError(f"golden table does not cover form {form!r}")
-        doc = golden[form]
-        parity = [r for r in frows if r["finite_type"] and r["phi"]]
-        parity_total += len(parity)
-        readings = []
-        for pred in doc["predicates"]:
-            vals = [_eval_predicate(pred, doc["params"], r["phi"])
-                    for r in parity]
-            readings.append(vals)
-        best = None
-        for k, vals in enumerate(readings):
-            if all(v == r["verdict"] for v, r in zip(vals, parity)):
-                best = k
-                break
-        display = best if best is not None else 0
-        parity_ids = {id(r) for r in parity}
-        for v, r in zip(readings[display], parity):
-            r["expected"] = v
-            r["match"] = (v == r["verdict"])
-            if not r["match"]:
-                mismatches.append({"form": form, "phi": r["phi"],
-                                   "verdict": r["verdict"], "expected": v})
-        for r in frows:
-            if id(r) not in parity_ids:
-                r["expected"] = None
-                r["match"] = None
-        summary[form] = {"pass": best is not None,
-                         "reading": best,
-                         "ambiguous": doc["ambiguous"],
-                         "parity_rows": len(parity)}
-    return {"mismatches": mismatches, "parity_rows": parity_total,
-            "forms": summary}
+    for v, r in zip(shown, parity):
+        r["expected"], r["match"] = v, v == r["verdict"]
+        if not r["match"]:
+            mismatches.append({"form": r["form"], "phi": r["phi"],
+                               "verdict": r["verdict"], "expected": v})
+    return {"pass": reading is not None, "reading": reading,
+            "parity_rows": len(parity), "mismatches": mismatches}

@@ -246,13 +246,41 @@ def test_cli_uncovered_form_fails_before_rows(monkeypatch, capsys):
 
 
 def test_cli_mismatch_exit_code(tmp_path):
+    """With no reading matching, `classify` exits 1 and shows reading 0 on
+    the parity rows: its value as `expected` and `match` false exactly
+    where it disagrees with the verdict.  The empty cross set and the rows
+    not of finite type get null `expected` and `match`, in JSON and CSV."""
+    import csv
+    import io
     gold = load_golden(default_golden_path())
     doc = {"version": 1, "rows": [dict(gold["FII"])]}
-    doc["rows"][0]["predicates"] = [{"kind": "always"}]
+    # FII's verdicts are neither of these readings: phi = {1} holds
+    # (`eiii` is false there) and phi = {3} fails (`always` is true there)
+    doc["rows"][0]["predicates"] = [{"kind": "eiii"}, {"kind": "always"}]
     p = tmp_path / "g.json"
     p.write_text(json.dumps(doc))
     r = run_cli(["--form", "FII", "--golden", str(p)])
     assert r.returncode == 1
+    rows = json.loads(r.stdout)["rows"]
+    c = run_cli(["--form", "FII", "--golden", str(p), "--format", "csv"])
+    assert c.returncode == 1
+    table = list(csv.DictReader(io.StringIO(c.stdout.decode())))
+    assert len(table) == len(rows) == 16
+    lit = {None: "", True: "true", False: "false"}
+    matches = set()
+    for row, line in zip(rows, table):
+        if row["finite_type"] and row["phi"]:
+            expected = set(row["phi"]) <= {3, 4, 5}
+            assert row["expected"] is expected, row
+            assert row["match"] is (expected == row["verdict"]), row
+            matches.add(row["match"])
+        else:
+            assert row["expected"] is None and row["match"] is None, row
+        assert (line["expected"], line["match"]) == (
+            lit[row["expected"]], lit[row["match"]])
+    assert matches == {True, False}
+    assert rows[0]["phi"] == [] and rows[0]["finite_type"]
+    assert any(not row["finite_type"] for row in rows)
 
 
 def test_cli_reads_packaged_golden_once(tmp_path, monkeypatch, capsys):
@@ -442,14 +470,44 @@ def test_compare_golden_api():
         {"form": "FII", "phi": [], "finite_type": True, "verdict": True},
         {"form": "FII", "phi": [4], "finite_type": False, "verdict": False},
     ]
-    diff = compare_golden(rows, gold)
-    assert not diff["mismatches"]
-    assert diff["forms"]["FII"]["pass"]
-    assert diff["parity_rows"] == 2
+    diff = compare_golden(rows, gold["FII"])
+    assert diff == {"pass": True, "reading": 0, "parity_rows": 2,
+                    "mismatches": []}
+    assert rows[0]["expected"] is False and rows[0]["match"] is True
+    assert rows[1]["expected"] is True and rows[1]["match"] is True
     assert rows[2]["match"] is None and rows[3]["match"] is None
-    with pytest.raises(KeyError):
-        compare_golden([{"form": "zz", "phi": [], "finite_type": True,
-                         "verdict": True}], gold)
+
+
+def test_compare_golden_stops_at_first_matching_reading(monkeypatch,
+                                                        capsys):
+    """The readings are evaluated in order up to the first that matches
+    every parity row: so(2,5) (BI) matches its reading 0 and evaluates
+    no other; so*(6) (DIIIb) matches its reading 1 only and evaluates
+    both.  A later reading with an unknown kind is never evaluated."""
+    from minorbit import cli, golden
+    gold = cli._packaged_golden()
+    calls = []
+    evaluate = golden._eval_predicate
+
+    def counting(doc, params, phi):
+        calls.append(doc["kind"])
+        return evaluate(doc, params, phi)
+
+    monkeypatch.setattr(golden, "_eval_predicate", counting)
+    for name, reading in (("so(2,5)", 0), ("so*(6)", 1)):
+        assert cli.main(["--form", name, "--no-golden"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        calls.clear()
+        diff = compare_golden(rows, gold[name])
+        assert diff["pass"] and diff["reading"] == reading, name
+        assert diff["parity_rows"] > 0
+        kinds = [p["kind"] for p in gold[name]["predicates"]]
+        assert len(kinds) == 2, name
+        assert calls == [k for k in kinds[:reading + 1]
+                         for _ in range(diff["parity_rows"])], name
+        row = dict(gold[name], predicates=gold[name]["predicates"][
+            :reading + 1] + [{"kind": "no-such-kind"}])
+        assert compare_golden(rows, row)["reading"] == reading, name
 
 
 def test_golden_table_covers_catalog():
@@ -509,9 +567,9 @@ def test_cli_passes_golden_on_every_rank6_form(capsys):
     for e in catalog(6):
         assert cli.main(["--form", e.name]) == 0, e.name
         rows = json.loads(capsys.readouterr().out)["rows"]
-        summary = compare_golden(rows, gold)["forms"]
-        assert summary.keys() == {e.name} and summary[e.name]["pass"]
-        readings[e.name] = summary[e.name]["reading"]
+        diff = compare_golden(rows, gold[e.name])
+        assert diff["pass"] and not diff["mismatches"], e.name
+        readings[e.name] = diff["reading"]
     assert readings == {e.name: int(e.label.startswith("DIII"))
                         for e in catalog(6)}
     diii = {"so*(6)": "so_star_ends", "so*(8)": "always",
@@ -536,8 +594,8 @@ def test_cli_pins_rank_7_and_8_ambiguous_readings(capsys):
     for e in forms:
         assert cli.main(["--form", e.name]) == 0, e.name
         rows = json.loads(capsys.readouterr().out)["rows"]
-        summary = compare_golden(rows, gold)["forms"][e.name]
-        assert summary["pass"], e.name
+        summary = compare_golden(rows, gold[e.name])
+        assert summary["pass"] and not summary["mismatches"], e.name
         readings[e.name] = summary["reading"]
         parity[e.name] = summary["parity_rows"]
     assert readings == {e.name: int(e.label.startswith("DIII"))

@@ -96,7 +96,8 @@ def _forbid_engine(monkeypatch):
 def test_reused_rows_equal_direct_rows(monkeypatch, entry, seed):
     """The formula's rows, as `classify` prints them, equal the engine's."""
     rows = _report_rows(enumerate_form(entry.name, gauge_seed=seed))
-    assert compare_golden(rows, cli._packaged_golden())["mismatches"] == []
+    assert compare_golden(
+        rows, cli._packaged_golden()[entry.name])["mismatches"] == []
     argv = ["--form", entry.name, "--check", "all"]
     if seed is not None:
         argv += ["--gauge-seed", str(seed)]
@@ -152,5 +153,5 @@ def test_single_phi_is_computed_directly(calls):
     assert rc == 0 and calls == [(3,)]
     direct = enumerate_form("sl(3,C)", phis=[{3}])
     rows = _report_rows(direct)
-    compare_golden(rows, cli._packaged_golden())
+    compare_golden(rows, cli._packaged_golden()["sl(3,C)"])
     assert emit(rows, "json", direct) == stdout

@@ -13,7 +13,9 @@ reading that matches every parity row, or null when none does), and the
 SHA-256 of stdout.  The document goes to stdout as sorted JSON; the CPU
 time spent on each kind of form (real, complex-type, compact) goes to
 stderr, as it varies from run to run.  Run it in two checkouts and compare
-the documents byte for byte.  Standard library only.
+the documents byte for byte.  `digest()` returns the document, for
+`tests/test_catalog_digest.py`, which compares it with the committed
+`catalog_digest.json`.  Standard library only.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ def run(argv: list[str]) -> tuple[int, bytes, dict | None]:
     saved = sys.stdout, sys.stderr, cli.goldenmod.compare_golden
     diffs = []
 
-    def compare(rows, gold):
-        diffs.append(saved[2](rows, gold))
+    def compare(rows, golden_row):
+        diffs.append(saved[2](rows, golden_row))
         return diffs[-1]
 
     sys.stdout, sys.stderr = wrapper, io.StringIO()
@@ -63,27 +65,34 @@ def run(argv: list[str]) -> tuple[int, bytes, dict | None]:
     return rc, out.getvalue(), diffs[-1] if diffs else None
 
 
-def main() -> int:
-    forms, cpu = {}, {"real": 0.0, "complex-type": 0.0, "compact": 0.0}
+def digest(cpu: dict | None = None) -> dict:
+    """The digest document; when `cpu` is given, the CPU time of each form
+    is added to its kind's entry."""
+    forms = {}
     for entry in catalog(MAX_RANK):
         t0 = time.process_time()
         rc, stdout, diff = run(["--form", entry.name, "--check", "all"])
-        cpu[kind(entry)] += time.process_time() - t0
+        if cpu is not None:
+            cpu[kind(entry)] += time.process_time() - t0
         rows = json.loads(stdout)["rows"] if stdout else []
-        summary = diff["forms"].get(entry.name) if diff else None
         forms[entry.name] = {
             "exit": rc,
             "rows": len(rows),
-            "parity_rows": summary["parity_rows"] if summary else None,
+            "parity_rows": diff["parity_rows"] if diff else None,
             "true_verdicts": sum(r["verdict"] for r in rows),
-            "reading": summary["reading"] if summary else None,
+            "reading": diff["reading"] if diff else None,
             "sha256": hashlib.sha256(stdout).hexdigest(),
         }
-    doc = {"max_rank": MAX_RANK, "forms": forms,
-           "totals": {"forms": len(forms),
-                      "rows": sum(f["rows"] for f in forms.values()),
-                      "true_verdicts": sum(f["true_verdicts"]
-                                           for f in forms.values())}}
+    return {"max_rank": MAX_RANK, "forms": forms,
+            "totals": {"forms": len(forms),
+                       "rows": sum(f["rows"] for f in forms.values()),
+                       "true_verdicts": sum(f["true_verdicts"]
+                                            for f in forms.values())}}
+
+
+def main() -> int:
+    cpu = {"real": 0.0, "complex-type": 0.0, "compact": 0.0}
+    doc = digest(cpu)
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
     for k, s in cpu.items():
         print(f"{k}: {s:.2f} s CPU", file=sys.stderr)
