@@ -22,5 +22,5 @@ def _load_tool():
 def test_catalog_digest_matches_committed_file():
     with open(os.path.join(ROOT, "catalog_digest.json")) as fh:
         committed = fh.read()
-    doc = _load_tool().digest()
+    doc, _ = _load_tool().digest()
     assert json.dumps(doc, sort_keys=True, indent=1) + "\n" == committed

@@ -13,9 +13,9 @@ reading that matches every parity row, or null when none does), and the
 SHA-256 of stdout.  The document goes to stdout as sorted JSON; the CPU
 time spent on each kind of form (real, complex-type, compact) goes to
 stderr, as it varies from run to run.  Run it in two checkouts and compare
-the documents byte for byte.  `digest()` returns the document, for
-`tests/test_catalog_digest.py`, which compares it with the committed
-`catalog_digest.json`.  Standard library only.
+the documents byte for byte.  `digest()` returns the document and the CPU
+times; `tests/test_catalog_digest.py` compares the document with the
+committed `catalog_digest.json`.  Standard library only.
 """
 
 from __future__ import annotations
@@ -65,15 +65,14 @@ def run(argv: list[str]) -> tuple[int, bytes, dict | None]:
     return rc, out.getvalue(), diffs[-1] if diffs else None
 
 
-def digest(cpu: dict | None = None) -> dict:
-    """The digest document; when `cpu` is given, the CPU time of each form
-    is added to its kind's entry."""
+def digest() -> tuple[dict, dict]:
+    """The digest document, and the CPU seconds spent on each kind of form."""
     forms = {}
+    cpu = {"real": 0.0, "complex-type": 0.0, "compact": 0.0}
     for entry in catalog(MAX_RANK):
         t0 = time.process_time()
         rc, stdout, diff = run(["--form", entry.name, "--check", "all"])
-        if cpu is not None:
-            cpu[kind(entry)] += time.process_time() - t0
+        cpu[kind(entry)] += time.process_time() - t0
         rows = json.loads(stdout)["rows"] if stdout else []
         forms[entry.name] = {
             "exit": rc,
@@ -83,16 +82,16 @@ def digest(cpu: dict | None = None) -> dict:
             "reading": diff["reading"] if diff else None,
             "sha256": hashlib.sha256(stdout).hexdigest(),
         }
-    return {"max_rank": MAX_RANK, "forms": forms,
-            "totals": {"forms": len(forms),
-                       "rows": sum(f["rows"] for f in forms.values()),
-                       "true_verdicts": sum(f["true_verdicts"]
-                                            for f in forms.values())}}
+    doc = {"max_rank": MAX_RANK, "forms": forms,
+           "totals": {"forms": len(forms),
+                      "rows": sum(f["rows"] for f in forms.values()),
+                      "true_verdicts": sum(f["true_verdicts"]
+                                           for f in forms.values())}}
+    return doc, cpu
 
 
 def main() -> int:
-    cpu = {"real": 0.0, "complex-type": 0.0, "compact": 0.0}
-    doc = digest(cpu)
+    doc, cpu = digest()
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
     for k, s in cpu.items():
         print(f"{k}: {s:.2f} s CPU", file=sys.stderr)
