@@ -16,18 +16,18 @@ a whole-form run (no --phi) needs rank <= 16, and the golden table, unless
 A single-Phi run (--phi) prints the report row and, under "details", the
 verdict document, the plain dict that `concavity_verdict` returns.  A
 whole-form run prints only the rows, so it builds no documents.  It walks
-the cross sets as masks (`_all_phi`) and builds each row once, with its
-sorted `phi` list, from the fields of one of three sources: for a
-complex-type form `complex_type_verdict` and for a compact form
-`compact_verdict`, theorems that need no context, and for every other form
-`verdict_fields`, which decides the chain condition bound first and stops
-at its first failed target.  Both `concavity_verdict` and
-`verdict_fields` take the context that `get_context` builds once per run.
-The JSON report is written row by row from one template (`emit`).  Once
-the form, Phi and golden table
-(checked by `golden.load_golden`) are valid, the only data error is a
-`ConjugationError` (exit 2); any other exception, from the engine or the
-golden comparison, is a bug (exit 3).
+the cross sets as pairs of a mask and its sorted `phi` list (`_all_phi`)
+and builds each row once (`_row`) from the fields of the mask, read from
+one of three sources: for a complex-type form `complex_type_verdict` and
+for a compact form `compact_verdict`, theorems that need no context, and
+for every other form `verdict_fields`, which decides the chain condition
+bound first and stops at its first failed target.  Both `concavity_verdict`
+and `verdict_fields` take the context that `get_context` builds once per
+run.  The JSON report is written row by row from one template (`emit`); the
+csv and table reports share one list of cells per row.  Once the form, Phi
+and golden table (checked by `golden.load_golden`) are valid, the only data
+error is a `ConjugationError` (exit 2); any other exception, from the
+engine or the golden comparison, is a bug (exit 3).
 Identical invocations produce byte-identical JSON.
 """
 
@@ -58,25 +58,15 @@ MAX_WHOLE_FORM_RANK = 16
 
 
 def _all_phi(rank: int):
-    """Every cross set of a rank-`rank` form as a mask, bit j - 1 for the
-    simple index j: by size, and within a size in the order in which
-    `combinations` lists the sorted indices, since it lists the bits of
-    the same positions in the same order."""
+    """Every cross set of a rank-`rank` form as a pair (mask, phi): the mask
+    with bit j - 1 for the simple index j, and phi the sorted list of its
+    indices.  By size, and within a size in the order in which
+    `combinations` lists the sorted indices; it lists the bits of the same
+    positions in the same order, so the two walks run in lockstep."""
     bits = [1 << j for j in range(rank)]
     for k in range(rank + 1):
-        yield from map(sum, combinations(bits, k))
-
-
-@functools.cache
-def _byte_indices(offset: int) -> list:
-    """Per byte value b, the list of simple indices offset + i + 1 for the
-    set bits i of b, ascending.  Built by doubling: the lists of the bytes
-    below 2^i, then the same lists with offset + i + 1 appended, which is
-    the largest index of each, for i = 0..7."""
-    table = [[]]
-    for j in range(offset + 1, offset + 9):
-        table += [t + [j] for t in table]
-    return table
+        yield from zip(map(sum, combinations(bits, k)),
+                       map(list, combinations(range(1, rank + 1), k)))
 
 
 def _parse_phi(text: str, rank: int) -> tuple:
@@ -101,41 +91,43 @@ def _phi_str(phi) -> str:
     return "+".join(str(j) for j in sorted(phi)) if phi else "-"
 
 
+def _row(form, phi, finite_type, levi, mot, span, verdict) -> dict:
+    """The report row of one cross set, before the golden comparison sets
+    `expected` and `match`."""
+    return {"form": form, "phi": phi, "finite_type": finite_type,
+            "levi": levi, "mot": mot, "span": span, "verdict": verdict,
+            "expected": None, "match": None}
+
+
 def _whole_form_rows(diag, args) -> list[dict]:
-    """The report rows of every cross set of `diag`, in `_all_phi` order.
-    Each row is built once, from the fields (finite_type, levi, mot, span,
-    verdict) of its cross set mask: a compact form's, the same for every
-    cross set, from `compact_verdict` and a complex-type form's from
+    """The report rows of every cross set of `diag`, in `_all_phi` order,
+    each built once from the fields (finite_type, levi, mot, span, verdict)
+    of its cross set mask: a compact form's, the same for every cross set,
+    from `compact_verdict` and a complex-type form's from
     `complex_type_verdict`, with no context; every other form builds its
-    context once and reads `verdict_fields`.  The row's `phi` list is read
-    from byte tables, two lookups for a rank <= 16 mask; it serves the
-    report and the golden predicates."""
+    context once and reads `verdict_fields`.  The row's `phi` list comes
+    from `_all_phi` with the mask; it serves the report and the golden
+    predicates."""
     name, check = diag.name, args.check
-    masks = _all_phi(diag.rank)
+    cross_sets = _all_phi(diag.rank)
     if diag.label == "compact":
         fields = compact_verdict(check)
-        results = ((m, fields) for m in masks)
+        results = ((phi, fields) for _, phi in cross_sets)
     elif diag.doubled:
-        results = ((m, complex_type_verdict(diag, m, check)) for m in masks)
+        results = ((phi, complex_type_verdict(diag, m, check))
+                   for m, phi in cross_sets)
     else:
         ctx = get_context(name, args.gauge_seed, args.max_rank)
-        results = ((m, verdict_fields(ctx, m, check)) for m in masks)
-    # a rank <= 8 mask has no high byte, so it reads no high table
-    low = _byte_indices(0)
-    high = _byte_indices(8) if diag.rank > 8 else ([],)
-    return [{"form": name, "phi": low[m & 255] + high[m >> 8],
-             "finite_type": ft, "levi": levi, "mot": mot, "span": span,
-             "verdict": verdict, "expected": None, "match": None}
-            for m, (ft, levi, mot, span, verdict) in results]
+        results = ((phi, verdict_fields(ctx, m, check))
+                   for m, phi in cross_sets)
+    return [_row(name, phi, *fields) for phi, fields in results]
 
 
 def _report_rows(docs) -> list[dict]:
-    return [{"form": d["form"], "phi": d["phi"],
-             "finite_type": d["finite_type"],
-             "levi": ";".join(levi_label(g["root"], g["class"])
-                              for g in d["gammas"]),
-             "mot": d["mot_satisfied"], "span": d["span_satisfied"],
-             "verdict": d["verdict"], "expected": None, "match": None}
+    return [_row(d["form"], d["phi"], d["finite_type"],
+                 ";".join(levi_label(g["root"], g["class"])
+                          for g in d["gammas"]),
+                 d["mot_satisfied"], d["span_satisfied"], d["verdict"])
             for d in docs]
 
 
@@ -144,6 +136,11 @@ def _report_rows(docs) -> list[dict]:
 _ROW_TEMPLATE = ('{"expected":%s,"finite_type":%s,"form":%s,"levi":%s,'
                  '"match":%s,"mot":%s,"phi":[%s],"span":%s,"verdict":%s}')
 _JSON_LITERALS = {True: "true", False: "false", None: "null"}
+# The boolean columns of the csv and table reports, after form and phi, and
+# their cell text per format
+_FLAGS = ("finite_type", "mot", "span", "verdict", "expected", "match")
+_CELL_TEXT = {"csv": {True: "true", False: "false", None: ""},
+              "table": {True: "True", False: "False", None: ""}}
 
 
 class _JSONStrings(dict):
@@ -171,38 +168,23 @@ def emit(rows: list[dict], fmt: str, details=None) -> bytes:
                                               separators=(",", ":"))
                 if details else "{")
         return f'{head}"rows":[{body}]}}\n'.encode()
+    if fmt not in _CELL_TEXT:
+        raise SystemExit(f"error: unknown format {fmt!r}")
+    text = _CELL_TEXT[fmt]
+    cells = [[r["form"], _phi_str(r["phi"]), *(text[r[k]] for k in _FLAGS)]
+             for r in rows]
     if fmt == "csv":
         import csv
         import io
         buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["form", "phi", "finite_type", "mot", "span", "verdict",
-                    "expected", "match"])
-        for r in rows:
-            exp = "" if r["expected"] is None else str(r["expected"]).lower()
-            mat = "" if r["match"] is None else str(r["match"]).lower()
-            w.writerow([r["form"], _phi_str(r["phi"]),
-                        str(r["finite_type"]).lower(), str(r["mot"]).lower(),
-                        str(r["span"]).lower(), str(r["verdict"]).lower(),
-                        exp, mat])
+        csv.writer(buf, lineterminator="\n").writerows(
+            [["form", "phi", *_FLAGS], *cells])
         return buf.getvalue().encode()
-    if fmt == "table":
-        heads = ["form", "phi", "ft", "mot", "span", "verdict", "expected",
-                 "match", "levi"]
-        body = []
-        for r in rows:
-            exp = "" if r["expected"] is None else str(r["expected"])
-            mat = "" if r["match"] is None else str(r["match"])
-            body.append([r["form"], _phi_str(r["phi"]), str(r["finite_type"]),
-                         str(r["mot"]), str(r["span"]), str(r["verdict"]),
-                         exp, mat, r["levi"]])
-        widths = [max(len(h), *(len(b[i]) for b in body)) if body else len(h)
-                  for i, h in enumerate(heads)]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(heads, widths))]
-        for b in body:
-            lines.append("  ".join(x.ljust(w) for x, w in zip(b, widths)))
-        return ("\n".join(lines) + "\n").encode()
-    raise SystemExit(f"error: unknown format {fmt!r}")
+    heads = ["form", "phi", "ft", *_FLAGS[1:], "levi"]
+    body = [c + [r["levi"]] for c, r in zip(cells, rows)]
+    widths = [max(map(len, column)) for column in zip(heads, *body)]
+    return "".join("  ".join(x.ljust(w) for x, w in zip(line, widths)) + "\n"
+                   for line in [heads, *body]).encode()
 
 
 def default_golden_path() -> str:

@@ -40,60 +40,62 @@ def _eval_predicate(doc: dict, params: dict, phi) -> bool:
     raise ValueError(f"unknown predicate kind {kind!r}")
 
 
-# label -> (source case, readings, ambiguous)
+# label -> (source case, readings)
 _RULES = {
-    "complex": (1, ({"kind": "always"},), False),
-    "compact": (1, ({"kind": "always"},), False),
-    "AII": (1, ({"kind": "always"},), False),
-    "AIIIb": (1, ({"kind": "always"},), False),
-    "BI": (1, ({"kind": "always"}, {"kind": "never"}), True),
-    "BII": (1, ({"kind": "always"}, {"kind": "never"}), True),
-    "CIIb": (1, ({"kind": "always"},), False),
-    "DI": (1, ({"kind": "always"},), False),
-    "DII": (1, ({"kind": "always"},), False),
-    "DIIIa": (4, ({"kind": "so_star_ends"}, {"kind": "always"}), True),
-    "DIIIb": (1, ({"kind": "always"}, {"kind": "so_star_ends"}), True),
-    "EII": (1, ({"kind": "always"},), False),
-    "EIV": (1, ({"kind": "always"},), False),
-    "EVI": (1, ({"kind": "always"},), False),
-    "EVII": (1, ({"kind": "always"},), False),
-    "EIX": (1, ({"kind": "always"},), False),
-    "AIIIa": (2, ({"kind": "su_ends"},), False),
-    "AIV": (2, ({"kind": "su_ends"},), False),
-    "CIIa": (3, ({"kind": "cii_a"},), False),
-    "EIII": (5, ({"kind": "eiii"},), False),
-    "FII": (6, ({"kind": "fii"},), False),
+    "complex": (1, ({"kind": "always"},)),
+    "compact": (1, ({"kind": "always"},)),
+    "AII": (1, ({"kind": "always"},)),
+    "AIIIb": (1, ({"kind": "always"},)),
+    "BI": (1, ({"kind": "always"}, {"kind": "never"})),
+    "BII": (1, ({"kind": "always"}, {"kind": "never"})),
+    "CIIb": (1, ({"kind": "always"},)),
+    "DI": (1, ({"kind": "always"},)),
+    "DII": (1, ({"kind": "always"},)),
+    "DIIIa": (4, ({"kind": "so_star_ends"}, {"kind": "always"})),
+    "DIIIb": (1, ({"kind": "always"}, {"kind": "so_star_ends"})),
+    "EII": (1, ({"kind": "always"},)),
+    "EIV": (1, ({"kind": "always"},)),
+    "EVI": (1, ({"kind": "always"},)),
+    "EVII": (1, ({"kind": "always"},)),
+    "EIX": (1, ({"kind": "always"},)),
+    "AIIIa": (2, ({"kind": "su_ends"},)),
+    "AIV": (2, ({"kind": "su_ends"},)),
+    "CIIa": (3, ({"kind": "cii_a"},)),
+    "EIII": (5, ({"kind": "eiii"},)),
+    "FII": (6, ({"kind": "fii"},)),
     # split forms absent from every clause of the theorem
-    "AI": (None, ({"kind": "never"},), False),
-    "CI": (None, ({"kind": "never"},), False),
-    "EI": (None, ({"kind": "never"},), False),
-    "EV": (None, ({"kind": "never"},), False),
-    "EVIII": (None, ({"kind": "never"},), False),
-    "FI": (None, ({"kind": "never"},), False),
-    "GI": (None, ({"kind": "never"},), False),
+    "AI": (None, ({"kind": "never"},)),
+    "CI": (None, ({"kind": "never"},)),
+    "EI": (None, ({"kind": "never"},)),
+    "EV": (None, ({"kind": "never"},)),
+    "EVIII": (None, ({"kind": "never"},)),
+    "FI": (None, ({"kind": "never"},)),
+    "GI": (None, ({"kind": "never"},)),
 }
 
 
 def golden_table_doc(entries) -> dict:
     rows = []
     for e in entries:
-        case, preds, amb = _RULES[e.label]
+        case, preds = _RULES[e.label]
         rows.append({"form": e.name, "label": e.label,
                      "params": dict(sorted(e.params.items())),
-                     "source_case": case, "ambiguous": amb,
+                     "source_case": case, "ambiguous": len(preds) > 1,
                      "predicates": list(preds)})
     return {"version": 1, "rows": rows}
 
 
-_ROW_KEYS = frozenset(("form", "params", "predicates", "ambiguous"))
+_ROW_KEYS = frozenset(("form", "params", "predicates"))
 
 
 def load_golden(path: str) -> dict:
     """The golden table at path, keyed by form name.  Raises ValueError
     unless the document has the shape {"rows": [{"form", "params",
-    "predicates", "ambiguous"}, ...]}, with a string form name and a
-    nonempty list of predicate objects: a row with no reading could match
-    no report row, and `compare_golden` reads its first reading.  Raises
+    "predicates"}, ...]}, with a string form name and a nonempty list of
+    predicate objects: a row with no reading could match no report row, and
+    `compare_golden` reads its first reading.  Other keys of a row, such as
+    the informational `label`, `source_case` and `ambiguous` that
+    `golden_table_doc` writes, are kept but not read.  Raises
     ValueError too when two rows name the same form, which would leave the
     verdict to the order of the rows, and when a predicate, evaluated on
     the empty cross set, has an unknown kind or a param its row lacks or
@@ -109,9 +111,9 @@ def load_golden(path: str) -> dict:
             and all(isinstance(p, dict) for p in row["predicates"])
             for row in rows):
         raise ValueError(f"{path} is not a golden table: expected "
-                         f'{{"rows": [{{"form", "params", "predicates", '
-                         f'"ambiguous"}}, ...]}} with a string form and at '
-                         f'least one predicate per row')
+                         f'{{"rows": [{{"form", "params", "predicates"}}, '
+                         f'...]}} with a string form and at least one '
+                         f'predicate per row')
     table = {}
     for row in rows:
         form = row["form"]

@@ -28,7 +28,7 @@ def _engine_fields(check, seed) -> dict:
         assert all(ctx.c(a) == ctx.negi(a)
                    for a in range(len(ctx.rs.roots))), e.name
         out[e.name] = [verdict_fields(ctx, m, check)
-                       for m in cli._all_phi(e.rank)]
+                       for m, _ in cli._all_phi(e.rank)]
     return out
 
 
@@ -47,6 +47,6 @@ def test_compact_rows_equal_engine_rows(monkeypatch, check, seed):
         assert [(r["finite_type"], r["levi"], r["mot"], r["span"],
                  r["verdict"]) for r in rows] == want[e.name], e.name
         assert [r["phi"] for r in rows] == \
-            [phi_indices(m) for m in cli._all_phi(e.rank)], e.name
+            [phi_indices(m) for m, _ in cli._all_phi(e.rank)], e.name
         assert _classify(["--form", e.name, "--check", check, *gauge])[0] \
             == 0, e.name

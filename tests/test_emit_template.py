@@ -2,9 +2,9 @@
 It is compared here with json.dumps of the same document over every row
 shape that `classify` prints, with the rows and details taken from the
 `emit` call of `cli.main` itself, so that a row that gains, loses or
-retypes a key fails.  The cross set masks of `cli._all_phi` and the
-printed `phi` lists are checked against the `combinations` order of the
-report."""
+retypes a key fails.  The cross set masks and `phi` lists of
+`cli._all_phi`, and the printed `phi` lists, are checked against the
+`combinations` order of the report."""
 
 import json
 from itertools import combinations
@@ -94,14 +94,15 @@ def test_template_encodes_strings_as_json_dumps():
 
 @pytest.mark.parametrize("rank", range(17))
 def test_all_phi_masks_follow_the_combinations_order(rank):
-    assert [phi_indices(m) for m in cli._all_phi(rank)] == \
-        _combinations(rank)
+    pairs = list(cli._all_phi(rank))
+    assert [phi for _, phi in pairs] == _combinations(rank)
+    assert [phi_indices(m) for m, _ in pairs] == _combinations(rank)
 
 
 @pytest.mark.parametrize("form", ["sl(9,C)", "EIII"])
 def test_printed_phi_lists_follow_the_combinations_order(form):
-    """The byte tables of the printed `phi` lists, on a rank-16 form, whose
-    masks use both tables, and on a rank-6 form."""
+    """The printed `phi` lists of a whole-form run, which come from
+    `_all_phi` with their masks, on a rank-16 form and on a rank-6 form."""
     rc, stdout = _classify(["--form", form, "--check", "mot",
                             "--no-golden"])
     assert rc == 0

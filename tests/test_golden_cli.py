@@ -8,7 +8,7 @@ import pytest
 
 from minorbit.cli import default_golden_path, emit
 from minorbit.golden import compare_golden, load_golden
-from test_swap_reuse import _forbid_engine, enumerate_form
+from test_swap_reuse import _classify, _forbid_engine, enumerate_form
 
 
 def run_cli(args, env=None):
@@ -524,6 +524,21 @@ def test_golden_table_file_matches_generator():
         doc = json.load(fh)
     assert doc == golden_table_doc(catalog(8))
     assert len(doc["rows"]) == 201
+
+
+def test_golden_rows_need_no_ambiguous_field(tmp_path):
+    """`ambiguous` is informational: a table whose rows lack it gives the
+    same exit code and report as the packaged table."""
+    from minorbit.golden import golden_table_doc
+    from minorbit.realform import catalog
+    doc = golden_table_doc(catalog(8))
+    for row in doc["rows"]:
+        del row["ambiguous"]
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(doc))
+    got = _classify(["--form", "FII", "--golden", str(p)])
+    assert got == _classify(["--form", "FII"])
+    assert got[0] == 0
 
 
 def test_library_and_cli_resolve_labels_alike(capsys):

@@ -15,7 +15,7 @@ left as it is)."""
 import pytest
 
 from minorbit.cli import _all_phi, _packaged_golden
-from minorbit.crflag import concavity_verdict, get_context, phi_indices
+from minorbit.crflag import concavity_verdict, get_context
 from minorbit.golden import compare_golden
 from minorbit.realform import find_form
 
@@ -72,7 +72,7 @@ def test_node_maps_carry_satake_diagrams():
 @pytest.mark.parametrize("form,image,node_map,seed", CASES,
                          ids=[f"{a}-{b}-seed{s}" for a, b, _, s in CASES])
 def test_isomorphic_forms_give_equal_rows(form, image, node_map, seed):
-    phis = [phi_indices(m) for m in _all_phi(find_form(form).rank)]
+    phis = [phi for _, phi in _all_phi(find_form(form).rank)]
     left = _docs(form, phis, seed)
     right = _docs(image, [{node_map[j] for j in p} for p in phis], seed)
     for x, y in zip(left, right):
@@ -92,7 +92,7 @@ def test_isomorphic_forms_give_equal_rows(form, image, node_map, seed):
 ])
 def test_transported_golden_readings_agree_with_data(form, kind, image,
                                                      image_kind, node_map):
-    phis = [phi_indices(m) for m in _all_phi(find_form(form).rank)]
+    phis = [phi for _, phi in _all_phi(find_form(form).rank)]
     assert _reading_passes(_docs(form, phis, None), form, kind)
     image_phis = [{node_map[j] for j in p} for p in phis]
     assert _reading_passes(_docs(image, image_phis, None), image, image_kind)

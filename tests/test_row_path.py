@@ -6,8 +6,11 @@ compared with `classify`'s output on every non-compact real form of rank
 <= 5 under each `--check` mode, ungauged and under gauge seed 1.  The
 bound-first chain decision is checked against the closure it skips, the
 closures a row builds are counted, and the span's support rule and its
-theorem rows are checked against the closure."""
+theorem rows are checked against the closure.  One pass over the rows of
+`catalog(8)` per gauge pins the data that mot and span both equal the
+absence of a bound coordinate, and the rows of the split forms."""
 
+import functools
 import itertools
 import json
 
@@ -17,7 +20,9 @@ import chain_oracle as oracle
 from minorbit import cli, crflag
 from minorbit.cli import _report_rows
 from minorbit.crflag import (Chains, _mot_targets, get_context, k_phi,
-                             parabolic, phi_indices, phi_mask)
+                             parabolic, phi_indices, phi_mask,
+                             verdict_fields)
+from minorbit.golden import compare_golden
 from minorbit.realform import catalog
 from test_chain_oracle import RANDOM_FORMS, _random_draws
 from test_swap_reuse import _classify, enumerate_form
@@ -219,3 +224,73 @@ def test_span_support_rule_matches_the_closure(monkeypatch, seed):
                 assert rule == span, (e.name, phi)
                 agree.add(span)
     assert agree == {True, False}
+
+
+@functools.cache
+def _real_rows(seed) -> list:
+    """Per real form of `catalog(8)` that is neither compact nor of complex
+    type: (entry, ctx, rows), each row (mask, phi, the `Chains.bounds` of
+    the cross set, its `verdict_fields` under --check all), in `_all_phi`
+    order.  One pass per gauge, read by the tests below."""
+    out = []
+    for e in catalog(8):
+        if e.label in ("compact", "complex"):
+            continue
+        ctx = get_context(e.name, seed)
+        rows = []
+        for m, phi in cli._all_phi(e.rank):
+            pd = parabolic(ctx, m)
+            rows.append((m, phi, Chains(ctx, pd, k_phi(ctx, pd)).bounds,
+                         verdict_fields(ctx, m, "all")))
+        out.append((e, ctx, rows))
+    return out
+
+
+@pytest.mark.parametrize("seed", (None, 1))
+def test_mot_equals_span_equals_no_bound(seed):
+    """Data, not a theorem (ROADMAP item 21), and no decision reads it: on
+    every cross set of every real form of `catalog(8)` that is neither
+    compact nor of complex type (13,614 rows per gauge), the chain
+    condition and the span of `verdict_fields` under --check all both
+    hold iff no coordinate is bound, that is, iff the moves
+    K_Phi u conj(K_Phi) meet neg[j] for every simple index j."""
+    forms = _real_rows(seed)
+    assert sum(len(rows) for _, _, rows in forms) == 13614
+    seen = set()
+    for e, _, rows in forms:
+        for _, phi, bounds, (_, _, mot, span, _) in rows:
+            assert mot == span == (not bounds), (e.name, phi)
+            seen.add(mot)
+    assert seen == {True, False}
+
+
+def test_split_form_rows_follow_the_theorem():
+    """ROADMAP item 22: on a split form, one whose conjugation is the
+    identity on roots, finite type and the verdict hold iff Phi is empty,
+    mot holds iff Phi is empty and mot is checked, span iff Phi is empty
+    and span is checked, and `levi` lists, in ascending root index, every
+    positive root whose support meets Phi with class Zero.  So a split form
+    has no golden parity row.  Checked on the 32 split forms of
+    `catalog(8)`, ungauged, under every check."""
+    gold = cli._packaged_golden()
+    split = [(e, ctx, rows) for e, ctx, rows in _real_rows(None)
+             if all(ctx.c(a) == a for a in range(len(ctx.rs.roots)))]
+    assert len(split) == 32
+    for e, ctx, rows in split:
+        roots, supports = ctx.rs.roots, ctx.rs.support_masks
+        positive = range(len(roots) // 2, len(roots))
+        for check in ("mot", "span", "all"):
+            report = []
+            for m, phi, _, fields in rows:
+                if check != "all":
+                    fields = verdict_fields(ctx, m, check)
+                empty = not phi
+                levi = ";".join("".join(map(str, roots[a])) + ":Zero"
+                                for a in positive if supports[a] & m)
+                assert fields == (empty, levi,
+                                  empty and check in ("mot", "all"),
+                                  empty and check in ("span", "all"),
+                                  empty), (e.name, check, phi)
+                report.append(cli._row(e.name, phi, *fields))
+            diff = compare_golden(report, gold[e.name])
+            assert diff["parity_rows"] == 0, (e.name, check)

@@ -8,14 +8,15 @@ Runs each of the 201 entries of `catalog(8)`, in catalog order, through
 directory beside this script: `--form <name> --check all`, golden
 comparison on against the packaged table.  Per form it writes the exit
 code, the number of rows, of parity rows and of true verdicts, the golden
-reading that `golden.compare_golden` selected (the index of the first
-reading that matches every parity row, or null when none does), and the
-SHA-256 of stdout.  The document goes to stdout as sorted JSON; the CPU
-time spent on each kind of form (real, complex-type, compact) goes to
-stderr, as it varies from run to run.  Run it in two checkouts and compare
-the documents byte for byte.  `digest()` returns the document and the CPU
-times; `tests/test_catalog_digest.py` compares the document with the
-committed `catalog_digest.json`.  Standard library only.
+reading that `golden.compare_golden` selects on the printed rows (the index
+of the first reading that matches every parity row, or null when none does,
+or when the run printed nothing), and the SHA-256 of stdout.  The document
+goes to stdout as sorted JSON; the CPU time spent on each kind of form
+(real, complex-type, compact) goes to stderr, as it varies from run to run.
+Run it in two checkouts and compare the documents byte for byte.
+`digest()` returns the document and the CPU times;
+`tests/test_catalog_digest.py` compares the document with the committed
+`catalog_digest.json`.  Standard library only.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
-from minorbit import cli  # noqa: E402
+from minorbit import cli, golden  # noqa: E402
 from minorbit.realform import catalog  # noqa: E402
 
 MAX_RANK = 8
@@ -42,38 +43,33 @@ def kind(entry) -> str:
     return "complex-type" if entry.doubled else "real"
 
 
-def run(argv: list[str]) -> tuple[int, bytes, dict | None]:
-    """Exit code, stdout bytes and golden diff of one `classify` call; the
-    diff is read by wrapping `compare_golden` for the call."""
+def run(argv: list[str]) -> tuple[int, bytes]:
+    """Exit code and stdout bytes of one `classify` call."""
     out = io.BytesIO()
     wrapper = io.TextIOWrapper(out, encoding="utf-8")
-    saved = sys.stdout, sys.stderr, cli.goldenmod.compare_golden
-    diffs = []
-
-    def compare(rows, golden_row):
-        diffs.append(saved[2](rows, golden_row))
-        return diffs[-1]
-
+    saved = sys.stdout, sys.stderr
     sys.stdout, sys.stderr = wrapper, io.StringIO()
-    cli.goldenmod.compare_golden = compare
     try:
         rc = cli.main(argv)
     finally:
-        sys.stdout, sys.stderr, cli.goldenmod.compare_golden = saved
+        sys.stdout, sys.stderr = saved
         wrapper.flush()
         wrapper.detach()
-    return rc, out.getvalue(), diffs[-1] if diffs else None
+    return rc, out.getvalue()
 
 
 def digest() -> tuple[dict, dict]:
     """The digest document, and the CPU seconds spent on each kind of form."""
     forms = {}
     cpu = {"real": 0.0, "complex-type": 0.0, "compact": 0.0}
+    table = golden.load_golden(cli.default_golden_path())
     for entry in catalog(MAX_RANK):
         t0 = time.process_time()
-        rc, stdout, diff = run(["--form", entry.name, "--check", "all"])
+        rc, stdout = run(["--form", entry.name, "--check", "all"])
         cpu[kind(entry)] += time.process_time() - t0
         rows = json.loads(stdout)["rows"] if stdout else []
+        diff = (golden.compare_golden(rows, table[entry.name]) if stdout
+                else None)
         forms[entry.name] = {
             "exit": rc,
             "rows": len(rows),
