@@ -3,18 +3,18 @@ the Euclidean realisation of the simple roots (Bourbaki) with its inner
 product and pairing, simple reflections and the reflection closure of the
 simple roots, root strings, supports and tuple addition of roots,
 the `Fraction` form of the Chevalley recursion, the one Gauss-Jordan
-elimination `rref` with `rank` and `kernel`, an incremental echelon
-store, basis elements, adjoint matrices, the Killing form as an explicit
-adjoint trace, the root classes and root images of a conjugation, and the
-anti-linear involution sigma of a real form with a basis of its fixed
-points, the completed sign table, and canonical JSON dumps of a root
-system and of a structure constant table.
+elimination `rref` with `rank` and `kernel`, basis elements, adjoint
+matrices, the Killing form as an explicit adjoint trace, the root classes
+and root images of a conjugation, and the anti-linear involution sigma of
+a real form with a basis of its fixed points, the completed sign table,
+and canonical JSON dumps of a root system and of a structure constant
+table.
 
 `classify` decides everything in integers from root-index tables and never
 forms these objects; the tests use them as independent references (the
 Euclidean Gram matrix behind `RootSystem.twice_gram`, the Killing trace,
-the Fraction recursion, the dense span, the Killing character of the real
-form).
+the Fraction recursion, sigma on the Cartan for the exact span in
+`span_oracle.py`, the Killing character of the real form).
 """
 
 from __future__ import annotations
@@ -342,38 +342,6 @@ def kernel(m: Matrix) -> list[list]:
             v[pc] = -red[r][fc]
         basis.append(v)
     return basis
-
-
-class Echelon:
-    """Incremental row-echelon store over the QQi field."""
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: list[list[QQi]] = []
-        self.pivots: list[int] = []
-
-    def reduce(self, v: Sequence[QQi]) -> list[QQi]:
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        return v
-
-    def insert(self, v: Sequence[QQi]) -> bool:
-        v = self.reduce(v)
-        p = next((k for k, x in enumerate(v) if x), None)
-        if p is None:
-            return False
-        lead = v[p]
-        v = [x / lead for x in v]
-        self.rows.append(v)
-        self.pivots.append(p)
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
 
 
 def h(sc: StructureConstants, i: int) -> dict:

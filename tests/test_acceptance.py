@@ -173,9 +173,8 @@ def test_criterion_4_chevalley_invariants():
     def jac_zero(sc, k1, k2, k3):
         t = {}
         for a, b, c in ((k1, k2, k3), (k2, k3, k1), (k3, k1, k2)):
-            for k, v in sc.bracket({a: QQi(1)},
-                                   sc.bracket({b: QQi(1)}, {c: QQi(1)})).items():
-                nv = t.get(k, QQi(0)) + v
+            for k, v in sc.bracket({a: 1}, sc.bracket({b: 1}, {c: 1})).items():
+                nv = t.get(k, 0) + v
                 if nv:
                     t[k] = nv
                 elif k in t:

@@ -16,7 +16,7 @@ SMALL = [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("C", 3), ("B", 3)]
 
 
 def _basis(sc, k):
-    return {k: QQi(1)}
+    return {k: 1}
 
 
 def _elt_eq_zero(e):
@@ -28,7 +28,7 @@ def _jacobi_defect(sc, k1, k2, k3):
     for a, b, c in ((k1, k2, k3), (k2, k3, k1), (k3, k1, k2)):
         inner = sc.bracket(_basis(sc, b), _basis(sc, c))
         for k, v in sc.bracket(_basis(sc, a), inner).items():
-            nv = t.get(k, QQi(0)) + v
+            nv = t.get(k, 0) + v
             if nv:
                 t[k] = nv
             elif k in t:
@@ -92,7 +92,7 @@ def test_sign_flip_involution_is_automorphism(algebras, fam, rk):
         out = {}
         for k, v in e.items():
             if k < rs.rank:
-                out[k] = out.get(k, QQi(0)) - v
+                out[k] = out.get(k, 0) - v
             else:
                 out[rs.rank + idx(rs, neg(rs.roots[k - rs.rank]))] = v
         return {k: v for k, v in out.items() if v}

@@ -356,49 +356,20 @@ def test_chain_covers_zero_levi_complex_pairs():
 
 
 def test_span_matches_dense_reference():
-    from algebra_oracle import Echelon, real_pair
-    from gaussq import QQi
+    """The exact engine with every basis key in one block, so with no orbit
+    decomposition, against the closure span and the block engine."""
+    from span_oracle import exact_span
     for form, phi in [("su(1,2)", {1}), ("sp(1,2)", {2}), ("su*(4)", {2}),
                       ("sl(2,C)", {1, 2}), ("sl(2,C)", {1})]:
         ctx = get_context(form)
         pd = parabolic(ctx, phi_mask(phi))
         kp = k_phi(ctx, pd)
         ok, dims = t_module_span(Chains(ctx, pd, kp))
-        sc, conj, rk = ctx.sc, ctx.conj, ctx.rs.rank
-        N = sc.dim
-
-        def to_vec(e):
-            v = [QQi(0)] * (2 * N)
-            for k, c in e.items():
-                v[k] = QQi(c.re)
-                v[N + k] = QQi(c.im)
-            return v
-
-        gens = []
-        for i in range(rk):
-            gens.extend(real_pair(conj, {i: QQi(1)}))
-        for a in indices(kp):
-            gens.extend(real_pair(conj, {rk + a: QQi(1)}))
-        ech = Echelon(2 * N)
-        work = []
-        for i in range(rk):
-            for e in real_pair(conj, {i: QQi(1)}):
-                if ech.insert(to_vec(e)):
-                    work.append(e)
-        for a in indices(pd.Q):
-            for e in real_pair(conj, {rk + a: QQi(1)}):
-                if ech.insert(to_vec(e)):
-                    work.append(e)
-        while work:
-            produced = []
-            for x in work:
-                for g in gens:
-                    w = sc.bracket(g, x)
-                    if w and ech.insert(to_vec(w)):
-                        produced.append(w)
-            work = produced
-        assert (ech.dim == N) == ok
-        assert ech.dim == dims[-1]
+        dense_ok, dense_dims = exact_span(ctx, pd, kp,
+                                          blocks=[list(range(ctx.sc.dim))])
+        block_ok, block_dims = exact_span(ctx, pd, kp)
+        assert dense_ok == block_ok == ok, (form, phi)
+        assert dense_dims[-1] == block_dims[-1] == dims[-1], (form, phi)
 
 
 # -- full pipeline -----------------------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from algebra_oracle import Echelon, kernel, mat, rank, rref
+from algebra_oracle import kernel, mat, rank, rref
 from float_oracle import float_classify, float_eigen_oracle
 from gaussq import QQi
 from minorbit.exactla import (DefinitenessClass, hermitian_classify, inertia,
@@ -88,14 +88,6 @@ def test_rank_kernel_dimension_identity_random():
         m = [[QQi(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(cols)]
              for _ in range(rows)]
         assert rank(m) + len(kernel(m)) == cols
-
-
-def test_echelon_incremental():
-    e = Echelon(3)
-    assert e.insert([QQi(1), QQi(2), QQi(0)])
-    assert not e.insert([QQi(2), QQi(4), QQi(0)])
-    assert e.insert([QQi(0), QQi(0), QQi(5)])
-    assert e.dim == 2
 
 
 def test_float_oracle_values():

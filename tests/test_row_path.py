@@ -5,14 +5,17 @@ certificate.  The document engine stays as the oracle: rows built from
 compared with `classify`'s output on every non-compact real form of rank
 <= 5 under each `--check` mode, ungauged and under gauge seed 1.  The
 bound-first chain decision is checked against the closure it skips, the
-closures a row builds are counted, and the span's support rule and its
-theorem rows are checked against the closure.  One pass over the rows of
-`catalog(8)` per gauge pins the data that mot and span both equal the
-absence of a bound coordinate, and the rows of the split forms."""
+closures a row builds are counted, and the span's theorem rows are
+checked against the closure.  One pass over the rows of `catalog(8)` per
+gauge (`_real_rows`) serves the check of the span's support rule against
+the closure, and pins the data that mot and span both equal the absence
+of a bound coordinate, that each true field stays true when an index is
+taken out of Phi, and the rows of the split forms."""
 
 import functools
 import itertools
 import json
+from collections import namedtuple
 
 import pytest
 
@@ -26,6 +29,8 @@ from minorbit.golden import compare_golden
 from minorbit.realform import catalog
 from test_chain_oracle import RANDOM_FORMS, _random_draws
 from test_swap_reuse import _classify, enumerate_form
+
+_Row = namedtuple("_Row", "mask phi pd kphi bounds fields")
 
 REAL = [e for e in catalog(5)
         if e.rank <= 5 and e.label not in ("compact", "complex")]
@@ -193,45 +198,13 @@ def _assert_span_theorem_row(chains, made):
     assert got == oracle.t_module_span(ctx, pd, k_phi(ctx, pd))
 
 
-@pytest.mark.parametrize("seed", (None, 1))
-def test_span_support_rule_matches_the_closure(monkeypatch, seed):
-    """The support rule of the span (ROADMAP item 14), which no decision
-    reads: with M = K_Phi u conj(K_Phi) the chain moves, the span holds
-    iff M meets the table set neg[j] of every simple index j.  It equals
-    the closure span of `chain_oracle.t_module_span` on every cross set
-    of every real form of `catalog(8)` that is neither compact nor of
-    complex type (13,614 rows per gauge).  The theorem rows, where
-    Q u conj(Q) is every root, get the full span from `t_module_span`
-    with no closure: every cross set of every compact form of rank <= 6
-    and the empty cross set of every form above."""
-    made = _count_closures(monkeypatch)
-    agree = set()
-    for e in catalog(8):
-        if e.label == "complex" or e.label == "compact" and e.rank > 6:
-            continue
-        ctx = get_context(e.name, seed)
-        for k in range(e.rank + 1):
-            for phi in itertools.combinations(range(1, e.rank + 1), k):
-                pd = parabolic(ctx, phi_mask(phi))
-                kphi = k_phi(ctx, pd)
-                chains = Chains(ctx, pd, kphi)
-                if e.label == "compact" or not phi:
-                    _assert_span_theorem_row(chains, made)
-                if e.label == "compact":
-                    continue
-                rule = all(chains.moves & neg for neg in ctx.neg)
-                span = oracle.t_module_span(ctx, pd, kphi)[0]
-                assert rule == span, (e.name, phi)
-                agree.add(span)
-    assert agree == {True, False}
-
-
 @functools.cache
 def _real_rows(seed) -> list:
     """Per real form of `catalog(8)` that is neither compact nor of complex
-    type: (entry, ctx, rows), each row (mask, phi, the `Chains.bounds` of
-    the cross set, its `verdict_fields` under --check all), in `_all_phi`
-    order.  One pass per gauge, read by the tests below."""
+    type: (entry, ctx, rows), each row a `_Row` of the cross set (its mask,
+    `phi`, `parabolic` data, `k_phi`, `Chains.bounds`, and `verdict_fields`
+    under --check all), in `_all_phi` order.  One pass per gauge, read by
+    the tests below."""
     out = []
     for e in catalog(8):
         if e.label in ("compact", "complex"):
@@ -240,10 +213,41 @@ def _real_rows(seed) -> list:
         rows = []
         for m, phi in cli._all_phi(e.rank):
             pd = parabolic(ctx, m)
-            rows.append((m, phi, Chains(ctx, pd, k_phi(ctx, pd)).bounds,
-                         verdict_fields(ctx, m, "all")))
+            kphi = k_phi(ctx, pd)
+            rows.append(_Row(m, phi, pd, kphi, Chains(ctx, pd, kphi).bounds,
+                             verdict_fields(ctx, m, "all")))
         out.append((e, ctx, rows))
     return out
+
+
+@pytest.mark.parametrize("seed", (None, 1))
+def test_span_support_rule_matches_the_closure(monkeypatch, seed):
+    """The support rule of the span (ROADMAP item 14), which no decision
+    reads: with M = K_Phi u conj(K_Phi) the chain moves, the span holds
+    iff M meets the table set neg[j] of every simple index j, that is, iff
+    `Chains.bounds` is empty.  It equals the closure span of
+    `chain_oracle.t_module_span` on every row of `_real_rows` (13,614 per
+    gauge).  The theorem rows, where Q u conj(Q) is every root, get the
+    full span from `t_module_span` with no closure: every cross set of
+    every compact form of rank <= 6 and the empty cross set of every form
+    above."""
+    made = _count_closures(monkeypatch)
+    agree = set()
+    for e, ctx, rows in _real_rows(seed):
+        for r in rows:
+            if not r.phi:
+                _assert_span_theorem_row(Chains(ctx, r.pd, r.kphi), made)
+            span = oracle.t_module_span(ctx, r.pd, r.kphi)[0]
+            assert (not r.bounds) == span, (e.name, r.phi)
+            agree.add(span)
+    assert agree == {True, False}
+    for e in catalog(6):
+        if e.label != "compact":
+            continue
+        ctx = get_context(e.name, seed)
+        for m, _ in cli._all_phi(e.rank):
+            pd = parabolic(ctx, m)
+            _assert_span_theorem_row(Chains(ctx, pd, k_phi(ctx, pd)), made)
 
 
 @pytest.mark.parametrize("seed", (None, 1))
@@ -258,10 +262,32 @@ def test_mot_equals_span_equals_no_bound(seed):
     assert sum(len(rows) for _, _, rows in forms) == 13614
     seen = set()
     for e, _, rows in forms:
-        for _, phi, bounds, (_, _, mot, span, _) in rows:
-            assert mot == span == (not bounds), (e.name, phi)
+        for r in rows:
+            _, _, mot, span, _ = r.fields
+            assert mot == span == (not r.bounds), (e.name, r.phi)
             seen.add(mot)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("seed", (None, 1))
+def test_true_fields_are_down_closed(seed):
+    """Data, not a theorem (ROADMAP item 23), and no decision reads it: on
+    every row of `_real_rows` (13,614 per gauge), each of finite type,
+    mot, span and the verdict that holds on Phi also holds on Phi with any
+    one index removed.  Only finite type is proved down-closed: Q and
+    conj(Q) grow as Phi shrinks, so the supports keep covering."""
+    held = 0
+    for e, _, rows in _real_rows(seed):
+        fields = {r.mask: r.fields for r in rows}
+        for r in rows:
+            for j in r.phi:
+                sub = fields[r.mask & ~(1 << (j - 1))]
+                for name, i in (("finite_type", 0), ("mot", 2), ("span", 3),
+                                ("verdict", 4)):
+                    if r.fields[i]:
+                        assert sub[i], (e.name, r.phi, j, name)
+                        held += 1
+    assert held
 
 
 def test_split_form_rows_follow_the_theorem():
@@ -281,7 +307,7 @@ def test_split_form_rows_follow_the_theorem():
         positive = range(len(roots) // 2, len(roots))
         for check in ("mot", "span", "all"):
             report = []
-            for m, phi, _, fields in rows:
+            for m, phi, *_, fields in rows:
                 if check != "all":
                     fields = verdict_fields(ctx, m, check)
                 empty = not phi

@@ -11,11 +11,9 @@ from minorbit.crflag import (Chains, get_context, k_phi, parabolic,
 from span_oracle import exact_span
 from test_acceptance import INSTANCES
 
-# every instance row ungauged and under gauge seed 1; seeds 2 and 3 skip
-# EIII, whose exact engine takes about 40 s per pass
-CASES = [(name, rank, seed) for seed in (None, 1) for name, rank in INSTANCES]
-CASES += [(name, rank, seed) for seed in (2, 3) for name, rank in INSTANCES
-          if name != "EIII"]
+# every instance row, ungauged and under gauge seeds 1, 2 and 3
+CASES = [(name, rank, seed) for seed in (None, 1, 2, 3)
+         for name, rank in INSTANCES]
 
 
 @pytest.mark.parametrize("name,rank,seed", CASES,
